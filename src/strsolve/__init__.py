@@ -14,16 +14,16 @@ from .constraints import (Assignment, CyclicDependencyError, Equation, Length, L
 from .errors import (ResourceLimitError, StrSolveError, SyntaxParseError,
                      UnsupportedError)
 from .intervals import (FULL, MAX_CODEPOINT, Interval, IntervalSet, intersection,
-                        mem, nonempty, sem)
+                        mem, nonempty)
 from .oracle import Bound, oracle_lang, oracle_sat
 from .regex import (compile_pattern, length_automaton, parse_regex, sigma_star,
                     word_automaton)
 from .smtlib import SmtScript, parse_smt, print_smt
 from .snfa import (SNfa, StateId, Transition, accepts, concat, dump, is_empty,
-                   isomorphic, product, remove_unreachable, rename, snfa, some_word,
-                   split_word, to_dot)
+                   product, remove_unreachable, rename, snfa, some_word, split_word,
+                   to_dot)
 from .solver import (Budget, RefinedReg, SolveStats, Verdict, classify,
-                     extract_model, forward_prop, ready_set, solve, var_lang)
+                     extract_model, forward_prop, solve, var_lang)
 
 __version__ = "0.1.0"
 
@@ -35,9 +35,9 @@ __all__ = [
     "SyntaxParseError", "Transition", "UnsupportedError", "Var", "VarId",
     "Verdict", "accepts", "check_tree", "classify", "compile_pattern", "concat",
     "desugar", "dump", "extract_model", "forward_prop", "intersection",
-    "is_empty", "isomorphic", "layering", "length_automaton", "make_problem",
-    "mem", "nonempty", "oracle_lang", "oracle_sat", "parse_regex", "parse_smt",
-    "print_smt", "problem_dump", "product", "ready_set", "remove_unreachable",
-    "rename", "sat_str", "sem", "sigma_star", "snfa", "solve", "some_word",
-    "split_word", "to_dot", "var_lang", "word_automaton",
+    "is_empty", "layering", "length_automaton", "make_problem", "mem",
+    "nonempty", "oracle_lang", "oracle_sat", "parse_regex", "parse_smt",
+    "print_smt", "problem_dump", "product", "remove_unreachable", "rename",
+    "sat_str", "sigma_star", "snfa", "solve", "some_word", "split_word",
+    "to_dot", "var_lang", "word_automaton",
 ]

@@ -26,7 +26,8 @@ from .constraints import CyclicDependencyError, desugar
 from .errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from .smtlib import encode_string, parse_smt
 from .snfa import to_dot
-from .solver import DEFAULT_MAX_TRANSITIONS, SolveStats, Verdict, forward_prop, solve
+from .solver import (DEFAULT_MAX_TRANSITIONS, Budget, SolveStats, Verdict, forward_prop,
+                     solve)
 
 EXIT_VERDICT = 0
 EXIT_PARSE = 1
@@ -58,7 +59,8 @@ def solve_path(path: str | Path, optimize: bool = False,
             key = v if len(problems) == 1 else f"{idx}:{v}"
             total.var_sizes[key] = size
         if dump_dot_dir is not None:
-            _dump_dots(Path(dump_dot_dir), Path(path).stem, idx, problem)
+            _dump_dots(Path(dump_dot_dir), Path(path).stem, idx, problem, optimize,
+                       Budget(max_transitions, deadline))
         verdicts.append(verdict)
         if verdict.kind == "sat":
             break
@@ -78,10 +80,13 @@ def _combine(verdicts: list[Verdict], declared: list[str]) -> Verdict:
     raise AssertionError("no verdicts to combine")
 
 
-def _dump_dots(directory: Path, stem: str, idx: int, problem) -> None:
+def _dump_dots(directory: Path, stem: str, idx: int, problem, optimize: bool,
+               budget: Budget) -> None:
+    """Write the refined automata of one problem, built with the solve's
+    optimize setting and budget so that they are the ones its verdict used."""
     directory.mkdir(parents=True, exist_ok=True)
     try:
-        refined = forward_prop(problem)
+        refined = forward_prop(problem, budget, optimize)
     except (CyclicDependencyError, ResourceLimitError):
         return
     for var in sorted(refined):
@@ -117,6 +122,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_RESOURCE
     except (OSError, StrSolveError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_PARSE
 
     print(verdict.kind)

@@ -283,15 +283,15 @@ def layering(p: Problem) -> list[set[VarId]]:
     CyclicDependencyError carrying the stuck variables.
     """
     validate_problem(p)
+    deps = {v: dependencies(p, v) for v in p.variables}
     level: dict[VarId, int] = {}
     remaining = set(p.variables)
     while remaining:
-        ready = [v for v in remaining if dependencies(p, v).issubset(level)]
+        ready = [v for v in remaining if deps[v].issubset(level)]
         if not ready:
             raise CyclicDependencyError(frozenset(remaining))
         for v in ready:
-            deps = dependencies(p, v)
-            level[v] = 1 + max((level[d] for d in deps), default=-1)
+            level[v] = 1 + max((level[d] for d in deps[v]), default=-1)
         remaining.difference_update(ready)
     layers: dict[int, set[VarId]] = {}
     for v, lv in level.items():

@@ -17,8 +17,8 @@ from .errors import ResourceLimitError
 
 MAX_CODEPOINT = 0x10FFFF
 
-# sem() is meant for tests on small intervals; enumerating a large label is
-# almost always a bug, so it is refused above this cap by default.
+# Enumerating the members of a large label is almost always a bug, so
+# IntervalSet.code_points refuses it above this cap by default.
 DEFAULT_ENUM_CAP = 1 << 16
 
 
@@ -36,7 +36,6 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
         return f"[{self.lo},{self.hi}]"
 
 
-EMPTY = Interval(1, 0)
 FULL = Interval(0, MAX_CODEPOINT)
 
 
@@ -50,18 +49,6 @@ def mem(e: int, a: Interval) -> bool:
 
 def intersection(a: Interval, b: Interval) -> Interval:
     return Interval(max(a.lo, b.lo), min(a.hi, b.hi))
-
-
-def size(a: Interval) -> int:
-    return a.hi - a.lo + 1 if a.lo <= a.hi else 0
-
-
-def sem(a: Interval, cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
-    """The set {n | lo <= n <= hi}, materialized. Refused above `cap` elements."""
-    n = size(a)
-    if n > cap:
-        raise ResourceLimitError(f"refusing to enumerate {n} code points (cap {cap})")
-    return frozenset(range(a.lo, a.hi + 1))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .constraints import CyclicDependencyError, Problem, VarId, dependencies, layering, validate_problem
+from .constraints import CyclicDependencyError, Problem, VarId, layering, validate_problem
 from .errors import ResourceLimitError
 from .intervals import IntervalSet
 from .snfa import SNfa

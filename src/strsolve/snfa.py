@@ -6,6 +6,9 @@ are single non-empty intervals. Every collection is iterated in a fixed
 sorted order, so identical inputs always rebuild identical automata, and
 concatenation and product emit only states reachable from the initial set
 (trim), which makes language emptiness a check on the accepting set.
+
+`validate` is the one well-formedness check; with validation switched on it
+runs on every constructed automaton.
 """
 
 from __future__ import annotations
@@ -15,11 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import ResourceLimitError
 from .intervals import Interval
-
-DEFAULT_ISO_CAP = 12
-
 
 class StateId(namedtuple("StateId", ["id", "tag"])):
     __slots__ = ()
@@ -65,12 +64,6 @@ class SNfa:
             adj.setdefault(t.src, []).append(t)
         return adj
 
-    def n_states(self) -> int:
-        return len(self.states)
-
-    def n_transitions(self) -> int:
-        return len(self.transitions)
-
     def __repr__(self) -> str:
         return (f"SNfa(states={len(self.states)}, transitions={len(self.transitions)}, "
                 f"initial={len(self.initial)}, accepting={len(self.accepting)})")
@@ -87,13 +80,6 @@ def snfa(states: Iterable[StateId], transitions: Iterable[Transition],
     if _VALIDATE:
         validate(a)
     return a
-
-
-def well_formed(a: SNfa) -> bool:
-    if not (a.initial <= a.states and a.accepting <= a.states):
-        return False
-    return all(t.src in a.states and t.dst in a.states and t.label.lo <= t.label.hi
-               for t in a.transitions)
 
 
 def validate(a: SNfa) -> None:
@@ -190,8 +176,6 @@ def concat(a1: SNfa, a2: SNfa) -> SNfa:
     while queue:
         q = queue.popleft()
         for t in out.get(q, ()):
-            if t.label.lo > t.label.hi:  # cheap guard; labels are non-empty by invariant
-                continue
             kept.add(t)
             if t.dst not in reached:
                 reached.add(t.dst)
@@ -257,17 +241,9 @@ def _int_adjacency(a: SNfa) -> dict[StateId, list[tuple[int, int, StateId]]]:
 
 def remove_unreachable(a: SNfa) -> SNfa:
     """Language-preserving trim: drop states unreachable from the initial set."""
-    reached = set(a.initial)
-    queue = deque(sorted(a.initial))
-    kept: set[Transition] = set()
-    while queue:
-        q = queue.popleft()
-        for t in a._out.get(q, ()):
-            kept.add(t)
-            if t.dst not in reached:
-                reached.add(t.dst)
-                queue.append(t.dst)
-    return snfa(reached, kept, a.initial, a.accepting & reached, trim=True)
+    reached = _reachable_states(a)
+    return snfa(reached, (t for t in a.transitions if t.src in reached),
+                a.initial, a.accepting & reached, trim=True)
 
 
 def is_empty(a: SNfa) -> bool:
@@ -306,78 +282,13 @@ def some_word(a: SNfa) -> Optional[str]:
     raise AssertionError("trim automaton with accepting states has a reachable witness")
 
 
-def split_word(a1: SNfa, a2: SNfa, c: Optional[SNfa], w: str) -> Optional[tuple[str, str]]:
-    """A split w = w1+w2 with w1 in L(a1) and w2 in L(a2); shortest w1 wins.
-
-    `c`, when given, is the already-built concatenation of a1 and a2 and is
-    used only as a quick rejection filter.
-    """
-    if c is not None and not accepts(c, w):
-        return None
+def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
+    """A split w = w1+w2 with w1 in L(a1) and w2 in L(a2); shortest w1 wins."""
     for i in range(len(w) + 1):
         w1 = w[:i]
         if accepts(a1, w1) and accepts(a2, w[i:]):
             return w1, w[i:]
     return None
-
-
-def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:
-    """Structural isomorphism (exact labels), by backtracking search.
-
-    Test utility only, hence the small default state cap.
-    """
-    if len(a1.states) > cap or len(a2.states) > cap:
-        raise ResourceLimitError(
-            f"isomorphism check limited to {cap} states "
-            f"(got {len(a1.states)} and {len(a2.states)})")
-    if (len(a1.states) != len(a2.states) or len(a1.transitions) != len(a2.transitions)
-            or len(a1.initial) != len(a2.initial) or len(a1.accepting) != len(a2.accepting)):
-        return False
-
-    def signature(a: SNfa, q: StateId) -> tuple:
-        out_labels = sorted(t.label for t in a._out.get(q, ()))
-        in_labels = sorted(t.label for t in a.transitions if t.dst == q)
-        return (q in a.initial, q in a.accepting, tuple(out_labels), tuple(in_labels))
-
-    sig2: dict[tuple, list[StateId]] = defaultdict(list)
-    for q in sorted(a2.states):
-        sig2[signature(a2, q)].append(q)
-
-    order = sorted(a1.states)
-    trans2 = set(a2.transitions)
-    mapping: dict[StateId, StateId] = {}
-    used: set[StateId] = set()
-
-    def consistent(q1: StateId, q2: StateId) -> bool:
-        for t in a1.transitions:
-            if t.src == q1 and t.dst in mapping:
-                if Transition(q2, t.label, mapping[t.dst]) not in trans2:
-                    return False
-            if t.dst == q1 and t.src in mapping:
-                if Transition(mapping[t.src], t.label, q2) not in trans2:
-                    return False
-            if t.src == q1 and t.dst == q1:
-                if Transition(q2, t.label, q2) not in trans2:
-                    return False
-        return True
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            mapped = {Transition(mapping[t.src], t.label, mapping[t.dst]) for t in a1.transitions}
-            return mapped == trans2
-        q1 = order[i]
-        for q2 in sig2.get(signature(a1, q1), ()):
-            if q2 in used or not consistent(q1, q2):
-                continue
-            mapping[q1] = q2
-            used.add(q2)
-            if assign(i + 1):
-                return True
-            del mapping[q1]
-            used.remove(q2)
-        return False
-
-    return assign(0)
 
 
 def to_dot(a: SNfa, name: str = "snfa") -> str:

@@ -1,12 +1,11 @@
 """Forward propagation of regular constraints and verdict classification.
 
 Propagation walks the concatenation dependence graph from independent
-variables upward: each round refines every variable whose dependencies are
-already refined, replacing its automaton with the product of the current
-one and the concatenation of its pair's automata. The working set shrinks
-every round, so the loop runs at most |variables| times; if no variable is
-ready while some remain, the dependencies are cyclic and the solve reports
-unknown.
+variables upward, one round per dependence layer: each round refines every
+variable of its layer, replacing its automaton with the product of the
+current one and the concatenation of its pair's automata. The layers come
+from `constraints.layering`, which finds a cyclic dependence graph before
+any concatenation or product is built; such a solve reports unknown.
 
 Verdicts: an empty refined language anywhere is a sound unsat; when all
 refined languages are non-empty and no variable repeats on the equations'
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .constraints import (Assignment, CyclicDependencyError, Problem, VarId,
-                          check_tree, dependencies, sat_str, validate_problem)
+                          check_tree, layering, sat_str)
 from .errors import ResourceLimitError
 from .regex import sigma_star
 from .snfa import SNfa, concat, is_empty, product, some_word, split_word
@@ -72,11 +71,6 @@ class Budget:
         return a
 
 
-def ready_set(s: set[VarId], p: Problem, r: set[VarId]) -> set[VarId]:
-    """Variables in s whose dependencies are all refined (i.e. in r)."""
-    return {v for v in s if dependencies(p, v) <= r}
-
-
 def _is_sigma_star(a: SNfa) -> bool:
     return (len(a.states) == 1 and len(a.transitions) == 1
             and a.initial == a.states and a.accepting == a.states
@@ -113,24 +107,16 @@ def var_lang(c: set[VarId], p: Problem, reg: Mapping[VarId, SNfa],
 
 def forward_prop(p: Problem, budget: Optional[Budget] = None,
                  optimize: bool = False, stats: Optional[SolveStats] = None) -> RefinedReg:
-    """Refine all regular constraints; raises CyclicDependencyError when the
-    dependence graph prevents any progress."""
-    validate_problem(p)
+    """Refine all regular constraints, one round per dependence layer;
+    raises CyclicDependencyError before any automaton is built when the
+    dependence graph has a cycle."""
+    layers = layering(p)
     budget = budget or Budget()
-    s = set(p.variables)
-    r: set[VarId] = set()
     reg: RefinedReg = dict(p.reg)
-    iterations = 0
-    while s:
-        c = ready_set(s, p, r)
-        if not c:
-            raise CyclicDependencyError(frozenset(s))
-        reg = var_lang(c, p, reg, budget, optimize)
-        s -= c
-        r |= c
-        iterations += 1
+    for layer in reversed(layers):
+        reg = var_lang(layer, p, reg, budget, optimize)
     if stats is not None:
-        stats.iterations = iterations
+        stats.iterations = len(layers)
     return reg
 
 
@@ -153,7 +139,7 @@ def extract_model(p: Problem, reg1: Mapping[VarId, SNfa]) -> Assignment:
     while queue:
         v = queue.pop(0)
         for v1, v2 in sorted(p.concat.get(v, frozenset())):
-            split = split_word(reg1[v1], reg1[v2], None, mu[v])
+            split = split_word(reg1[v1], reg1[v2], mu[v])
             if split is None:
                 raise RuntimeError(
                     f"no split of {mu[v]!r} for {v} = {v1} + {v2}; refinement is broken")

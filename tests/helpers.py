@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random generators and reference matchers.
+"""Shared test utilities: seeded random generators, reference matchers,
+interval enumeration and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -7,14 +8,17 @@ production code paths they check.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from strsolve import regex as rx
 from strsolve.constraints import Problem, make_problem
-from strsolve.intervals import Interval, IntervalSet
+from strsolve.errors import ResourceLimitError
+from strsolve.intervals import DEFAULT_ENUM_CAP, Interval, IntervalSet
 from strsolve.snfa import SNfa, StateId, Transition, remove_unreachable, snfa
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
 LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
+DEFAULT_ISO_CAP = 12
 
 
 def words_upto(alphabet: tuple[int, int], max_len: int) -> list[str]:
@@ -146,3 +150,70 @@ def random_regex(rng: random.Random, depth: int,
     if roll < 0.9:
         return rx.Opt(random_regex(rng, depth - 1, alphabet))
     return random_regex(rng, 0, alphabet)
+
+
+def sem(a: Interval, cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
+    """The set {n | lo <= n <= hi}, materialized. Refused above `cap` elements."""
+    n = a.hi - a.lo + 1 if a.lo <= a.hi else 0
+    if n > cap:
+        raise ResourceLimitError(f"refusing to enumerate {n} code points (cap {cap})")
+    return frozenset(range(a.lo, a.hi + 1))
+
+
+def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:
+    """Structural isomorphism (exact labels), by backtracking search.
+
+    Exponential in the worst case, hence the small default state cap.
+    """
+    if len(a1.states) > cap or len(a2.states) > cap:
+        raise ResourceLimitError(
+            f"isomorphism check limited to {cap} states "
+            f"(got {len(a1.states)} and {len(a2.states)})")
+    if (len(a1.states) != len(a2.states) or len(a1.transitions) != len(a2.transitions)
+            or len(a1.initial) != len(a2.initial) or len(a1.accepting) != len(a2.accepting)):
+        return False
+
+    def signature(a: SNfa, q: StateId) -> tuple:
+        out_labels = sorted(t.label for t in a.transitions if t.src == q)
+        in_labels = sorted(t.label for t in a.transitions if t.dst == q)
+        return (q in a.initial, q in a.accepting, tuple(out_labels), tuple(in_labels))
+
+    sig2: dict[tuple, list[StateId]] = defaultdict(list)
+    for q in sorted(a2.states):
+        sig2[signature(a2, q)].append(q)
+
+    order = sorted(a1.states)
+    trans2 = set(a2.transitions)
+    mapping: dict[StateId, StateId] = {}
+    used: set[StateId] = set()
+
+    def consistent(q1: StateId, q2: StateId) -> bool:
+        for t in a1.transitions:
+            if t.src == q1 and t.dst in mapping:
+                if Transition(q2, t.label, mapping[t.dst]) not in trans2:
+                    return False
+            if t.dst == q1 and t.src in mapping:
+                if Transition(mapping[t.src], t.label, q2) not in trans2:
+                    return False
+            if t.src == q1 and t.dst == q1:
+                if Transition(q2, t.label, q2) not in trans2:
+                    return False
+        return True
+
+    def assign(i: int) -> bool:
+        if i == len(order):
+            mapped = {Transition(mapping[t.src], t.label, mapping[t.dst]) for t in a1.transitions}
+            return mapped == trans2
+        q1 = order[i]
+        for q2 in sig2.get(signature(a1, q1), ()):
+            if q2 in used or not consistent(q1, q2):
+                continue
+            mapping[q1] = q2
+            used.add(q2)
+            if assign(i + 1):
+                return True
+            del mapping[q1]
+            used.remove(q2)
+        return False
+
+    return assign(0)

@@ -93,6 +93,27 @@ def test_solve_dump_dot(tmp_path):
     files = list(dots.glob("*.dot"))
     assert files and "digraph" in files[0].read_text()
 
+    # the dump is built with the solve's settings: under --optimize the
+    # all-words concatenation is absorbed, leaving x with one state
+    g = tmp_path / "g.smt2"
+    g.write_text("(declare-const x String)(declare-const y String)(declare-const z String)"
+                 "(assert (= x (str.++ y z)))(check-sat)")
+    proc = run_cli("solve", str(g), "--optimize", "--dump-dot", str(dots))
+    assert proc.returncode == 0
+    x_dot = (dots / "g.d0.x.dot").read_text()
+    assert x_dot.count("shape=circle") + x_dot.count("shape=doublecircle") == 1
+
+
+def test_solve_deep_nesting_exit(tmp_path):
+    term = '(str.to_re "a")'
+    for _ in range(1500):
+        term = f'(re.++ {term} (str.to_re "b"))'
+    f = tmp_path / "deep.smt2"
+    f.write_text(f"(declare-const x String)(assert (str.in_re x {term}))(check-sat)")
+    proc = run_cli("solve", str(f))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: input nested too deeply\n"
+
 
 def test_solve_path_api(tmp_path):
     f = tmp_path / "api.smt2"

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import sem
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import (FULL, MAX_CODEPOINT, Interval, IntervalSet,
-                                intersection, mem, nonempty, sem)
+                                intersection, mem, nonempty)
 
 cp = st.integers(min_value=0, max_value=MAX_CODEPOINT)
 iv = st.builds(Interval, cp, cp)

@@ -6,7 +6,7 @@ from helpers import TEST_ALPHABET, random_regex, ref_regex_match, words_upto
 from strsolve import regex as rx
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, Interval, IntervalSet, MAX_CODEPOINT
-from strsolve.snfa import accepts, remove_unreachable, well_formed
+from strsolve.snfa import accepts, remove_unreachable, validate
 
 
 def test_parse_class_plus():
@@ -158,7 +158,7 @@ def test_compile_agrees_with_reference_matcher():
     for _ in range(150):
         ast = random_regex(rng, rng.randint(0, 4))
         a = rx.compile(ast)
-        assert well_formed(a)
+        validate(a)
         assert remove_unreachable(a).states == a.states  # trim audit
         for w in words:
             assert accepts(a, w) == ref_regex_match(ast, w), (ast, w)

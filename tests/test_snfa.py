@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from helpers import LEMMA_ALPHABET, random_snfa, words_upto
+from helpers import LEMMA_ALPHABET, isomorphic, random_snfa, words_upto
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import FULL, Interval
 from strsolve.oracle import Bound, word_in
 from strsolve.regex import compile_pattern, sigma_star, word_automaton
 from strsolve.snfa import (SNfa, StateId, Transition, accepts, concat, dump,
-                           is_empty, isomorphic, product, remove_unreachable,
-                           rename, snfa, some_word, split_word, to_dot,
-                           well_formed)
+                           is_empty, product, remove_unreachable, rename, snfa,
+                           some_word, split_word, to_dot, validate)
 
 WORDS6 = words_upto(LEMMA_ALPHABET, 6)
 
@@ -96,11 +95,11 @@ def test_some_word_examples():
 
 def test_split_word_examples():
     astar, b = compile_pattern("a*"), compile_pattern("b")
-    assert split_word(astar, b, concat(astar, b), "aab") == ("aa", "b")
+    assert split_word(astar, b, "aab") == ("aa", "b")
     one_a = compile_pattern("a")
-    assert split_word(one_a, one_a, None, "aaa") is None
+    assert split_word(one_a, one_a, "aaa") is None
     aplus = compile_pattern("a+")
-    got = split_word(aplus, aplus, None, "aaa")
+    got = split_word(aplus, aplus, "aaa")
     assert got == ("a", "aa")  # shortest first part wins
     w1, w2 = got
     assert w1 + w2 == "aaa" and accepts(aplus, w1) and accepts(aplus, w2)
@@ -132,7 +131,8 @@ def test_concat_matches_split_oracle():
     for _ in range(60):
         a1, a2 = random_snfa(rng), random_snfa(rng)
         c = concat(a1, a2)
-        assert well_formed(c) and c.trim
+        validate(c)
+        assert c.trim
         for w in WORDS6:
             expected = any(word_in(a1, w[:i]) and word_in(a2, w[i:])
                            for i in range(len(w) + 1))
@@ -144,7 +144,8 @@ def test_product_matches_membership_conjunction():
     for _ in range(60):
         a1, a2 = random_snfa(rng), random_snfa(rng)
         p = product(a1, a2)
-        assert well_formed(p) and p.trim
+        validate(p)
+        assert p.trim
         for w in WORDS6:
             assert accepts(p, w) == (word_in(a1, w) and word_in(a2, w))
 

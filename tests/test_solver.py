@@ -6,13 +6,14 @@ import pytest
 from helpers import TEST_ALPHABET, random_problem, words_upto
 from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Lit, Membership,
-                                  Var, check_tree, desugar, make_problem, sat_str)
+                                  Var, check_tree, desugar, layering, make_problem,
+                                  sat_str)
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
 from strsolve.oracle import Bound, oracle_sat
 from strsolve.snfa import accepts, dump, is_empty
-from strsolve.solver import (Budget, classify, extract_model, forward_prop,
-                             ready_set, solve, var_lang)
+from strsolve.solver import (Budget, SolveStats, classify, extract_model,
+                             forward_prop, solve, var_lang)
 
 URL_CONSTRAINTS = [
     Membership("domain", rx.parse_regex("[a-zA-Z.]+")),
@@ -29,15 +30,26 @@ def paper_example_problem():
                         {"x5": {("x3", "x4")}, "x3": {("x1", "x2")}})
 
 
-def test_ready_set_rounds():
+def test_forward_prop_rounds_follow_layering():
     p = paper_example_problem()
-    s = set(p.variables)
-    first = ready_set(s, p, set())
-    assert first == {"x1", "x2", "x4"}
-    second = ready_set(s - first, p, first)
-    assert second == {"x3"}
+    rounds = list(reversed(layering(p)))
+    assert rounds[:2] == [{"x1", "x2", "x4"}, {"x3"}]
+    stats = SolveStats()
+    forward_prop(p, stats=stats)
+    assert stats.iterations == len(rounds) == 3
     cyclic = make_problem(["a", "b", "c", "d"], {"a": {("b", "c")}, "b": {("a", "d")}})
-    assert ready_set({"a", "b"}, cyclic, set()) == set()
+    with pytest.raises(CyclicDependencyError) as err:
+        forward_prop(cyclic)
+    assert err.value.variables == {"a", "b"}
+
+
+def test_cycle_found_before_any_automaton_is_built():
+    # The acyclic part alone (e = f ++ f, 12 transitions) would exceed the budget.
+    p = make_problem(list("abcdef"),
+                     {"a": {("b", "c")}, "b": {("a", "d")}, "e": {("f", "f")}},
+                     {"f": rx.word_automaton("abcdef")})
+    verdict = solve(p, max_transitions=10)
+    assert (verdict.kind, verdict.reason, verdict.stats.iterations) == ("unknown", "cyclic", 0)
 
 
 def test_var_lang_refines_path():
