@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .constraints import CyclicDependencyError, desugar
-from .errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
+from .constraints import desugar
+from .errors import ResourceLimitError, StrSolveError, UnsupportedError
 from .smtlib import encode_string, parse_smt
 from .snfa import to_dot
-from .solver import (DEFAULT_MAX_TRANSITIONS, Budget, SolveStats, Verdict, forward_prop,
-                     solve)
+from .solver import DEFAULT_MAX_TRANSITIONS, RefinedReg, SolveStats, Verdict, solve
 
 EXIT_VERDICT = 0
 EXIT_PARSE = 1
@@ -59,8 +58,8 @@ def solve_path(path: str | Path, optimize: bool = False,
             key = v if len(problems) == 1 else f"{idx}:{v}"
             total.var_sizes[key] = size
         if dump_dot_dir is not None:
-            _dump_dots(Path(dump_dot_dir), Path(path).stem, idx, problem, optimize,
-                       Budget(max_transitions, deadline))
+            _dump_dots(Path(dump_dot_dir), Path(path).stem, idx, verdict.refined)
+        verdict.refined = None  # the returned verdicts must not pin the automata
         verdicts.append(verdict)
         if verdict.kind == "sat":
             break
@@ -80,14 +79,11 @@ def _combine(verdicts: list[Verdict], declared: list[str]) -> Verdict:
     raise AssertionError("no verdicts to combine")
 
 
-def _dump_dots(directory: Path, stem: str, idx: int, problem, optimize: bool,
-               budget: Budget) -> None:
-    """Write the refined automata of one problem, built with the solve's
-    optimize setting and budget so that they are the ones its verdict used."""
+def _dump_dots(directory: Path, stem: str, idx: int, refined: Optional[RefinedReg]) -> None:
+    """Write the refined automata one problem's verdict was read from; a
+    cyclic problem has none."""
     directory.mkdir(parents=True, exist_ok=True)
-    try:
-        refined = forward_prop(problem, budget, optimize)
-    except (CyclicDependencyError, ResourceLimitError):
+    if refined is None:
         return
     for var in sorted(refined):
         out = directory / f"{stem}.d{idx}.{var}.dot"

@@ -196,10 +196,9 @@ class _Parser:
             self.take()
             if not digits:
                 raise self.error("empty \\u{...}", start)
-            try:
-                cp = int(digits, 16)
-            except ValueError:
-                raise self.error("bad hex in \\u{...}", start) from None
+            cp = hex_value(digits)
+            if cp is None:
+                raise self.error("bad hex in \\u{...}", start)
             if cp > MAX_CODEPOINT:
                 raise self.error("code point above 0x10FFFF", start)
             return cp
@@ -211,12 +210,9 @@ class _Parser:
 
     def hex_digits(self, n: int, start: int) -> int:
         digits = self.src[self.i:self.i + n]
-        if len(digits) < n:
+        cp = hex_value(digits) if len(digits) == n else None
+        if cp is None:
             raise self.error(f"expected {n} hex digits", start)
-        try:
-            cp = int(digits, 16)
-        except ValueError:
-            raise self.error(f"expected {n} hex digits", start) from None
         self.i += n
         return cp
 
@@ -256,6 +252,18 @@ class _Parser:
         if ch == "\\":
             return self.escape(start)
         return ord(ch)
+
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def hex_value(digits: str) -> int | None:
+    """The value of a non-empty run of ASCII hex digits, else None. (`int`
+    with base 16 would also take a sign, spaces, underscores, a 0x prefix
+    and non-ASCII digits.)"""
+    if digits and _HEX_DIGITS.issuperset(digits):
+        return int(digits, 16)
+    return None
 
 
 def parse_regex(src: str) -> Regex:

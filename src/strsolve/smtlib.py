@@ -59,24 +59,20 @@ def _decode_string(raw: str, pos: int) -> str:
                 end = raw.find("}", i + 3)
                 if end < 0:
                     raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
-                digits = raw[i + 3:end]
-                try:
-                    cp = int(digits, 16)
-                except ValueError:
-                    raise SyntaxParseError("bad hex in \\u{...} escape", pos) from None
-                if not digits or cp > MAX_CODEPOINT:
+                cp = rx.hex_value(raw[i + 3:end])
+                if cp is None:
+                    raise SyntaxParseError("bad hex in \\u{...} escape", pos)
+                if cp > MAX_CODEPOINT:
                     raise SyntaxParseError("bad code point in \\u{...} escape", pos)
                 out.append(chr(cp))
                 i = end + 1
                 continue
             digits = raw[i + 2:i + 6]
-            if len(digits) == 4:
-                try:
-                    out.append(chr(int(digits, 16)))
-                    i += 6
-                    continue
-                except ValueError:
-                    pass
+            cp = rx.hex_value(digits) if len(digits) == 4 else None
+            if cp is not None:
+                out.append(chr(cp))
+                i += 6
+                continue
         out.append(ch)
         i += 1
     return "".join(out)
@@ -141,7 +137,7 @@ def _tokenize(src: str) -> Iterator[tuple[str, object, int]]:
         while i < n and src[i] not in ' \t\r\n();"|':
             i += 1
         word = src[start:i]
-        if word.isdigit() or (word.startswith("-") and word[1:].isdigit()):
+        if word.isascii() and (word.isdigit() or (word.startswith("-") and word[1:].isdigit())):
             yield "num", int(word), start
         else:
             yield "sym", word, start

@@ -16,6 +16,7 @@ from the refined automata; otherwise the result is unknown.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -52,6 +53,9 @@ class Verdict:
     witness: Optional[VarId] = None        # unsat only; variable with empty language
     reason: Optional[str] = None           # unknown only; "not-tree" | "cyclic"
     stats: SolveStats = field(default_factory=SolveStats)
+    # the refined automata the verdict was read from (None when cyclic);
+    # for dumps only, never serialized
+    refined: Optional[RefinedReg] = field(default=None, repr=False, compare=False)
 
 
 class Budget:
@@ -130,14 +134,14 @@ def extract_model(p: Problem, reg1: Mapping[VarId, SNfa]) -> Assignment:
     """
     rhs_vars = {x for v in p.concat for pair in p.concat[v] for x in pair}
     mu: Assignment = {}
-    queue = [v for v in sorted(p.variables) if v not in rhs_vars]
+    queue = deque(v for v in sorted(p.variables) if v not in rhs_vars)
     for v in queue:
         w = some_word(reg1[v])
         if w is None:
             raise RuntimeError(f"model extraction on empty language for {v!r}")
         mu[v] = w
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for v1, v2 in sorted(p.concat.get(v, frozenset())):
             split = split_word(reg1[v1], reg1[v2], mu[v])
             if split is None:
@@ -189,5 +193,7 @@ def solve(p: Problem, optimize: bool = False,
     except CyclicDependencyError as err:
         reg1 = err
     verdict = classify(p, reg1, stats)
+    if not isinstance(reg1, CyclicDependencyError):
+        verdict.refined = reg1
     stats.millis = (time.perf_counter() - start) * 1000.0
     return verdict

@@ -1,5 +1,5 @@
 """Shared test utilities: seeded random generators, reference matchers,
-interval enumeration and automaton isomorphism.
+interval enumeration, the reference word split and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -14,7 +14,7 @@ from strsolve import regex as rx
 from strsolve.constraints import Problem, make_problem
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import DEFAULT_ENUM_CAP, Interval, IntervalSet
-from strsolve.snfa import SNfa, StateId, Transition, remove_unreachable, snfa
+from strsolve.snfa import SNfa, StateId, Transition, accepts, remove_unreachable, snfa
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
 LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
@@ -158,6 +158,15 @@ def sem(a: Interval, cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
     if n > cap:
         raise ResourceLimitError(f"refusing to enumerate {n} code points (cap {cap})")
     return frozenset(range(a.lo, a.hi + 1))
+
+
+def split_word_scan(a1: SNfa, a2: SNfa, w: str) -> tuple[str, str] | None:
+    """Reference split: try every prefix, shortest first, with two membership
+    tests each. Quadratic in |w|; `snfa.split_word` must return the same."""
+    for i in range(len(w) + 1):
+        if accepts(a1, w[:i]) and accepts(a2, w[i:]):
+            return w[:i], w[i:]
+    return None
 
 
 def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import strsolve
 
@@ -12,7 +13,17 @@ def test_all_names_resolve_without_duplicates():
 def test_removed_duplicates_stay_removed():
     # import_module, because the package attribute `snfa` is the constructor
     for module_name, name in (("solver", "ready_set"), ("snfa", "well_formed"),
-                              ("snfa", "isomorphic"), ("intervals", "sem")):
+                              ("snfa", "isomorphic"), ("intervals", "sem"),
+                              ("snfa", "_int_adjacency")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name
+
+
+def test_benchmark_hooks_keep_their_names_and_signatures():
+    # perfbench/trace.py wraps solver.split_word and counts snfa.accepts
+    solver = importlib.import_module("strsolve.solver")
+    snfa = importlib.import_module("strsolve.snfa")
+    assert solver.split_word is snfa.split_word
+    assert list(inspect.signature(solver.split_word).parameters) == ["a1", "a2", "w"]
+    assert list(inspect.signature(snfa.accepts).parameters) == ["a", "word"]

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -6,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from strsolve.cli import bench, main, solve_path
+from strsolve.constraints import desugar
 from strsolve.smtlib import parse_smt
+from strsolve.snfa import to_dot
 
 MINI = Path(__file__).resolve().parent.parent / "benchmarks" / "mini"
 
@@ -102,6 +106,31 @@ def test_solve_dump_dot(tmp_path):
     assert proc.returncode == 0
     x_dot = (dots / "g.d0.x.dot").read_text()
     assert x_dot.count("shape=circle") + x_dot.count("shape=doublecircle") == 1
+
+
+def test_dump_dot_reuses_the_solve(tmp_path, monkeypatch):
+    propagate = importlib.import_module("strsolve.solver").forward_prop
+    calls = []
+    for module in ("strsolve.solver", "strsolve.cli"):  # count a call from either
+        monkeypatch.setattr(importlib.import_module(module), "forward_prop",
+                            lambda *args, **kw: calls.append(args[0]) or propagate(*args, **kw),
+                            raising=False)
+    dots = tmp_path / "dots"
+    for name, problems in (("sat_url", 1), ("sat_disjunction", 2)):
+        calls.clear()
+        assert main(["solve", str(MINI / f"{name}.smt2"), "--dump-dot", str(dots)]) == 0
+        assert len(calls) == problems  # once per problem, by the solve itself
+    # the same bytes as a fresh propagation of each problem ...
+    script = parse_smt((MINI / "sat_url.smt2").read_text())
+    (problem,) = desugar(list(script.assertions), base_vars=[n for n, _ in script.declarations])
+    for var, a in propagate(problem).items():
+        assert (dots / f"sat_url.d0.{var}.dot").read_text() == to_dot(a, name="snfa")
+    # ... and as the dump that ran its own propagation after the solve
+    digest = hashlib.sha256()
+    for f in sorted(dots.glob("sat_url.*.dot")):
+        digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    assert digest.hexdigest() == \
+        "3ddb555070a6f5f60db81d2e8742562ad37ddb0005739533a6432e92dccb585c"
 
 
 def test_solve_deep_nesting_exit(tmp_path):

@@ -71,7 +71,11 @@ def test_unsupported_features_fail_loudly(pattern, feature):
     assert feature.split()[0] in str(err.value)
 
 
-@pytest.mark.parametrize("pattern", ["(a", "a)", "[a", "[]", "a**", "*a", r"\x4", "[z-a]"])
+# the hex escapes after "[z-a]" take signs, spaces, underscores, 0x and
+# non-ASCII digits unless checked; \x-1 once became the code point -1
+@pytest.mark.parametrize("pattern", ["(a", "a)", "[a", "[]", "a**", "*a", r"\x4", "[z-a]",
+                                     r"\x-1", r"\x+1", r"\x 1", r"\u{0x41}", r"\u{1_0}",
+                                     r"\u{ 41}", "\\u{\u0661}"])
 def test_syntax_errors(pattern):
     with pytest.raises(SyntaxParseError):
         rx.parse_regex(pattern)

@@ -85,6 +85,18 @@ def test_string_escapes():
     assert eq.rhs == (Lit('say "hi" ab\\n'),)  # plain backslash stays a backslash
 
 
+def test_escapes_and_numerals_take_only_ascii_digits():
+    decl = '(declare-const x String)'
+    script = parse_smt(decl + '(assert (= x "\\u+041\\u 041"))')
+    assert script.assertions[0].rhs == (Lit("\\u+041\\u 041"),)  # not escapes: literal text
+    for bad in ('"\\u{0x41}"', '"\\u{\u0664\u0661}"', '"\\u{}"'):
+        with pytest.raises(SyntaxParseError):
+            parse_smt(decl + f'(assert (= x {bad}))')
+    # a superscript digit is not a numeral (int() used to raise ValueError on it)
+    with pytest.raises(UnsupportedError):
+        parse_smt(decl + '(assert (<= (str.len x) \u00b9))')
+
+
 def test_encode_decode_round_trip():
     words = ['plain', 'quote " here', 'back\\slash', 'unié\U0001d11e', 'nl\ntab\t']
     for w in words:

@@ -1,8 +1,9 @@
+import importlib
 import random
 
 import pytest
 
-from helpers import LEMMA_ALPHABET, isomorphic, random_snfa, words_upto
+from helpers import LEMMA_ALPHABET, isomorphic, random_snfa, split_word_scan, words_upto
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import FULL, Interval
 from strsolve.oracle import Bound, word_in
@@ -12,6 +13,7 @@ from strsolve.snfa import (SNfa, StateId, Transition, accepts, concat, dump,
                            some_word, split_word, to_dot, validate)
 
 WORDS6 = words_upto(LEMMA_ALPHABET, 6)
+SNFA_MODULE = importlib.import_module("strsolve.snfa")  # the package attribute is the constructor
 
 
 def test_accepts_examples():
@@ -103,6 +105,54 @@ def test_split_word_examples():
     assert got == ("a", "aa")  # shortest first part wins
     w1, w2 = got
     assert w1 + w2 == "aaa" and accepts(aplus, w1) and accepts(aplus, w2)
+
+
+def test_split_word_matches_prefix_scan():
+    rng = random.Random(505)
+    eps, never = word_automaton(""), snfa({StateId(0, 0)}, (), {StateId(0, 0)}, ())
+    pairs = [(eps, eps), (eps, compile_pattern("[a-d]*")), (compile_pattern("a*"), eps),
+             (never, eps), (eps, never)]
+    pairs += [(random_snfa(rng), random_snfa(rng)) for _ in range(10)]
+    seen = {"none": 0, "eps1": 0, "eps2": 0, "split": 0}
+    for a1, a2 in pairs:
+        for w in WORDS6:
+            got = split_word(a1, a2, w)
+            assert got == split_word_scan(a1, a2, w), (dump(a1), dump(a2), w)
+            if got is None:
+                seen["none"] += 1
+            elif got[0] == "" and w:
+                seen["eps1"] += 1
+            elif got[1] == "" and w:
+                seen["eps2"] += 1
+            else:
+                seen["split"] += 1
+    assert all(seen.values()), seen
+    assert any(len(a1.initial) > 1 and len(a2.initial) > 1 for a1, a2 in pairs)
+
+
+def test_split_word_memo_skips_failed_runs(monkeypatch):
+    # a1 = a* offers a cut at every position of a^n b; a2 = a*c|b fails from
+    # each of them until the last, and every failed run after the first is
+    # cut short at its first step by the pairs the first one left dead
+    n = 400
+    w = "a" * n + "b"
+    a1, a2 = compile_pattern("a*"), compile_pattern("a*c|b")
+    steps = []
+    step = SNFA_MODULE._step
+    monkeypatch.setattr(SNFA_MODULE, "_step",
+                        lambda out, cur, cp: steps.append(cp) or step(out, cur, cp))
+    assert split_word(a1, a2, w) == ("a" * n, "b")
+    assert len(steps) <= 4 * (n + 1)  # the prefix scan takes about n * n / 2
+    monkeypatch.undo()
+    assert split_word(a1, a2, w[:60]) == split_word_scan(a1, a2, w[:60]) is None
+
+    # a2 = a{k}b: the cuts before n - k fail after k + 1 steps each
+    k = 7
+    a_k_b = word_automaton("a" * k + "b")
+    assert split_word(a1, a_k_b, w) == ("a" * (n - k), "a" * k + "b")
+    for m in range(k + 3):
+        v = "a" * m + "b"
+        assert split_word(a1, a_k_b, v) == split_word_scan(a1, a_k_b, v)
 
 
 def test_isomorphic_examples():

@@ -30,6 +30,15 @@ def paper_example_problem():
                         {"x5": {("x3", "x4")}, "x3": {("x1", "x2")}})
 
 
+def test_long_model_split_takes_the_shortest_first_part():
+    # the split of z's 6000-character witness used to be quadratic in its length
+    p = make_problem(["z", "a", "b"], {"z": {("a", "b")}},
+                     {"a": rx.length_automaton(">=", 3000), "b": rx.length_automaton(">=", 3000)})
+    verdict = solve(p)
+    assert verdict.kind == "sat"
+    assert len(verdict.model["a"]) == 3000 and len(verdict.model["b"]) == 3000
+
+
 def test_forward_prop_rounds_follow_layering():
     p = paper_example_problem()
     rounds = list(reversed(layering(p)))
