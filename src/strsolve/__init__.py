@@ -20,8 +20,7 @@ from .regex import (compile_pattern, length_automaton, parse_regex, sigma_star,
                     word_automaton)
 from .smtlib import SmtScript, parse_smt, print_smt
 from .snfa import (SNfa, StateId, Transition, accepts, concat, dump, is_empty,
-                   product, remove_unreachable, rename, snfa, some_word, split_word,
-                   to_dot)
+                   product, remove_unreachable, snfa, some_word, split_word, to_dot)
 from .solver import (Budget, RefinedReg, SolveStats, Verdict, classify,
                      extract_model, forward_prop, solve, var_lang)
 
@@ -37,7 +36,7 @@ __all__ = [
     "desugar", "dump", "extract_model", "forward_prop", "intersection",
     "is_empty", "layering", "length_automaton", "make_problem", "mem",
     "nonempty", "oracle_lang", "oracle_sat", "parse_regex", "parse_smt",
-    "print_smt", "problem_dump", "product", "remove_unreachable", "rename",
+    "print_smt", "problem_dump", "product", "remove_unreachable",
     "sat_str", "sigma_star", "snfa", "solve", "some_word", "split_word",
     "to_dot", "var_lang", "word_automaton",
 ]

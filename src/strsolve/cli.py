@@ -26,7 +26,8 @@ from .constraints import desugar
 from .errors import ResourceLimitError, StrSolveError, UnsupportedError
 from .smtlib import encode_string, parse_smt
 from .snfa import to_dot
-from .solver import DEFAULT_MAX_TRANSITIONS, RefinedReg, SolveStats, Verdict, solve
+from .solver import (DEFAULT_MAX_TRANSITIONS, Budget, RefinedReg, SolveStats, Verdict,
+                     solve)
 
 EXIT_VERDICT = 0
 EXIT_PARSE = 1
@@ -42,8 +43,10 @@ def solve_path(path: str | Path, optimize: bool = False,
     src = Path(path).read_text(encoding="utf-8")
     script = parse_smt(src)
     declared = [name for name, _ in script.declarations]
-    problems = desugar(list(script.assertions), base_vars=declared)
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
+    # memberships of one variable are intersected here, under the same limits
+    problems = desugar(list(script.assertions), base_vars=declared,
+                       budget=Budget(max_transitions, deadline))
 
     total = SolveStats()
     nvars = 0
@@ -86,8 +89,21 @@ def _dump_dots(directory: Path, stem: str, idx: int, refined: Optional[RefinedRe
     if refined is None:
         return
     for var in sorted(refined):
-        out = directory / f"{stem}.d{idx}.{var}.dot"
+        out = directory / f"{stem}.d{idx}.{_file_part(var)}.dot"
         out.write_text(to_dot(refined[var], name="snfa"), encoding="utf-8")
+
+
+_FILE_SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
+
+
+def _file_part(name: str) -> str:
+    """`name` as part of a file name: every character outside
+    [A-Za-z0-9_.-], and a leading dot, becomes %XX per UTF-8 byte, so the
+    result is reversible and never a path of its own."""
+    return "".join(
+        ch if ch in _FILE_SAFE and not (i == 0 and ch == ".")
+        else "".join(f"%{b:02X}" for b in ch.encode("utf-8", "surrogatepass"))
+        for i, ch in enumerate(name))
 
 
 def stats_record(path: str | Path, verdict: Verdict, stats: SolveStats,

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import regex as rx
 from .errors import ResourceLimitError, StrSolveError
 from .snfa import SNfa, accepts, product
+
+if TYPE_CHECKING:
+    from .solver import Budget
 
 VarId = str
 
@@ -151,7 +154,8 @@ def _expand_or(cs: Sequence[SurfaceConstraint], cap: int) -> list[list[SurfaceCo
 
 
 class _Desugarer:
-    def __init__(self, base_vars: Iterable[VarId]):
+    def __init__(self, base_vars: Iterable[VarId], budget: Optional[Budget]):
+        self.budget = budget
         self.base_vars = set(base_vars)
         for v in self.base_vars:
             if v.startswith(FRESH_PREFIX):
@@ -223,7 +227,7 @@ class _Desugarer:
             elif v in self.automata:
                 acc = self.automata[v][0]
                 for extra in self.automata[v][1:]:
-                    acc = product(acc, extra)
+                    acc = product(acc, extra, self.budget)
                 reg[v] = acc
             else:
                 reg[v] = rx.sigma_star()
@@ -236,16 +240,17 @@ class _Desugarer:
 
 def desugar(cs: Sequence[SurfaceConstraint],
             base_vars: Iterable[VarId] = (),
-            max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> list[Problem]:
+            max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
+            budget: Optional[Budget] = None) -> list[Problem]:
     """Lower surface constraints to one Problem per disjunct.
 
     n-ary equations fold left through fresh variables, literals become fresh
     variables with singleton languages, length bounds become regular
     constraints, and several memberships on one variable are intersected
-    into a single automaton. `base_vars` forces declared-but-unused
-    variables into every Problem.
+    into a single automaton, under `budget` when one is given. `base_vars`
+    forces declared-but-unused variables into every Problem.
     """
-    return [_Desugarer(base_vars).run(conj) for conj in _expand_or(cs, max_disjuncts)]
+    return [_Desugarer(base_vars, budget).run(conj) for conj in _expand_or(cs, max_disjuncts)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Bounded brute-force satisfiability checking, independent of the solver.
 
 This module is the executable cross-check for the property suites. Word
-membership here is decided by naive path enumeration over the transition
-list, sharing no code with the production simulation in `snfa.accepts`;
-that independence is the point. Results are only meaningful within the
-given bound: exhausting the space proves nothing beyond it.
+membership here is decided by naive path enumeration over the stored
+transition rows, sharing no code with the production simulation in
+`snfa.accepts`; that independence is the point. Results are only
+meaningful within the given bound: exhausting the space proves nothing
+beyond it.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ class Bound:
 
 
 def word_in(a: SNfa, w: str) -> bool:
-    """Membership by depth-first path enumeration over the raw transition list."""
+    """Membership by depth-first path enumeration over the transition rows."""
     def walk(q, i: int) -> bool:
         if i == len(w):
             return q in a.accepting
         cp = ord(w[i])
-        for t in a.transitions:
-            if t.src == q and t.label.lo <= cp <= t.label.hi and walk(t.dst, i + 1):
+        for lo, hi, d in a.rows[q]:
+            if lo <= cp <= hi and walk(d, i + 1):
                 return True
         return False
 
@@ -76,13 +77,10 @@ def oracle_lang(a: SNfa, bound: Bound, cap: int = DEFAULT_SPACE_CAP) -> set[str]
     for _ in range(bound.max_len):
         nxt: set[tuple] = set()
         for q, w in frontier:
-            for t in a.transitions:
-                if t.src != q:
-                    continue
+            for lo, hi, d in a.rows[q]:
                 for ch in chars:
-                    cp = ord(ch)
-                    if t.label.lo <= cp <= t.label.hi:
-                        nxt.add((t.dst, w + ch))
+                    if lo <= ord(ch) <= hi:
+                        nxt.add((d, w + ch))
         for q, w in nxt:
             if q in a.accepting:
                 found.add(w)

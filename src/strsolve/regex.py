@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
-from .snfa import SNfa, StateId, Transition, snfa
+from .snfa import SNfa, snfa
 
 
 @dataclass(frozen=True)
@@ -359,21 +359,14 @@ def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
         raise TypeError(f"not a regex node: {node!r}")
 
     nullable, first, last = lin(ast)
-    init = StateId(0, 0)
-    states = [init] + [StateId(p, 0) for p in range(1, len(labels) + 1)]
-    transitions: set[Transition] = set()
-    for p in first:
-        for part in labels[p - 1].parts:
-            transitions.add(Transition(init, part, StateId(p, 0)))
-    for p in range(1, len(labels) + 1):
-        src = StateId(p, 0)
-        for q in sorted(follow[p - 1]):
-            for part in labels[q - 1].parts:
-                transitions.add(Transition(src, part, StateId(q, 0)))
-    accepting = {StateId(p, 0) for p in last}
+    # state 0 is the initial state and state p is position p
+    rows = [[(part.lo, part.hi, p) for p in first for part in labels[p - 1].parts]]
+    rows += [[(part.lo, part.hi, q) for q in follow[p - 1] for part in labels[q - 1].parts]
+             for p in range(1, len(labels) + 1)]
+    accepting = set(last)
     if nullable:
-        accepting.add(init)
-    return snfa(states, transitions, {init}, accepting, trim=True)
+        accepting.add(0)
+    return snfa(rows, {0}, accepting, trim=True)
 
 
 def compile_pattern(src: str) -> SNfa:
@@ -387,17 +380,15 @@ def sigma_star() -> SNfa:
     """The canonical one-state automaton for all words: one full self-loop."""
     global _SIGMA_STAR
     if _SIGMA_STAR is None:
-        q = StateId(0, 0)
-        _SIGMA_STAR = snfa({q}, {Transition(q, FULL, q)}, {q}, {q}, trim=True)
+        _SIGMA_STAR = SNfa((((0, MAX_CODEPOINT, 0),),), frozenset({0}), frozenset({0}),
+                           trim=True)
     return _SIGMA_STAR
 
 
 def word_automaton(w: str) -> SNfa:
     """The singleton-language automaton for w: a chain of |w|+1 states."""
-    states = [StateId(i, 0) for i in range(len(w) + 1)]
-    transitions = {Transition(states[i], Interval(ord(ch), ord(ch)), states[i + 1])
-                   for i, ch in enumerate(w)}
-    return snfa(states, transitions, {states[0]}, {states[-1]}, trim=True)
+    rows = tuple(((ord(ch), ord(ch), i + 1),) for i, ch in enumerate(w)) + ((),)
+    return SNfa(rows, frozenset({0}), frozenset({len(w)}), trim=True)
 
 
 def length_automaton(op: str, n: int, cap: int = DEFAULT_LENGTH_CAP) -> SNfa:
@@ -413,15 +404,12 @@ def length_automaton(op: str, n: int, cap: int = DEFAULT_LENGTH_CAP) -> SNfa:
     if n > cap:
         raise ResourceLimitError(f"length bound too large: {n} (cap {cap})")
     chain = {"<": max(n - 1, 0), "<=": n, "=": n, ">=": n, ">": n + 1}[op]
-    states = [StateId(i, 0) for i in range(chain + 1)]
-    transitions = {Transition(states[i], FULL, states[i + 1]) for i in range(chain)}
-    if op in (">=", ">"):
-        transitions.add(Transition(states[chain], FULL, states[chain]))
-        accepting = {states[chain]}
-    elif op == "=":
-        accepting = {states[chain]}
+    last = ((0, MAX_CODEPOINT, chain),) if op in (">=", ">") else ()
+    rows = tuple(((0, MAX_CODEPOINT, i + 1),) for i in range(chain)) + (last,)
+    if op in (">=", ">", "="):
+        accepting = {chain}
     elif op == "<=":
-        accepting = set(states)
-    else:  # "<"
-        accepting = {s for i, s in enumerate(states) if i < n}
-    return snfa(states, transitions, {states[0]}, accepting, trim=True)
+        accepting = set(range(chain + 1))
+    else:  # "<": the chain has n states when n > 0
+        accepting = set(range(n))
+    return SNfa(rows, frozenset({0}), frozenset(accepting), trim=True)

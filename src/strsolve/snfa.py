@@ -1,33 +1,65 @@
-"""Symbolic NFAs with interval-labeled transitions.
+"""Symbolic NFAs with interval-labeled transitions, stored as dense rows.
 
-States are (id, tag) pairs; the tag realizes the injective state renaming
-that keeps the two operands of a concatenation disjoint. Transition labels
-are single non-empty intervals. Every collection is iterated in a fixed
-sorted order, so identical inputs always rebuild identical automata, and
-concatenation and product emit only states reachable from the initial set
-(trim), which makes language emptiness a check on the accepting set.
+The states of an automaton are the integers 0..n-1, and its one stored
+adjacency form is a tuple of rows `(lo, hi, dst)` per state: `rows[q]`
+holds the transitions leaving q, sorted by (lo, hi, dst) and free of
+duplicates. Labels are single non-empty code-point intervals. Every
+simulation, `product` and `concat` index `rows[q]` directly.
+
+Each state also has a printed name `id:tag` (a `StateId`). The tag
+realizes the injective renaming that keeps the two operands of a
+concatenation disjoint: `concat` names the states it keeps from its first
+operand `i:1` and those from its second `j:2`, after their numbers there;
+`remove_unreachable` keeps the names of the states it keeps, and every
+other construction names state q `q:0`. The names are derived when an
+automaton is printed; `SNfa.names` stores them only where they differ from
+`q:0`. Every construction numbers its states in the sorted order of their
+names, so `dump` and `to_dot` print states sorted by (id, tag) and
+transitions sorted by (src, label, dst) straight from the rows, without a
+global sort: `product` numbers pair states in breadth-first discovery
+order, `concat` sorts the states it reached by name, and `regex` numbers
+positions in order.
+
+Identical inputs always rebuild identical automata, and concatenation and
+product emit only states reachable from the initial set (trim), which
+makes language emptiness a check on the accepting set. Both take an
+optional budget that they consult while they build (see `product`).
 
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
 
-Every simulation reads one adjacency form, `SNfa._out`: per source state, the
-rows `(lo, hi, dst)` in transition order. Model extraction splits a word
-w = w1+w2 across a concatenation with `split_word` in O(|w|·|Q|) steps, not
-one membership test per prefix: one forward pass over the first automaton
-yields the candidate cuts, and runs of the second share a memo of the
-(position, state) pairs already shown to have no accepting run.
+Model extraction splits a word w = w1+w2 across a concatenation with
+`split_word` in O(|w|·|Q|) steps, not one membership test per prefix: one
+forward pass over the first automaton yields the candidate cuts, and runs
+of the second share a memo of the (position, state) pairs already shown to
+have no accepting run.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque, namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import islice
+from operator import eq
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .intervals import MAX_CODEPOINT, Interval
 
+if TYPE_CHECKING:
+    from .solver import Budget
+
+Row = tuple[int, int, int]           # (lo, hi, dst)
+Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per state
+
+# The budget is consulted once per this many states built by `product` and
+# `concat`, in addition to the transition cap, which is checked per state.
+BUDGET_STRIDE = 1024
+
+
 class StateId(namedtuple("StateId", ["id", "tag"])):
+    """The printed name of a state."""
+
     __slots__ = ()
 
     def __repr__(self) -> str:
@@ -49,84 +81,121 @@ def set_validation(enabled: bool) -> bool:
     return previous
 
 
+class _Transitions:
+    """Read-only view of an automaton's transitions as `Transition`s with
+    integer endpoints, in (src, label, dst) order, made on demand from the
+    rows; its length is counted once."""
+
+    __slots__ = ("_rows", "_len")
+
+    def __init__(self, rows: Rows):
+        self._rows = rows
+        self._len = sum(map(len, rows))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Transition]:
+        for src, row in enumerate(self._rows):
+            for lo, hi, dst in row:
+                yield Transition(src, Interval(lo, hi), dst)
+
+
 @dataclass(frozen=True)
 class SNfa:
-    """Immutable symbolic NFA (Q, transitions, I, F).
+    """Immutable symbolic NFA over the states 0..len(rows)-1.
 
-    `transitions` is a sorted duplicate-free tuple; `trim` records whether
-    every state is known to be reachable from the initial set. The flag is
-    bookkeeping, not part of value equality.
+    Direct construction trusts the caller to hand over rows that are sorted
+    and duplicate-free per state, and names (if any) that are strictly
+    increasing; `snfa()` canonicalizes arbitrary rows. `trim` records
+    whether every state is known to be reachable from the initial set. The
+    flag is bookkeeping, not part of value equality.
     """
 
-    states: frozenset[StateId]
-    transitions: tuple[Transition, ...]
-    initial: frozenset[StateId]
-    accepting: frozenset[StateId]
+    rows: Rows
+    initial: frozenset[int]
+    accepting: frozenset[int]
+    names: Optional[tuple[StateId, ...]] = None  # None: state q is named q:0
     trim: bool = field(default=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.names is not None and all(
+                nm.tag == 0 and nm.id == q for q, nm in enumerate(self.names)):
+            object.__setattr__(self, "names", None)
+        if _VALIDATE:
+            validate(self)
+
+    @property
+    def states(self) -> range:
+        return range(len(self.rows))
+
     @cached_property
-    def _out(self) -> dict[StateId, list[tuple[int, int, StateId]]]:
-        adj: dict[StateId, list[tuple[int, int, StateId]]] = {}
-        for t in self.transitions:
-            adj.setdefault(t.src, []).append((t.label.lo, t.label.hi, t.dst))
-        return adj
+    def transitions(self) -> _Transitions:
+        return _Transitions(self.rows)
+
+    def name(self, q: int) -> StateId:
+        return StateId(q, 0) if self.names is None else self.names[q]
 
     def __repr__(self) -> str:
-        return (f"SNfa(states={len(self.states)}, transitions={len(self.transitions)}, "
+        return (f"SNfa(states={len(self.rows)}, transitions={len(self.transitions)}, "
                 f"initial={len(self.initial)}, accepting={len(self.accepting)})")
 
 
-def snfa(states: Iterable[StateId], transitions: Iterable[Transition],
-         initial: Iterable[StateId], accepting: Iterable[StateId],
-         trim: bool = False) -> SNfa:
-    """Canonicalizing constructor: sorts and dedupes, validates in debug mode."""
-    if not isinstance(transitions, (set, frozenset)):
-        transitions = set(transitions)
-    a = SNfa(frozenset(states), tuple(sorted(transitions)),
-             frozenset(initial), frozenset(accepting), trim)
-    if _VALIDATE:
-        validate(a)
-    return a
+def snfa(rows: Iterable[Iterable[Row]], initial: Iterable[int],
+         accepting: Iterable[int], trim: bool = False) -> SNfa:
+    """Canonicalizing constructor: sorts and dedupes each state's rows; the
+    states are named `q:0`."""
+    return SNfa(tuple(tuple(sorted(set(row))) for row in rows), frozenset(initial),
+                frozenset(accepting), trim=trim)
 
 
 def validate(a: SNfa) -> None:
     """Raise ValueError on any well-formedness violation (debug aid)."""
-    if not a.initial <= a.states:
-        raise ValueError(f"initial states outside Q: {sorted(a.initial - a.states)}")
-    if not a.accepting <= a.states:
-        raise ValueError(f"accepting states outside Q: {sorted(a.accepting - a.states)}")
-    for t in a.transitions:
-        if t.src not in a.states or t.dst not in a.states:
-            raise ValueError(f"transition endpoint outside Q: {t}")
-        if t.label.lo > t.label.hi:
-            raise ValueError(f"empty transition label stored: {t}")
-        if t.label.lo < 0 or t.label.hi > MAX_CODEPOINT:
-            raise ValueError(f"transition label outside the code points: {t}")
+    n = len(a.rows)
+    for kind, qs in (("initial", a.initial), ("accepting", a.accepting)):
+        outside = sorted(q for q in qs if not (isinstance(q, int) and 0 <= q < n))
+        if outside:
+            raise ValueError(f"{kind} states outside Q: {outside}")
+    for src, row in enumerate(a.rows):
+        for lo, hi, dst in row:
+            t = (src, lo, hi, dst)
+            if not (isinstance(dst, int) and 0 <= dst < n):
+                raise ValueError(f"transition endpoint outside Q: {t}")
+            if lo > hi:
+                raise ValueError(f"empty transition label stored: {t}")
+            if lo < 0 or hi > MAX_CODEPOINT:
+                raise ValueError(f"transition label outside the code points: {t}")
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            raise ValueError(f"rows of state {src} not sorted and duplicate-free: {row}")
+    if a.names is not None:
+        if len(a.names) != n:
+            raise ValueError(f"{len(a.names)} names for {n} states")
+        if any(a.names[i] >= a.names[i + 1] for i in range(n - 1)):
+            raise ValueError("state names not strictly increasing")
     if a.trim:
         reachable = _reachable_states(a)
-        if reachable != a.states:
-            raise ValueError(f"trim flag set but unreachable states exist: {sorted(a.states - reachable)}")
+        if len(reachable) != n:
+            unreached = sorted(set(range(n)) - reachable)
+            raise ValueError(f"trim flag set but unreachable states exist: {unreached}")
 
 
-def _reachable_states(a: SNfa) -> frozenset[StateId]:
+def _reachable_states(a: SNfa) -> set[int]:
     seen = set(a.initial)
     queue = deque(sorted(a.initial))
-    out = a._out
+    rows = a.rows
     while queue:
-        q = queue.popleft()
-        for _, _, d in out.get(q, ()):
+        for _, _, d in rows[queue.popleft()]:
             if d not in seen:
                 seen.add(d)
                 queue.append(d)
-    return frozenset(seen)
+    return seen
 
 
-def _step(out: dict[StateId, list[tuple[int, int, StateId]]],
-          current: Iterable[StateId], cp: int) -> set[StateId]:
+def _step(rows: Rows, current: Iterable[int], cp: int) -> set[int]:
     """The states reached from `current` on code point `cp`."""
     nxt = set()
     for q in current:
-        for lo, hi, d in out.get(q, ()):
+        for lo, hi, d in rows[q]:
             if lo <= cp <= hi:
                 nxt.add(d)
     return nxt
@@ -134,153 +203,184 @@ def _step(out: dict[StateId, list[tuple[int, int, StateId]]],
 
 def accepts(a: SNfa, word: str) -> bool:
     """Membership by forward state-set simulation."""
-    current = a.initial
+    current: Iterable[int] = a.initial
     if not current:
         return False
-    out = a._out
+    rows = a.rows
     for ch in word:
-        current = _step(out, current, ord(ch))
+        current = _step(rows, current, ord(ch))
         if not current:
             return False
     return not a.accepting.isdisjoint(current)
 
 
-def rename(a: SNfa, tag: int) -> SNfa:
-    """Isomorphic copy whose states are renumbered 0..n-1 and carry `tag`.
-
-    Renumbering by sorted order keeps the map injective even when the input
-    mixes tags, so two renames with distinct tags always have disjoint states.
-    """
-    mapping = {q: StateId(i, tag) for i, q in enumerate(sorted(a.states))}
-    return snfa(mapping.values(),
-                {Transition(mapping[t.src], t.label, mapping[t.dst]) for t in a.transitions},
-                (mapping[q] for q in a.initial),
-                (mapping[q] for q in a.accepting),
-                trim=a.trim)
+def _sorted_row(row: list[Row]) -> tuple[Row, ...]:
+    """`row` sorted and without duplicates (sorting first makes any
+    duplicates adjacent, and they are rare)."""
+    row.sort()
+    if any(map(eq, row, islice(row, 1, None))):
+        return tuple(sorted(set(row)))
+    return tuple(row)
 
 
-def concat(a1: SNfa, a2: SNfa) -> SNfa:
+def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     """Concatenation: L(result) = { w1+w2 | w1 in L(a1), w2 in L(a2) }.
 
-    The operands are renamed with tags 1 and 2 to make their state sets
-    disjoint. Every a1-transition into an a1-accepting state is bridged to
-    each a2-initial state; the initial set additionally includes a2's when
-    a1 accepts the empty word. A worklist pass keeps only states reachable
-    from the initial set, so the result is trim by construction.
+    State i of a1 becomes `i:1` and state j of a2 becomes `j:2`, which keeps
+    the operands disjoint. Every a1-transition into an a1-accepting state is
+    bridged to each a2-initial state; the initial set additionally includes
+    a2's when a1 accepts the empty word. A worklist pass keeps only states
+    reachable from the initial set, so the result is trim by construction;
+    the kept states are numbered in (id, tag) order of their names. The
+    budget is consulted as in `product`.
     """
-    r1 = rename(a1, 1)
-    r2 = rename(a2, 2)
-    if r1.initial & r1.accepting:
-        initial = r1.initial | r2.initial
-    else:
-        initial = r1.initial
-    entry2 = sorted(r2.initial)
+    rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
+    n1 = len(rows1)
+    entry2 = [n1 + j for j in sorted(a2.initial)]   # a2's state j is n1 + j here
+    start = sorted(a1.initial)
+    if not acc1.isdisjoint(a1.initial):
+        start += entry2
 
-    out: dict[StateId, list[Transition]] = defaultdict(list)
-    for t in r1.transitions:
-        out[t.src].append(t)
-        if t.dst in r1.accepting:
-            for q2 in entry2:
-                out[t.src].append(Transition(t.src, t.label, q2))
-    for t in r2.transitions:
-        out[t.src].append(t)
-
-    reached = set(initial)
-    queue = deque(sorted(initial))
-    kept: set[Transition] = set()
+    reached = set(start)
+    queue = deque(start)
     while queue:
         q = queue.popleft()
-        for t in out.get(q, ()):
-            kept.add(t)
-            if t.dst not in reached:
-                reached.add(t.dst)
-                queue.append(t.dst)
-    return snfa(reached, kept, initial, reached & r2.accepting, trim=True)
+        if q < n1:
+            succ = [d for _, _, d in rows1[q]]
+            if not acc1.isdisjoint(succ):
+                succ += entry2
+        else:
+            succ = [n1 + d for _, _, d in rows2[q - n1]]
+        for d in succ:
+            if d not in reached:
+                reached.add(d)
+                queue.append(d)
+
+    # name order (id, tag) with tags 1 < 2 is the order of the keys 2i, 2j+1
+    order = sorted(reached, key=lambda q: 2 * q if q < n1 else 2 * (q - n1) + 1)
+    new = {q: k for k, q in enumerate(order)}
+    entry = [new[q] for q in entry2 if q in new]
+    cap = budget.max_transitions if budget is not None else float("inf")
+    rows: list[tuple[Row, ...]] = []
+    emitted = 0
+    for k, q in enumerate(order):
+        if budget is not None and not k % BUDGET_STRIDE:
+            budget.check(emitted)
+        if q < n1:
+            row = []
+            bridged = False
+            for lo, hi, d in rows1[q]:
+                row.append((lo, hi, new[d]))
+                if d in acc1:
+                    bridged = True
+                    row.extend((lo, hi, e) for e in entry)
+            rows.append(_sorted_row(row) if bridged else tuple(row))
+        else:
+            rows.append(tuple((lo, hi, new[n1 + d]) for lo, hi, d in rows2[q - n1]))
+        emitted += len(rows[-1])
+        if emitted > cap:
+            budget.check(emitted)
+    names = tuple(StateId(q, 1) if q < n1 else StateId(q - n1, 2) for q in order)
+    return SNfa(tuple(rows), frozenset(new[q] for q in start),
+                frozenset(new[q] for q in order if q >= n1 and q - n1 in a2.accepting),
+                names, trim=True)
 
 
-def product(a1: SNfa, a2: SNfa) -> SNfa:
+def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     """Product: L(result) = L(a1) & L(a2).
 
-    Pair states are discovered by breadth-first search from I1 x I2 and
-    renumbered on first visit, so only reachable pairs are built. A pair
-    transition is kept exactly when the label intersection is non-empty.
+    Pair states are numbered in breadth-first discovery order from I1 x I2,
+    so only reachable pairs are built, and they are explored in that same
+    order. A pair transition is kept exactly when the label intersection is
+    non-empty; each state's rows are sorted and deduplicated once, when the
+    state is explored.
+
+    With a budget, `budget.check` runs before every BUDGET_STRIDE-th pair
+    state is explored and as soon as the number of distinct transitions
+    built passes `budget.max_transitions`, so a run past either limit stops
+    inside the operation.
     """
-    out1 = a1._out
-    out2 = a2._out
-    pair_ids: dict[tuple[StateId, StateId], StateId] = {}
-    init_pairs = [(p, q) for p in sorted(a1.initial) for q in sorted(a2.initial)]
-    for pq in init_pairs:
-        pair_ids[pq] = StateId(len(pair_ids), 0)
-    queue = deque(init_pairs)
-    labels: dict[tuple[int, int], Interval] = {}
-    kept: set[Transition] = set()
-    add = kept.add
-    while queue:
-        pq = queue.popleft()
-        p, q = pq
-        rows2 = out2.get(q)
-        rows1 = out1.get(p)
-        if not rows1 or not rows2:
-            continue
-        src = pair_ids[pq]
-        for lo1, hi1, d1 in rows1:
-            for lo2, hi2, d2 in rows2:
-                lo = lo1 if lo1 >= lo2 else lo2
-                hi = hi1 if hi1 <= hi2 else hi2
-                if lo > hi:
-                    continue
-                dq = (d1, d2)
-                dst = pair_ids.get(dq)
-                if dst is None:
-                    dst = StateId(len(pair_ids), 0)
-                    pair_ids[dq] = dst
-                    queue.append(dq)
-                lab = labels.get((lo, hi))
-                if lab is None:
-                    lab = Interval(lo, hi)
-                    labels[lo, hi] = lab
-                add(Transition(src, lab, dst))
-    acc1 = a1.accepting
-    acc2 = a2.accepting
-    accepting = {sid for (p, q), sid in pair_ids.items() if p in acc1 and q in acc2}
-    initial = {pair_ids[pq] for pq in init_pairs}
-    return snfa(pair_ids.values(), kept, initial, accepting, trim=True)
+    rows1, rows2 = a1.rows, a2.rows
+    n2 = len(rows2)
+    pairs = [(p, q) for p in sorted(a1.initial) for q in sorted(a2.initial)]
+    ids = {p * n2 + q: i for i, (p, q) in enumerate(pairs)}
+    get = ids.get
+    # many pair states reach the same pair on the same label: one tuple each
+    shared = {}.setdefault
+    cap = budget.max_transitions if budget is not None else float("inf")
+    rows: list[tuple[Row, ...]] = []
+    emitted = 0
+    for src, (p, q) in enumerate(pairs):  # `pairs` grows while it is walked
+        if budget is not None and not src % BUDGET_STRIDE:
+            budget.check(emitted)
+        row: list[Row] = []
+        add = row.append
+        r2 = rows2[q]
+        if r2:
+            for lo1, hi1, d1 in rows1[p]:
+                base = d1 * n2
+                for lo2, hi2, d2 in r2:
+                    if lo2 > hi1:
+                        break  # r2 is sorted by lo: no later row meets [lo1, hi1]
+                    lo = lo1 if lo1 >= lo2 else lo2
+                    hi = hi1 if hi1 <= hi2 else hi2
+                    if lo > hi:
+                        continue
+                    key = base + d2
+                    dst = get(key)
+                    if dst is None:
+                        dst = ids[key] = len(pairs)
+                        pairs.append((d1, d2))
+                    t = (lo, hi, dst)
+                    add(shared(t, t))
+        rows.append(_sorted_row(row))
+        emitted += len(rows[-1])
+        if emitted > cap:
+            budget.check(emitted)
+    acc1, acc2 = a1.accepting, a2.accepting
+    return SNfa(tuple(rows), frozenset(range(len(a1.initial) * len(a2.initial))),
+                frozenset(i for i, (p, q) in enumerate(pairs) if p in acc1 and q in acc2),
+                trim=True)
 
 
 def remove_unreachable(a: SNfa) -> SNfa:
-    """Language-preserving trim: drop states unreachable from the initial set."""
-    reached = _reachable_states(a)
-    return snfa(reached, (t for t in a.transitions if t.src in reached),
-                a.initial, a.accepting & reached, trim=True)
+    """Language-preserving trim: drop states unreachable from the initial set.
+    The kept states keep their names and their order."""
+    kept = sorted(_reachable_states(a))
+    new = {q: k for k, q in enumerate(kept)}
+    rows = tuple(tuple((lo, hi, new[d]) for lo, hi, d in a.rows[q]) for q in kept)
+    return SNfa(rows, frozenset(new[q] for q in a.initial),
+                frozenset(new[q] for q in a.accepting if q in new),
+                tuple(a.name(q) for q in kept), trim=True)
 
 
 def is_empty(a: SNfa) -> bool:
     """Emptiness as accepting-set emptiness on the trimmed automaton."""
-    t = a if a.trim else remove_unreachable(a)
-    return not t.accepting
+    if a.trim or not a.accepting:
+        return not a.accepting
+    return a.accepting.isdisjoint(_reachable_states(a))
 
 
 def some_word(a: SNfa) -> Optional[str]:
     """A shortest accepted word (BFS-first), taking each label's lo; None if empty."""
-    t = a if a.trim else remove_unreachable(a)
-    if not t.accepting:
+    if not a.accepting:
         return None
-    seeds = sorted(t.initial)
+    seeds = sorted(a.initial)
     for q in seeds:
-        if q in t.accepting:
+        if q in a.accepting:
             return ""
-    parent: dict[StateId, tuple[StateId, int]] = {}
+    parent: dict[int, tuple[int, int]] = {}
     seen = set(seeds)
     queue = deque(seeds)
-    out = t._out
+    rows = a.rows
     while queue:
         q = queue.popleft()
-        for lo, _, d in out.get(q, ()):
+        for lo, _, d in rows[q]:
             if d in seen:
                 continue
             seen.add(d)
             parent[d] = (q, lo)
-            if d in t.accepting:
+            if d in a.accepting:
                 chars: list[int] = []
                 cur = d
                 while cur in parent:
@@ -288,7 +388,7 @@ def some_word(a: SNfa) -> Optional[str]:
                     chars.append(cp)
                 return "".join(map(chr, reversed(chars)))
             queue.append(d)
-    raise AssertionError("trim automaton with accepting states has a reachable witness")
+    return None
 
 
 def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
@@ -313,18 +413,18 @@ def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
     one entry per start when every start sits on its own chain state: for
     z = a ++ b with |a|, |b| >= 3000 it took 1.9 s, against 0.2 s here.
     """
-    out1, acc1 = a1._out, a1.accepting
-    current: Iterable[StateId] = a1.initial
+    rows1, acc1 = a1.rows, a1.accepting
+    current: Iterable[int] = a1.initial
     cuts = [0] if not acc1.isdisjoint(current) else []
     for i, ch in enumerate(w, 1):
-        current = _step(out1, current, ord(ch))
+        current = _step(rows1, current, ord(ch))
         if not current:
             break
         if not acc1.isdisjoint(current):
             cuts.append(i)
 
-    out2, acc2 = a2._out, a2.accepting
-    dead: dict[int, set[StateId]] = {}
+    rows2, acc2 = a2.rows, a2.accepting
+    dead: dict[int, set[int]] = {}
     for i in cuts:
         run = a2.initial.difference(dead.get(i, ()))
         trail = []
@@ -335,7 +435,7 @@ def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
                 if not acc2.isdisjoint(run):
                     return w[:i], w[i:]
                 break
-            run = _step(out2, run, ord(w[j]))
+            run = _step(rows2, run, ord(w[j]))
             j += 1
             run.difference_update(dead.get(j, ()))
         for j, states in trail:
@@ -343,29 +443,39 @@ def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
     return None
 
 
+def _printed_names(a: SNfa) -> list[str]:
+    if a.names is None:
+        return [f"{q}:0" for q in a.states]
+    return [repr(nm) for nm in a.names]
+
+
 def to_dot(a: SNfa, name: str = "snfa") -> str:
     """GraphViz export with "lo-hi" edge labels."""
+    names = _printed_names(a)
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for i, q in enumerate(sorted(a.initial)):
         lines.append(f'  __start{i} [shape=point];')
-        lines.append(f'  __start{i} -> "{q}";')
-    for q in sorted(a.states):
+        lines.append(f'  __start{i} -> "{names[q]}";')
+    for q in a.states:
         shape = "doublecircle" if q in a.accepting else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
-    for t in a.transitions:
-        lines.append(f'  "{t.src}" -> "{t.dst}" [label="{t.label.lo}-{t.label.hi}"];')
+        lines.append(f'  "{names[q]}" [shape={shape}];')
+    for src, row in enumerate(a.rows):
+        s = names[src]
+        lines.extend(f'  "{s}" -> "{names[dst]}" [label="{lo}-{hi}"];' for lo, hi, dst in row)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def dump(a: SNfa) -> str:
     """Line-based debug dump; exact grammar in docs/dump-format.md."""
-    lines = [f"snfa trim={int(a.trim)} states={len(a.states)} "
+    names = _printed_names(a)
+    lines = [f"snfa trim={int(a.trim)} states={len(a.rows)} "
              f"initial={len(a.initial)} accepting={len(a.accepting)} "
              f"transitions={len(a.transitions)}"]
-    for q in sorted(a.states):
+    for q in a.states:
         flags = ("I" if q in a.initial else "-") + ("A" if q in a.accepting else "-")
-        lines.append(f"q {q} {flags}")
-    for t in a.transitions:
-        lines.append(f"t {t.src} -> {t.dst} {t.label!r}")
+        lines.append(f"q {names[q]} {flags}")
+    for src, row in enumerate(a.rows):
+        s = names[src]
+        lines.extend(f"t {s} -> {names[dst]} [{lo},{hi}]" for lo, hi, dst in row)
     return "\n".join(lines) + "\n"

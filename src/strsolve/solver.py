@@ -59,27 +59,30 @@ class Verdict:
 
 
 class Budget:
-    """Cooperative per-solve limits, checked between automaton operations."""
+    """Cooperative per-solve limits, checked after every automaton operation
+    and, by `product` and `concat`, while they build."""
 
     def __init__(self, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
                  deadline: Optional[float] = None):
         self.max_transitions = max_transitions
         self.deadline = deadline  # time.monotonic() value
 
-    def charge(self, a: SNfa) -> SNfa:
-        if len(a.transitions) > self.max_transitions:
+    def check(self, transitions: int) -> None:
+        """Raise ResourceLimitError when `transitions` passes the cap or the
+        deadline has passed."""
+        if transitions > self.max_transitions:
             raise ResourceLimitError(
                 f"automaton grew past {self.max_transitions} transitions")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitError("time budget exhausted")
+
+    def charge(self, a: SNfa) -> SNfa:
+        self.check(len(a.transitions))
         return a
 
 
 def _is_sigma_star(a: SNfa) -> bool:
-    return (len(a.states) == 1 and len(a.transitions) == 1
-            and a.initial == a.states and a.accepting == a.states
-            and a.transitions[0].label.lo == 0
-            and a.transitions[0].label.hi == 0x10FFFF)
+    return a.rows == sigma_star().rows and a.initial == a.accepting == {0}
 
 
 def var_lang(c: set[VarId], p: Problem, reg: Mapping[VarId, SNfa],
@@ -98,13 +101,13 @@ def var_lang(c: set[VarId], p: Problem, reg: Mapping[VarId, SNfa],
             if optimize and _is_sigma_star(r1) and _is_sigma_star(r2):
                 part = sigma_star()
             else:
-                part = budget.charge(concat(r1, r2))
+                part = budget.charge(concat(r1, r2, budget))
             if optimize and _is_sigma_star(a):
                 a = part
             elif optimize and _is_sigma_star(part):
                 pass
             else:
-                a = budget.charge(product(a, part))
+                a = budget.charge(product(a, part, budget))
         out[v] = a
     return out
 

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded random generators, reference matchers,
-interval enumeration, the reference word split and automaton isomorphism.
+interval enumeration, the reference word split, renaming and automaton
+isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -36,15 +37,16 @@ def random_snfa(rng: random.Random, max_states: int = 5,
                 max_transitions: int = 6) -> SNfa:
     """A random trim automaton over a small alphabet (language may be empty)."""
     n = rng.randint(1, max_states)
-    states = [StateId(i, 0) for i in range(n)]
-    transitions = set()
+    states = range(n)
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in states]
     for _ in range(rng.randint(0, max_transitions)):
         lo = rng.randint(alphabet[0], alphabet[1])
         hi = rng.randint(lo, alphabet[1])
-        transitions.add(Transition(rng.choice(states), Interval(lo, hi), rng.choice(states)))
+        src, dst = rng.choice(states), rng.choice(states)
+        rows[src].append((lo, hi, dst))
     initial = rng.sample(states, rng.randint(1, n))
     accepting = [s for s in states if rng.random() < 0.5]
-    return remove_unreachable(snfa(states, transitions, initial, accepting))
+    return remove_unreachable(snfa(rows, initial, accepting))
 
 
 def random_problem(rng: random.Random, max_vars: int = 4, tree_only: bool = False,
@@ -169,6 +171,13 @@ def split_word_scan(a1: SNfa, a2: SNfa, w: str) -> tuple[str, str] | None:
     return None
 
 
+def rename(a: SNfa, tag: int) -> SNfa:
+    """Copy of `a` whose state q is named `q:tag`; distinct tags give
+    disjoint names."""
+    return SNfa(a.rows, a.initial, a.accepting,
+                tuple(StateId(q, tag) for q in a.states), a.trim)
+
+
 def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:
     """Structural isomorphism (exact labels), by backtracking search.
 
@@ -182,21 +191,21 @@ def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:
             or len(a1.initial) != len(a2.initial) or len(a1.accepting) != len(a2.accepting)):
         return False
 
-    def signature(a: SNfa, q: StateId) -> tuple:
+    def signature(a: SNfa, q: int) -> tuple:
         out_labels = sorted(t.label for t in a.transitions if t.src == q)
         in_labels = sorted(t.label for t in a.transitions if t.dst == q)
         return (q in a.initial, q in a.accepting, tuple(out_labels), tuple(in_labels))
 
-    sig2: dict[tuple, list[StateId]] = defaultdict(list)
+    sig2: dict[tuple, list[int]] = defaultdict(list)
     for q in sorted(a2.states):
         sig2[signature(a2, q)].append(q)
 
     order = sorted(a1.states)
     trans2 = set(a2.transitions)
-    mapping: dict[StateId, StateId] = {}
-    used: set[StateId] = set()
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
 
-    def consistent(q1: StateId, q2: StateId) -> bool:
+    def consistent(q1: int, q2: int) -> bool:
         for t in a1.transitions:
             if t.src == q1 and t.dst in mapping:
                 if Transition(q2, t.label, mapping[t.dst]) not in trans2:

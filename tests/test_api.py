@@ -14,10 +14,12 @@ def test_removed_duplicates_stay_removed():
     # import_module, because the package attribute `snfa` is the constructor
     for module_name, name in (("solver", "ready_set"), ("snfa", "well_formed"),
                               ("snfa", "isomorphic"), ("intervals", "sem"),
-                              ("snfa", "_int_adjacency")):
+                              ("snfa", "_int_adjacency"), ("snfa", "rename"),
+                              ("snfa", "_out")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name
+    assert not hasattr(strsolve.SNfa, "_out")  # the rows are the one adjacency form
 
 
 def test_benchmark_hooks_keep_their_names_and_signatures():

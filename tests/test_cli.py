@@ -74,6 +74,18 @@ def test_solve_resource_exit(tmp_path):
     assert proc.returncode == 2
     assert "resource" in proc.stderr
 
+    # memberships of one variable are intersected under the same limits:
+    # here the intersection alone would have 60544 transitions
+    g = tmp_path / "memberships.smt2"
+    ab = '(re.union (str.to_re "a") (str.to_re "b"))'
+    patterns = [f'(re.++ (re.* {ab}) (str.to_re "a"){f" {ab}" * (i + 2)})' for i in range(6)]
+    g.write_text("(declare-const x String)"
+                 + "".join(f"(assert (str.in_re x {p}))" for p in patterns) + "(check-sat)")
+    assert run_cli("solve", str(g)).stdout.splitlines()[0] == "sat"
+    proc = run_cli("solve", str(g), "--max-transitions", "1000")
+    assert proc.returncode == 2
+    assert "resource" in proc.stderr
+
 
 def test_solve_stats_schema(tmp_path):
     f = tmp_path / "s.smt2"
@@ -106,6 +118,18 @@ def test_solve_dump_dot(tmp_path):
     assert proc.returncode == 0
     x_dot = (dots / "g.d0.x.dot").read_text()
     assert x_dot.count("shape=circle") + x_dot.count("shape=doublecircle") == 1
+
+
+def test_dump_dot_escapes_variable_names(tmp_path):
+    f = tmp_path / "f.smt2"
+    f.write_text('(declare-const |a/b| String)(declare-const |../x| String)'
+                 '(assert (str.in_re |a/b| (str.to_re "a")))'
+                 '(assert (= |../x| (str.++ |a/b| |a/b|)))(check-sat)')
+    dots = tmp_path / "dots"
+    assert main(["solve", str(f), "--dump-dot", str(dots)]) == 0
+    written = sorted(tmp_path.rglob("*.dot"))
+    assert [(p.parent, p.name) for p in written] == [(dots, "f.d0.%2E.%2Fx.dot"),
+                                                     (dots, "f.d0.a%2Fb.dot")]
 
 
 def test_dump_dot_reuses_the_solve(tmp_path, monkeypatch):

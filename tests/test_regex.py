@@ -6,7 +6,7 @@ from helpers import TEST_ALPHABET, random_regex, ref_regex_match, words_upto
 from strsolve import regex as rx
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, Interval, IntervalSet, MAX_CODEPOINT
-from strsolve.snfa import accepts, remove_unreachable, validate
+from strsolve.snfa import Transition, accepts, remove_unreachable, validate
 
 
 def test_parse_class_plus():
@@ -115,8 +115,8 @@ def test_compile_never_and_embedded_never():
 def test_sigma_star_canonical_form():
     ss = rx.sigma_star()
     assert len(ss.states) == 1 and len(ss.transitions) == 1
-    assert ss.initial == ss.accepting == ss.states
-    assert ss.transitions[0].label == FULL
+    assert ss.initial == ss.accepting == set(ss.states)
+    assert list(ss.transitions) == [Transition(0, FULL, 0)]
     assert accepts(ss, "")
     assert accepts(ss, "any word at all é\U0001d11e")
 
@@ -133,7 +133,7 @@ def test_word_automaton():
 
 def test_length_automaton():
     le6 = rx.length_automaton("<=", 6)
-    assert len(le6.states) == 7 and le6.accepting == le6.states
+    assert len(le6.states) == 7 and le6.accepting == set(le6.states)
     assert all(t.label == FULL for t in le6.transitions)
     assert accepts(le6, "x" * 6) and not accepts(le6, "x" * 7)
 

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from helpers import LEMMA_ALPHABET, isomorphic, random_snfa, split_word_scan, words_upto
+from helpers import (LEMMA_ALPHABET, isomorphic, random_regex, random_snfa, rename,
+                     split_word_scan, words_upto)
 from strsolve.errors import ResourceLimitError
-from strsolve.intervals import FULL, Interval
 from strsolve.oracle import Bound, word_in
-from strsolve.regex import compile_pattern, sigma_star, word_automaton
-from strsolve.snfa import (SNfa, StateId, Transition, accepts, concat, dump,
-                           is_empty, product, remove_unreachable, rename, snfa,
+from strsolve.regex import (compile, compile_pattern, length_automaton, sigma_star,
+                            word_automaton)
+from strsolve.snfa import (SNfa, StateId, accepts, concat, dump,
+                           is_empty, product, remove_unreachable, snfa,
                            some_word, split_word, to_dot, validate)
 
 WORDS6 = words_upto(LEMMA_ALPHABET, 6)
@@ -29,10 +30,10 @@ def test_accepts_examples():
 def test_rename_disjoint_tags_and_language():
     a = compile_pattern("a(b|c)*")
     r1, r2 = rename(a, 1), rename(a, 2)
-    assert not r1.states & r2.states
+    assert not set(map(r1.name, r1.states)) & set(map(r2.name, r2.states))
     for w in words_upto((97, 99), 3):
         assert accepts(r1, w) == accepts(a, w) == accepts(r2, w)
-    empty = snfa((), (), (), ())
+    empty = snfa((), (), ())
     assert rename(empty, 7) == empty
 
 
@@ -63,22 +64,27 @@ def test_product_examples():
 
 
 def test_remove_unreachable():
-    q0, q1, orphan = StateId(0, 0), StateId(1, 0), StateId(2, 0)
-    a = snfa({q0, q1, orphan}, {Transition(q0, Interval(97, 97), q1)},
-             {q0}, {q1, orphan})
+    q0, q1, orphan = 0, 1, 2
+    a = snfa([[(97, 97, q1)], [], []], {q0}, {q1, orphan})
     trimmed = remove_unreachable(a)
-    assert trimmed.states == frozenset({q0, q1})
+    assert trimmed.states == range(2)
     assert trimmed.accepting == frozenset({q1})
     assert remove_unreachable(trimmed) == trimmed
 
-    only_orphan_accepts = snfa({q0, orphan}, (), {q0}, {orphan})
+    only_orphan_accepts = snfa([[], []], {q0}, {1})
     assert not remove_unreachable(only_orphan_accepts).accepting
+
+    # kept states keep their names, and their transitions follow them
+    a = snfa([[(97, 97, 2)], [(98, 98, 0)], [(99, 99, 2)]], {0}, {2})
+    trimmed = remove_unreachable(a)
+    assert [trimmed.name(q) for q in trimmed.states] == [StateId(0, 0), StateId(2, 0)]
+    assert trimmed.rows == (((97, 97, 1),), ((99, 99, 1),))
 
 
 def test_is_empty_examples():
     assert not is_empty(word_automaton("a"))
-    q = StateId(0, 0)
-    assert is_empty(snfa({q}, (), {q}, ()))
+    assert is_empty(snfa([[]], {0}, ()))
+    assert is_empty(snfa([[], [(97, 97, 1)]], {0}, {1}))  # accepting but unreachable
     assert is_empty(product(word_automaton("a"), word_automaton("b")))
     # brute force agrees on short words
     assert not any(accepts(product(word_automaton("a"), word_automaton("b")), w)
@@ -87,8 +93,8 @@ def test_is_empty_examples():
 
 def test_some_word_examples():
     assert some_word(word_automaton("ab")) == "ab"
-    q = StateId(0, 0)
-    assert some_word(snfa({q}, (), {q}, ())) is None
+    assert some_word(snfa([[]], {0}, ())) is None
+    assert some_word(snfa([[], [(97, 97, 1)]], {0}, {1})) is None
     assert some_word(compile_pattern("[b-d]x*")) == "b"
     a = compile_pattern("(aaa|bb)")
     w = some_word(a)
@@ -109,7 +115,7 @@ def test_split_word_examples():
 
 def test_split_word_matches_prefix_scan():
     rng = random.Random(505)
-    eps, never = word_automaton(""), snfa({StateId(0, 0)}, (), {StateId(0, 0)}, ())
+    eps, never = word_automaton(""), snfa([[]], {0}, ())
     pairs = [(eps, eps), (eps, compile_pattern("[a-d]*")), (compile_pattern("a*"), eps),
              (never, eps), (eps, never)]
     pairs += [(random_snfa(rng), random_snfa(rng)) for _ in range(10)]
@@ -158,6 +164,10 @@ def test_split_word_memo_skips_failed_runs(monkeypatch):
 def test_isomorphic_examples():
     a = compile_pattern("a(b|c)")
     assert isomorphic(a, rename(a, 5))
+    last = len(a.rows) - 1  # the same automaton with its states numbered backwards
+    backwards = snfa([[(lo, hi, last - d) for lo, hi, d in row] for row in reversed(a.rows)],
+                     {last - q for q in a.initial}, {last - q for q in a.accepting})
+    assert backwards != a and isomorphic(a, backwards)
     assert not isomorphic(compile_pattern("a"), compile_pattern("b"))
     # equal language, different shape
     assert not isomorphic(compile_pattern("aa*"), compile_pattern("a+"))
@@ -172,6 +182,41 @@ def test_dump_and_dot_shapes():
     assert "t 0:0 -> 1:0 [97,97]" in text
     dot = to_dot(a)
     assert 'label="97-97"' in dot and "doublecircle" in dot
+
+
+def assert_documented_dump_order(a: SNfa) -> None:
+    """docs/dump-format.md: `q` lines sorted by (id, tag), `t` lines in
+    sorted (src, label, dst) order, no duplicate lines."""
+    def state(text: str) -> tuple[int, int]:
+        i, tag = text.split(":")
+        return int(i), int(tag)
+
+    lines = dump(a).splitlines()
+    qs = [state(line.split()[1]) for line in lines if line.startswith("q ")]
+    ts = []
+    for line in lines:
+        if line.startswith("t "):
+            _, src, _, dst, label = line.split()
+            ts.append((state(src), tuple(map(int, label[1:-1].split(","))), state(dst)))
+    assert (len(qs), len(ts)) == (len(a.states), len(a.transitions))
+    assert all(x < y for x, y in zip(qs, qs[1:])), qs
+    assert all(x < y for x, y in zip(ts, ts[1:])), ts
+
+
+def test_dump_order_is_the_documented_one():
+    rng = random.Random(606)
+    for _ in range(60):
+        a1, a2 = random_snfa(rng), random_snfa(rng)
+        c, p = concat(a1, a2), product(a1, a2)
+        cc = concat(c, p)
+        # not trim: only the first initial state of a tagged concatenation
+        partial = SNfa(cc.rows, frozenset(sorted(cc.initial)[:1]), cc.accepting, cc.names)
+        for a in (c, p, cc, product(c, concat(a2, a1)), remove_unreachable(partial),
+                  compile(random_regex(rng, rng.randint(0, 4)))):
+            assert_documented_dump_order(a)
+    for a in (word_automaton(""), word_automaton("abba"), sigma_star(),
+              *(length_automaton(op, n) for op in ("<", "<=", "=", ">=", ">") for n in (0, 3))):
+        assert_documented_dump_order(a)
 
 
 # Property suites (small here; the full-size runs live in the acceptance tests)

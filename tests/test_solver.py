@@ -11,7 +11,7 @@ from strsolve.constraints import (CyclicDependencyError, Equation, Lit, Membersh
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
 from strsolve.oracle import Bound, oracle_sat
-from strsolve.snfa import accepts, dump, is_empty
+from strsolve.snfa import accepts, concat, dump, is_empty, product
 from strsolve.solver import (Budget, SolveStats, classify, extract_model,
                              forward_prop, solve, var_lang)
 
@@ -184,6 +184,48 @@ def test_budget_and_deadline():
         forward_prop(p, budget=Budget(max_transitions=100))
     with pytest.raises(ResourceLimitError):
         forward_prop(p, budget=Budget(deadline=time.monotonic() - 1))
+
+
+class CountingBudget(Budget):
+    """A budget that records the transition count of every check."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.checked: list[int] = []
+
+    def check(self, transitions: int) -> None:
+        self.checked.append(transitions)
+        super().check(transitions)
+
+
+def doubling(k: int):
+    return make_problem(["x"] + [f"x{i}" for i in range(1, k + 1)],
+                        {"x": {(f"x{i}", f"x{i}") for i in range(1, k + 1)}})
+
+
+def test_budget_stops_inside_product_and_concat():
+    # the operands of the last product of doubling k=12: 2^11 states and 3^11
+    # transitions against the 2-state Sigma* ++ Sigma*; the product has 3^12
+    x = forward_prop(doubling(11))["x"]
+    part = concat(rx.sigma_star(), rx.sigma_star())
+    for build in (lambda b: product(x, part, b), lambda b: concat(x, x, b)):
+        late = CountingBudget(deadline=time.monotonic() - 1)
+        with pytest.raises(ResourceLimitError, match="time"):
+            build(late)
+        assert late.checked == [0]  # stopped before it built any state
+
+    capped = CountingBudget(max_transitions=1000)
+    with pytest.raises(ResourceLimitError, match="1000 transitions"):
+        product(x, part, capped)
+    widest = max(map(len, x.rows)) * max(map(len, part.rows))
+    assert 1000 < capped.checked[-1] <= 1000 + widest  # stopped at the first state past it
+
+
+def test_budget_cap_stops_no_solve_that_fits():
+    # the largest automaton of doubling k=6 has exactly 3^6 transitions
+    assert forward_prop(doubling(6), budget=Budget(max_transitions=3 ** 6))["x"].trim
+    with pytest.raises(ResourceLimitError):
+        forward_prop(doubling(6), budget=Budget(max_transitions=3 ** 6 - 1))
 
 
 def test_iterations_bounded_by_vars():
