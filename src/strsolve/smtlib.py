@@ -9,13 +9,13 @@ equals parse(s), which the round-trip tests rely on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import regex as rx
 from .constraints import Equation, Length, Lit, Membership, Or, SurfaceConstraint, Var
 from .errors import SyntaxParseError, UnsupportedError
-from .intervals import MAX_CODEPOINT, IntervalSet
+from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
 
 _IGNORED_COMMANDS = {"set-logic", "set-option", "set-info", "exit"}
 _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
@@ -27,10 +27,14 @@ class SStr:
     text: str
 
 
-@dataclass(frozen=True)
 class SNode:
-    val: object  # str symbol | int | SStr | tuple[SNode, ...]
-    pos: int
+    """An s-expression node and the offset where it starts in the source."""
+
+    __slots__ = ("val", "pos")
+
+    def __init__(self, val: object, pos: int):
+        self.val = val  # str symbol | int | SStr | tuple[SNode, ...]
+        self.pos = pos
 
 
 @dataclass(frozen=True)
@@ -41,41 +45,36 @@ class SmtScript:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / reader
+# Reader
+
+# One escape of a string literal body, told apart by `lastindex`: None for
+# a doubled quote, 2 for \u{...} (group 1 the digits, group 2 the closing
+# brace, empty when it is missing), 3 for \uHHHH.
+_ESCAPE = re.compile(r'""|\\u(?:\{([^}]*)(\}?)|([0-9A-Fa-f]{4}))')
+
 
 def _decode_string(raw: str, pos: int) -> str:
     """Decode the inside of an SMT string literal: "" is a quote, \\u{H+} and
     \\uHHHH are code points, any other backslash stands for itself."""
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == '"':  # always doubled by the tokenizer
-            out.append('"')
-            i += 2
-            continue
-        if ch == "\\" and i + 1 < len(raw) and raw[i + 1] == "u":
-            if i + 2 < len(raw) and raw[i + 2] == "{":
-                end = raw.find("}", i + 3)
-                if end < 0:
-                    raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
-                cp = rx.hex_value(raw[i + 3:end])
-                if cp is None:
-                    raise SyntaxParseError("bad hex in \\u{...} escape", pos)
-                if cp > MAX_CODEPOINT:
-                    raise SyntaxParseError("bad code point in \\u{...} escape", pos)
-                out.append(chr(cp))
-                i = end + 1
-                continue
-            digits = raw[i + 2:i + 6]
-            cp = rx.hex_value(digits) if len(digits) == 4 else None
-            if cp is not None:
-                out.append(chr(cp))
-                i += 6
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    if '"' not in raw and "\\u" not in raw:
+        return raw
+
+    def escape(m: re.Match) -> str:
+        kind = m.lastindex
+        if kind is None:
+            return '"'
+        if kind == 3:
+            return chr(int(m[3], 16))
+        if not m[2]:
+            raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
+        cp = rx.hex_value(m[1])
+        if cp is None:
+            raise SyntaxParseError("bad hex in \\u{...} escape", pos)
+        if cp > MAX_CODEPOINT:
+            raise SyntaxParseError("bad code point in \\u{...} escape", pos)
+        return chr(cp)
+
+    return _ESCAPE.sub(escape, raw)
 
 
 def encode_string(w: str) -> str:
@@ -91,73 +90,54 @@ def encode_string(w: str) -> str:
     return "".join(out)
 
 
-def _tokenize(src: str) -> Iterator[tuple[str, object, int]]:
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield ch, ch, i
-            i += 1
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            buf: list[str] = []
-            while True:
-                if i >= n:
-                    raise SyntaxParseError("unterminated string literal", start)
-                if src[i] == '"':
-                    if i + 1 < n and src[i + 1] == '"':
-                        buf.append('""')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                buf.append(src[i])
-                i += 1
-            yield "str", SStr(_decode_string("".join(buf), start)), start
-            continue
-        if ch == "|":
-            start = i
-            end = src.find("|", i + 1)
-            if end < 0:
-                raise SyntaxParseError("unterminated quoted symbol", start)
-            yield "sym", src[i + 1:end], start
-            i = end + 1
-            continue
-        start = i
-        while i < n and src[i] not in ' \t\r\n();"|':
-            i += 1
-        word = src[start:i]
-        if word.isascii() and (word.isdigit() or (word.startswith("-") and word[1:].isdigit())):
-            yield "num", int(word), start
-        else:
-            yield "sym", word, start
+# One token per match, with the whitespace and comments before it, told
+# apart by `lastindex`: the groups below, or None for what trails the last
+# token. Whitespace is exactly space, tab, CR and LF (docs/smtlib-subset.md).
+# The string body is unrolled and possessive: it takes "" pairs from the
+# left, as a character scanner does, and does not backtrack to end an
+# unterminated literal at a doubled quote. A lone " or | that starts no
+# complete token falls through to the catch-all.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]+ | ;[^\n]*)*+
+    (?: (\()
+      | (\))
+      | "((?:[^"]*+"")*+[^"]*+)"
+      | \|([^|]*)\|
+      | (-?[0-9]++)(?![^ \t\r\n();"|])
+      | ([^ \t\r\n();"|]+)
+      | (.)
+      | \Z)
+""", re.VERBOSE | re.DOTALL)
+_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(1, 8)
 
 
 def _read_all(src: str) -> list[SNode]:
     stack: list[tuple[list[SNode], int]] = []
     top: list[SNode] = []
-    for kind, val, pos in _tokenize(src):
-        if kind == "(":
-            stack.append((top, pos))
+    for m in _TOKEN.finditer(src):
+        kind = m.lastindex
+        if kind == _OPEN:
+            stack.append((top, m.end() - 1))
             top = []
-        elif kind == ")":
+        elif kind == _CLOSE:
             if not stack:
-                raise SyntaxParseError("unbalanced )", pos)
+                raise SyntaxParseError("unbalanced )", m.end() - 1)
             parent, open_pos = stack.pop()
             parent.append(SNode(tuple(top), open_pos))
             top = parent
-        else:
-            top.append(SNode(val, pos))
+        elif kind == _WORD:
+            top.append(SNode(m[kind], m.start(kind)))
+        elif kind == _STRING:
+            pos = m.start(kind) - 1  # the opening quote
+            top.append(SNode(SStr(_decode_string(m[kind], pos)), pos))
+        elif kind == _QUOTED:
+            top.append(SNode(m[kind], m.start(kind) - 1))
+        elif kind == _NUMERAL:
+            top.append(SNode(int(m[kind]), m.start(kind)))
+        elif kind == _STRAY:
+            if m[kind] == '"':
+                raise SyntaxParseError("unterminated string literal", m.start(kind))
+            raise SyntaxParseError("unterminated quoted symbol", m.start(kind))
     if stack:
         raise SyntaxParseError("unbalanced (", stack[-1][1])
     return top
@@ -341,10 +321,7 @@ def _regex(node: SNode) -> rx.Regex:
         if not items:
             raise SyntaxParseError("empty re.union", node.pos)
         if len(items) > 1 and all(isinstance(x, _CHARLIKE) for x in items):
-            merged = IntervalSet(())
-            for x in items:
-                merged = merged.union(_char_set(x))
-            return rx.CharClass(merged)
+            return rx.CharClass(IntervalSet.normalize(p for x in items for p in _char_parts(x)))
         return items[0] if len(items) == 1 else rx.Union(tuple(items))
     if head in ("re.*", "re.+", "re.opt"):
         if len(args) != 1:
@@ -352,21 +329,21 @@ def _regex(node: SNode) -> rx.Regex:
         inner = _regex(args[0])
         return {"re.*": rx.Star, "re.+": rx.Plus, "re.opt": rx.Opt}[head](inner)
     if head == "re.range":
-        if len(args) != 2 or not all(isinstance(a.val, SStr) for a in args):
+        if len(args) != 2 or not (isinstance(args[0].val, SStr) and isinstance(args[1].val, SStr)):
             raise SyntaxParseError("re.range takes two string literals", node.pos)
         lo, hi = args[0].val.text, args[1].val.text  # type: ignore[union-attr]
         if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
             return rx.Never()  # standard semantics: such a range denotes no characters
-        return rx.CharClass(IntervalSet.from_pairs((ord(lo), ord(hi))))
+        return rx.CharClass(IntervalSet((Interval(ord(lo), ord(hi)),)))  # one range is normal
     raise UnsupportedError(f"regex operator {head}", node.pos)
 
 
-def _char_set(node: rx.Regex) -> IntervalSet:
+def _char_parts(node: rx.Regex) -> tuple[Interval, ...]:
     if isinstance(node, rx.Literal):
-        return IntervalSet.from_pairs((node.cp, node.cp))
+        return (Interval(node.cp, node.cp),)
     if isinstance(node, rx.CharClass):
-        return node.chars
-    return IntervalSet.full()  # AnyChar
+        return node.chars.parts
+    return (FULL,)  # AnyChar
 
 
 def _word_regex(w: str) -> rx.Regex:

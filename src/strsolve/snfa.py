@@ -55,6 +55,10 @@ Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per stat
 # The budget is consulted once per this many states built by `product` and
 # `concat`, in addition to the transition cap, which is checked per state.
 BUDGET_STRIDE = 1024
+# `product` also consults it before scanning more than this many row pairs
+# since its last check: one pair state of two wide character classes scans
+# up to |rows1[p]|·|rows2[q]| of them.
+PAIR_STRIDE = 1 << 15
 
 
 class StateId(namedtuple("StateId", ["id", "tag"])):
@@ -296,7 +300,9 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     state is explored.
 
     With a budget, `budget.check` runs before every BUDGET_STRIDE-th pair
-    state is explored and as soon as the number of distinct transitions
+    state is explored, before any run of rows of a1 that would take the row
+    pairs scanned since the last check past PAIR_STRIDE (a row of a1 counts
+    as |rows2[q]| pairs), and as soon as the number of distinct transitions
     built passes `budget.max_transitions`, so a run past either limit stops
     inside the operation.
     """
@@ -310,14 +316,24 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     cap = budget.max_transitions if budget is not None else float("inf")
     rows: list[tuple[Row, ...]] = []
     emitted = 0
+    scanned = 0  # row pairs scanned since the last check, |r2| per row of a1
     for src, (p, q) in enumerate(pairs):  # `pairs` grows while it is walked
         if budget is not None and not src % BUDGET_STRIDE:
             budget.check(emitted)
+            scanned = 0
         row: list[Row] = []
         add = row.append
         r2 = rows2[q]
         if r2:
-            for lo1, hi1, d1 in rows1[p]:
+            r1 = rows1[p]
+            scanned += len(r1) * len(r2)
+            if scanned > PAIR_STRIDE and budget is not None:
+                # check before each run of `step` rows of a1 in this state
+                width = len(r2)
+                step = PAIR_STRIDE // width or 1
+                scanned = ((len(r1) - 1) % step + 1) * width  # the last run's pairs
+                r1 = _in_strides(r1, step, budget, emitted)
+            for lo1, hi1, d1 in r1:
                 base = d1 * n2
                 for lo2, hi2, d2 in r2:
                     if lo2 > hi1:
@@ -341,6 +357,13 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     return SNfa(tuple(rows), frozenset(range(len(a1.initial) * len(a2.initial))),
                 frozenset(i for i, (p, q) in enumerate(pairs) if p in acc1 and q in acc2),
                 trim=True)
+
+
+def _in_strides(rows: tuple[Row, ...], step: int, budget: Budget, emitted: int) -> Iterator[Row]:
+    """The rows, with `budget.check(emitted)` before each run of `step` of them."""
+    for i in range(0, len(rows), step):
+        budget.check(emitted)
+        yield from rows[i:i + step]
 
 
 def remove_unreachable(a: SNfa) -> SNfa:

@@ -1,6 +1,6 @@
 """Shared test utilities: seeded random generators, reference matchers,
-interval enumeration, the reference word split, renaming and automaton
-isomorphism.
+interval enumeration, the reference word split, the reference SMT-LIB
+reader, renaming and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from typing import Iterator
 
 from strsolve import regex as rx
 from strsolve.constraints import Problem, make_problem
-from strsolve.errors import ResourceLimitError
-from strsolve.intervals import DEFAULT_ENUM_CAP, Interval, IntervalSet
+from strsolve.errors import ResourceLimitError, SyntaxParseError
+from strsolve.intervals import DEFAULT_ENUM_CAP, MAX_CODEPOINT, Interval, IntervalSet
+from strsolve.smtlib import SNode, SStr
 from strsolve.snfa import SNfa, StateId, Transition, accepts, remove_unreachable, snfa
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
@@ -169,6 +171,116 @@ def split_word_scan(a1: SNfa, a2: SNfa, w: str) -> tuple[str, str] | None:
         if accepts(a1, w[:i]) and accepts(a2, w[i:]):
             return w[:i], w[i:]
     return None
+
+
+def _decode_string_scan(raw: str, pos: int) -> str:
+    """Decode the inside of an SMT string literal: "" is a quote, \\u{H+} and
+    \\uHHHH are code points, any other backslash stands for itself."""
+    out: list[str] = []
+    i = 0
+    while i < len(raw):
+        ch = raw[i]
+        if ch == '"':  # always doubled by the tokenizer
+            out.append('"')
+            i += 2
+            continue
+        if ch == "\\" and i + 1 < len(raw) and raw[i + 1] == "u":
+            if i + 2 < len(raw) and raw[i + 2] == "{":
+                end = raw.find("}", i + 3)
+                if end < 0:
+                    raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
+                cp = rx.hex_value(raw[i + 3:end])
+                if cp is None:
+                    raise SyntaxParseError("bad hex in \\u{...} escape", pos)
+                if cp > MAX_CODEPOINT:
+                    raise SyntaxParseError("bad code point in \\u{...} escape", pos)
+                out.append(chr(cp))
+                i = end + 1
+                continue
+            digits = raw[i + 2:i + 6]
+            cp = rx.hex_value(digits) if len(digits) == 4 else None
+            if cp is not None:
+                out.append(chr(cp))
+                i += 6
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def _tokenize_scan(src: str) -> Iterator[tuple[str, object, int]]:
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch == ";":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            yield ch, ch, i
+            i += 1
+            continue
+        if ch == '"':
+            start = i
+            i += 1
+            buf: list[str] = []
+            while True:
+                if i >= n:
+                    raise SyntaxParseError("unterminated string literal", start)
+                if src[i] == '"':
+                    if i + 1 < n and src[i + 1] == '"':
+                        buf.append('""')
+                        i += 2
+                        continue
+                    i += 1
+                    break
+                buf.append(src[i])
+                i += 1
+            yield "str", SStr(_decode_string_scan("".join(buf), start)), start
+            continue
+        if ch == "|":
+            start = i
+            end = src.find("|", i + 1)
+            if end < 0:
+                raise SyntaxParseError("unterminated quoted symbol", start)
+            yield "sym", src[i + 1:end], start
+            i = end + 1
+            continue
+        start = i
+        while i < n and src[i] not in ' \t\r\n();"|':
+            i += 1
+        word = src[start:i]
+        if word.isascii() and (word.isdigit() or (word.startswith("-") and word[1:].isdigit())):
+            yield "num", int(word), start
+        else:
+            yield "sym", word, start
+
+
+def read_all_scan(src: str) -> list[SNode]:
+    """Reference reader: a character-at-a-time tokenizer and decoder feeding a
+    stack of open lists. `smtlib._read_all` must give the same nodes, or
+    raise the same error at the same position."""
+    stack: list[tuple[list[SNode], int]] = []
+    top: list[SNode] = []
+    for kind, val, pos in _tokenize_scan(src):
+        if kind == "(":
+            stack.append((top, pos))
+            top = []
+        elif kind == ")":
+            if not stack:
+                raise SyntaxParseError("unbalanced )", pos)
+            parent, open_pos = stack.pop()
+            parent.append(SNode(tuple(top), open_pos))
+            top = parent
+        else:
+            top.append(SNode(val, pos))
+    if stack:
+        raise SyntaxParseError("unbalanced (", stack[-1][1])
+    return top
 
 
 def rename(a: SNfa, tag: int) -> SNfa:

@@ -15,7 +15,7 @@ def test_removed_duplicates_stay_removed():
     for module_name, name in (("solver", "ready_set"), ("snfa", "well_formed"),
                               ("snfa", "isomorphic"), ("intervals", "sem"),
                               ("snfa", "_int_adjacency"), ("snfa", "rename"),
-                              ("snfa", "_out")):
+                              ("snfa", "_out"), ("smtlib", "_tokenize")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name

@@ -1,8 +1,12 @@
 import pytest
+from helpers import read_all_scan
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strsolve import regex as rx
+from strsolve import smtlib
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
-from strsolve.errors import SyntaxParseError, UnsupportedError
+from strsolve.errors import StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
 from strsolve.smtlib import encode_string, parse_smt, print_smt
 
@@ -138,6 +142,50 @@ def test_unsupported_inputs(src, needle):
 def test_syntax_errors(src):
     with pytest.raises(SyntaxParseError):
         parse_smt(src)
+
+
+DECL = '(declare-const x String)'
+
+
+@pytest.mark.parametrize("src,message,pos", [
+    ('(check-sat)\n(assert (= x "a")', "unbalanced (", 12),  # the innermost open paren
+    ('(check-sat))', "unbalanced )", 11),
+    (DECL + '(assert (= x "ab""c))', "unterminated string literal", 37),  # the opening quote
+    ('(declare-const |x String)', "unterminated quoted symbol", 15),
+    (DECL + '(assert (= x "a\\u{41"))', "unterminated \\u{...} escape in string", 37),
+    (DECL + '(assert (= x "a\\u{zz}"))', "bad hex in \\u{...} escape", 37),
+    (DECL + '(assert (= x "\\u{110000}"))', "bad code point in \\u{...} escape", 37),
+])
+def test_syntax_error_messages_and_positions(src, message, pos):
+    with pytest.raises(SyntaxParseError) as err:
+        parse_smt(src)
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} (at offset {pos})"
+
+
+# \f and \v are not SMT whitespace here; the last three are non-ASCII digits.
+READER_ALPHABET = '()";|\\u{}' + " \t\r\n\f\v" + "-0123456789axé" + "٣¹５"
+READER_PIECES = list(READER_ALPHABET) + ['""', '"""', "\\u{", "\\u{41}", "\\u0061", "\\u00",
+                                         "\\u{110000}", "\\u{zz}", "; c\n", "|a b|", "-12"]
+reader_src = st.one_of(st.text(alphabet=READER_ALPHABET, max_size=40),
+                       st.lists(st.sampled_from(READER_PIECES), max_size=20).map("".join))
+
+
+def _tree(nodes):
+    return [(_tree(n.val) if isinstance(n.val, tuple) else n.val, n.pos) for n in nodes]
+
+
+def _read(read, src):
+    try:
+        return _tree(read(src))
+    except StrSolveError as err:
+        return type(err), str(err), err.pos
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(reader_src)
+def test_reader_matches_the_character_scanner(src):
+    assert _read(smtlib._read_all, src) == _read(read_all_scan, src)
 
 
 def test_comments_and_ignored_commands():

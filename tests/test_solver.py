@@ -11,7 +11,7 @@ from strsolve.constraints import (CyclicDependencyError, Equation, Lit, Membersh
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
 from strsolve.oracle import Bound, oracle_sat
-from strsolve.snfa import accepts, concat, dump, is_empty, product
+from strsolve.snfa import PAIR_STRIDE, SNfa, accepts, concat, dump, is_empty, product
 from strsolve.solver import (Budget, SolveStats, classify, extract_model,
                              forward_prop, solve, var_lang)
 
@@ -219,6 +219,39 @@ def test_budget_stops_inside_product_and_concat():
         product(x, part, capped)
     widest = max(map(len, x.rows)) * max(map(len, part.rows))
     assert 1000 < capped.checked[-1] <= 1000 + widest  # stopped at the first state past it
+
+
+def test_budget_bounds_the_row_pairs_product_scans_between_checks():
+    # two chains of 250 one-character classes, even code points against odd
+    # ones, that share only code point 1000: each pair state scans about
+    # 251 * 126 row pairs and has one successor
+    reads = [0]
+
+    class CountedRow(tuple):
+        def __iter__(self):  # product reads rows of a2 only in its pair scan
+            for r in tuple.__iter__(self):
+                reads[0] += 1
+                yield r
+
+    def chain(offset: int, n: int = 20) -> SNfa:
+        rows = [CountedRow(sorted([(c, c, q + 1) for c in range(offset, 500, 2)]
+                                  + [(1000, 1000, q + 1)]))
+                for q in range(n)]
+        return SNfa(tuple(rows) + (CountedRow(),), frozenset({0}), frozenset({n}))
+
+    at_check: list[int] = []
+
+    class RecordingBudget(Budget):
+        def check(self, transitions: int) -> None:
+            at_check.append(reads[0])
+            super().check(transitions)
+
+    a1, a2 = chain(0), chain(1)
+    reads[0] = 0
+    assert not is_empty(product(a1, a2, RecordingBudget()))
+    assert reads[0] > 10 * PAIR_STRIDE
+    marks = [0] + at_check + [reads[0]]
+    assert max(b - a for a, b in zip(marks, marks[1:])) <= PAIR_STRIDE
 
 
 def test_budget_cap_stops_no_solve_that_fits():
