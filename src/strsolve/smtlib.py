@@ -109,6 +109,10 @@ _TOKEN = re.compile(r"""
       | \Z)
 """, re.VERBOSE | re.DOTALL)
 _OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(1, 8)
+# A numeral of more digits is a syntax error, before `int()` meets Python's
+# limit on converting long digit strings (4300 by default). Any length
+# bound of this many digits is far past every length cap anyway.
+MAX_NUMERAL_DIGITS = 1000
 
 
 def _read_all(src: str) -> list[SNode]:
@@ -133,7 +137,11 @@ def _read_all(src: str) -> list[SNode]:
         elif kind == _QUOTED:
             top.append(SNode(m[kind], m.start(kind) - 1))
         elif kind == _NUMERAL:
-            top.append(SNode(int(m[kind]), m.start(kind)))
+            text = m[kind]
+            if len(text) - (text[0] == "-") > MAX_NUMERAL_DIGITS:
+                raise SyntaxParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits",
+                                       m.start(kind))
+            top.append(SNode(int(text), m.start(kind)))
         elif kind == _STRAY:
             if m[kind] == '"':
                 raise SyntaxParseError("unterminated string literal", m.start(kind))

@@ -22,8 +22,11 @@ positions in order.
 
 Identical inputs always rebuild identical automata, and concatenation and
 product emit only states reachable from the initial set (trim), which
-makes language emptiness a check on the accepting set. Both take an
-optional budget that they consult while they build (see `product`).
+makes language emptiness a check on the accepting set. `product` finds
+its states by exploring pairs; `concat` of two trim operands reads them off
+the flags, since every state of a trim a1 is reached and all of a trim a2
+is reached exactly when a1 has an accepting state (see `concat`). Both take
+an optional budget that they consult while they build (see `product`).
 
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
@@ -40,8 +43,8 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from operator import eq
+from itertools import islice, repeat
+from operator import and_, eq, rshift
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .intervals import MAX_CODEPOINT, Interval
@@ -221,6 +224,8 @@ def accepts(a: SNfa, word: str) -> bool:
 def _sorted_row(row: list[Row]) -> tuple[Row, ...]:
     """`row` sorted and without duplicates (sorting first makes any
     duplicates adjacent, and they are rare)."""
+    if len(row) < 2:
+        return tuple(row)
     row.sort()
     if any(map(eq, row, islice(row, 1, None))):
         return tuple(sorted(set(row)))
@@ -233,18 +238,78 @@ def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     State i of a1 becomes `i:1` and state j of a2 becomes `j:2`, which keeps
     the operands disjoint. Every a1-transition into an a1-accepting state is
     bridged to each a2-initial state; the initial set additionally includes
-    a2's when a1 accepts the empty word. A worklist pass keeps only states
-    reachable from the initial set, so the result is trim by construction;
-    the kept states are numbered in (id, tag) order of their names. The
-    budget is consulted as in `product`.
+    a2's when a1 accepts the empty word. Only states reachable from the
+    initial set are kept, so the result is trim by construction; the kept
+    states are numbered in (id, tag) order of their names. The budget is
+    consulted as in `product`.
+
+    When both operands are trim, reachability is read off the flags: every
+    state of a1 is reached, and a2's initial states are reached exactly when
+    a1 has an accepting state, since that state is initial (a1 accepts the
+    empty word) or the target of a bridged transition; all of a2 is then
+    reached from them. Every automaton the package builds is trim, so the
+    worklist pass that otherwise finds the reached states serves only
+    automata built by `SNfa(...)` or `snfa(...)` without `trim=True`.
     """
+    rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
+    n1, n2 = len(rows1), len(rows2)
+    # the name order (id, tag), tags 1 < 2, is the order of the keys 2i, 2j+1
+    if a1.trim and a2.trim:
+        keys = list(range(0, 2 * n1, 2))
+        if acc1:
+            keys += range(1, 2 * n2, 2)
+            keys.sort()
+    else:
+        keys = sorted(_reached_keys(a1, a2))
+    # state k of the result is state key >> 1 of a1 (key even) or of a2 (odd)
+    new1, new2 = [None] * n1, [None] * n2
+    for k, key in enumerate(keys):
+        if key & 1:
+            new2[key >> 1] = k
+        else:
+            new1[key >> 1] = k
+    entry = [e for e in map(new2.__getitem__, sorted(a2.initial)) if e is not None]
+    start = [new1[i] for i in a1.initial]
+    if not acc1.isdisjoint(a1.initial):
+        start += entry
+    cap = budget.max_transitions if budget is not None else float("inf")
+    rows: list[tuple[Row, ...]] = []
+    emitted = 0
+    for k, key in enumerate(keys):
+        if budget is not None and not k % BUDGET_STRIDE:
+            budget.check(emitted)
+        if key & 1:
+            rows.append(tuple([(lo, hi, new2[d]) for lo, hi, d in rows2[key >> 1]]))
+        else:
+            row = []
+            bridged = False
+            for lo, hi, d in rows1[key >> 1]:
+                row.append((lo, hi, new1[d]))
+                if d in acc1:
+                    bridged = True
+                    row.extend([(lo, hi, e) for e in entry])
+            rows.append(_sorted_row(row) if bridged else tuple(row))
+        emitted += len(rows[-1])
+        if emitted > cap:
+            budget.check(emitted)
+    # (id, tag) pairs built in C, with no Python-level call per state
+    names = tuple(map(tuple.__new__, repeat(StateId),
+                      zip(map(rshift, keys, repeat(1)),
+                          map((1, 2).__getitem__, map(and_, keys, repeat(1))))))
+    return SNfa(tuple(rows), frozenset(start),
+                frozenset(k for k in map(new2.__getitem__, a2.accepting) if k is not None),
+                names, trim=True)
+
+
+def _reached_keys(a1: SNfa, a2: SNfa) -> Iterator[int]:
+    """The keys (2i for state i of a1, 2j+1 for state j of a2) of the states
+    of concat(a1, a2) reachable from its initial set, by a worklist pass."""
     rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
     n1 = len(rows1)
     entry2 = [n1 + j for j in sorted(a2.initial)]   # a2's state j is n1 + j here
     start = sorted(a1.initial)
     if not acc1.isdisjoint(a1.initial):
         start += entry2
-
     reached = set(start)
     queue = deque(start)
     while queue:
@@ -259,35 +324,7 @@ def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
             if d not in reached:
                 reached.add(d)
                 queue.append(d)
-
-    # name order (id, tag) with tags 1 < 2 is the order of the keys 2i, 2j+1
-    order = sorted(reached, key=lambda q: 2 * q if q < n1 else 2 * (q - n1) + 1)
-    new = {q: k for k, q in enumerate(order)}
-    entry = [new[q] for q in entry2 if q in new]
-    cap = budget.max_transitions if budget is not None else float("inf")
-    rows: list[tuple[Row, ...]] = []
-    emitted = 0
-    for k, q in enumerate(order):
-        if budget is not None and not k % BUDGET_STRIDE:
-            budget.check(emitted)
-        if q < n1:
-            row = []
-            bridged = False
-            for lo, hi, d in rows1[q]:
-                row.append((lo, hi, new[d]))
-                if d in acc1:
-                    bridged = True
-                    row.extend((lo, hi, e) for e in entry)
-            rows.append(_sorted_row(row) if bridged else tuple(row))
-        else:
-            rows.append(tuple((lo, hi, new[n1 + d]) for lo, hi, d in rows2[q - n1]))
-        emitted += len(rows[-1])
-        if emitted > cap:
-            budget.check(emitted)
-    names = tuple(StateId(q, 1) if q < n1 else StateId(q - n1, 2) for q in order)
-    return SNfa(tuple(rows), frozenset(new[q] for q in start),
-                frozenset(new[q] for q in order if q >= n1 and q - n1 in a2.accepting),
-                names, trim=True)
+    return (2 * q if q < n1 else 2 * (q - n1) + 1 for q in reached)
 
 
 def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
@@ -297,14 +334,17 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     so only reachable pairs are built, and they are explored in that same
     order. A pair transition is kept exactly when the label intersection is
     non-empty; each state's rows are sorted and deduplicated once, when the
-    state is explored.
+    state is explored. A pair of two one-entry rows, the common case on
+    chains such as length and word automata, is built directly: it has at
+    most one transition.
 
     With a budget, `budget.check` runs before every BUDGET_STRIDE-th pair
     state is explored, before any run of rows of a1 that would take the row
     pairs scanned since the last check past PAIR_STRIDE (a row of a1 counts
-    as |rows2[q]| pairs), and as soon as the number of distinct transitions
-    built passes `budget.max_transitions`, so a run past either limit stops
-    inside the operation.
+    as |rows2[q]| pairs; a pair of one-entry rows is not counted, as the
+    state stride already bounds those), and as soon as the number of
+    distinct transitions built passes `budget.max_transitions`, so a run past
+    either limit stops inside the operation.
     """
     rows1, rows2 = a1.rows, a2.rows
     n2 = len(rows2)
@@ -321,11 +361,30 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
         if budget is not None and not src % BUDGET_STRIDE:
             budget.check(emitted)
             scanned = 0
+        r1, r2 = rows1[p], rows2[q]
+        if len(r1) == 1 == len(r2):
+            # the common case on chains: one row pair, at most one transition
+            (lo1, hi1, d1), = r1
+            (lo2, hi2, d2), = r2
+            lo = lo1 if lo1 >= lo2 else lo2
+            hi = hi1 if hi1 <= hi2 else hi2
+            if lo > hi:
+                rows.append(())
+                continue
+            key = d1 * n2 + d2
+            dst = get(key)
+            if dst is None:
+                dst = ids[key] = len(pairs)
+                pairs.append((d1, d2))
+            t = (lo, hi, dst)
+            rows.append((shared(t, t),))
+            emitted += 1
+            if emitted > cap:
+                budget.check(emitted)
+            continue
         row: list[Row] = []
         add = row.append
-        r2 = rows2[q]
         if r2:
-            r1 = rows1[p]
             scanned += len(r1) * len(r2)
             if scanned > PAIR_STRIDE and budget is not None:
                 # check before each run of `step` rows of a1 in this state

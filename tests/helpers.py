@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random generators, reference matchers,
 interval enumeration, the reference word split, the reference SMT-LIB
-reader, renaming and automaton isomorphism.
+reader, the reference `concat` and `product`, renaming and automaton
+isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -9,7 +10,9 @@ production code paths they check.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
+from itertools import islice
+from operator import eq
 from typing import Iterator
 
 from strsolve import regex as rx
@@ -17,7 +20,9 @@ from strsolve.constraints import Problem, make_problem
 from strsolve.errors import ResourceLimitError, SyntaxParseError
 from strsolve.intervals import DEFAULT_ENUM_CAP, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.smtlib import SNode, SStr
-from strsolve.snfa import SNfa, StateId, Transition, accepts, remove_unreachable, snfa
+from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Row, SNfa, StateId, Transition,
+                           accepts, remove_unreachable, snfa)
+from strsolve.solver import Budget
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
 LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
@@ -281,6 +286,160 @@ def read_all_scan(src: str) -> list[SNode]:
     if stack:
         raise SyntaxParseError("unbalanced (", stack[-1][1])
     return top
+
+
+# The `concat` and `product` kernels as they were before pair states of two
+# one-entry rows were built directly and `concat` read reachability off the
+# trim flags: a worklist pass over both operands, states ordered by a key
+# function, and every row through `_sorted_row`. `snfa.concat` and
+# `snfa.product` must build the same automata.
+
+def _sorted_row_reference(row: list[Row]) -> tuple[Row, ...]:
+    """`row` sorted and without duplicates (sorting first makes any
+    duplicates adjacent, and they are rare)."""
+    row.sort()
+    if any(map(eq, row, islice(row, 1, None))):
+        return tuple(sorted(set(row)))
+    return tuple(row)
+
+
+def concat_reference(a1: SNfa, a2: SNfa, budget: Budget | None = None) -> SNfa:
+    """Concatenation: L(result) = { w1+w2 | w1 in L(a1), w2 in L(a2) }.
+
+    State i of a1 becomes `i:1` and state j of a2 becomes `j:2`, which keeps
+    the operands disjoint. Every a1-transition into an a1-accepting state is
+    bridged to each a2-initial state; the initial set additionally includes
+    a2's when a1 accepts the empty word. A worklist pass keeps only states
+    reachable from the initial set, so the result is trim by construction;
+    the kept states are numbered in (id, tag) order of their names. The
+    budget is consulted as in `product`.
+    """
+    rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
+    n1 = len(rows1)
+    entry2 = [n1 + j for j in sorted(a2.initial)]   # a2's state j is n1 + j here
+    start = sorted(a1.initial)
+    if not acc1.isdisjoint(a1.initial):
+        start += entry2
+
+    reached = set(start)
+    queue = deque(start)
+    while queue:
+        q = queue.popleft()
+        if q < n1:
+            succ = [d for _, _, d in rows1[q]]
+            if not acc1.isdisjoint(succ):
+                succ += entry2
+        else:
+            succ = [n1 + d for _, _, d in rows2[q - n1]]
+        for d in succ:
+            if d not in reached:
+                reached.add(d)
+                queue.append(d)
+
+    # name order (id, tag) with tags 1 < 2 is the order of the keys 2i, 2j+1
+    order = sorted(reached, key=lambda q: 2 * q if q < n1 else 2 * (q - n1) + 1)
+    new = {q: k for k, q in enumerate(order)}
+    entry = [new[q] for q in entry2 if q in new]
+    cap = budget.max_transitions if budget is not None else float("inf")
+    rows: list[tuple[Row, ...]] = []
+    emitted = 0
+    for k, q in enumerate(order):
+        if budget is not None and not k % BUDGET_STRIDE:
+            budget.check(emitted)
+        if q < n1:
+            row = []
+            bridged = False
+            for lo, hi, d in rows1[q]:
+                row.append((lo, hi, new[d]))
+                if d in acc1:
+                    bridged = True
+                    row.extend((lo, hi, e) for e in entry)
+            rows.append(_sorted_row_reference(row) if bridged else tuple(row))
+        else:
+            rows.append(tuple((lo, hi, new[n1 + d]) for lo, hi, d in rows2[q - n1]))
+        emitted += len(rows[-1])
+        if emitted > cap:
+            budget.check(emitted)
+    names = tuple(StateId(q, 1) if q < n1 else StateId(q - n1, 2) for q in order)
+    return SNfa(tuple(rows), frozenset(new[q] for q in start),
+                frozenset(new[q] for q in order if q >= n1 and q - n1 in a2.accepting),
+                names, trim=True)
+
+
+def product_reference(a1: SNfa, a2: SNfa, budget: Budget | None = None) -> SNfa:
+    """Product: L(result) = L(a1) & L(a2).
+
+    Pair states are numbered in breadth-first discovery order from I1 x I2,
+    so only reachable pairs are built, and they are explored in that same
+    order. A pair transition is kept exactly when the label intersection is
+    non-empty; each state's rows are sorted and deduplicated once, when the
+    state is explored.
+
+    With a budget, `budget.check` runs before every BUDGET_STRIDE-th pair
+    state is explored, before any run of rows of a1 that would take the row
+    pairs scanned since the last check past PAIR_STRIDE (a row of a1 counts
+    as |rows2[q]| pairs), and as soon as the number of distinct transitions
+    built passes `budget.max_transitions`, so a run past either limit stops
+    inside the operation.
+    """
+    rows1, rows2 = a1.rows, a2.rows
+    n2 = len(rows2)
+    pairs = [(p, q) for p in sorted(a1.initial) for q in sorted(a2.initial)]
+    ids = {p * n2 + q: i for i, (p, q) in enumerate(pairs)}
+    get = ids.get
+    # many pair states reach the same pair on the same label: one tuple each
+    shared = {}.setdefault
+    cap = budget.max_transitions if budget is not None else float("inf")
+    rows: list[tuple[Row, ...]] = []
+    emitted = 0
+    scanned = 0  # row pairs scanned since the last check, |r2| per row of a1
+    for src, (p, q) in enumerate(pairs):  # `pairs` grows while it is walked
+        if budget is not None and not src % BUDGET_STRIDE:
+            budget.check(emitted)
+            scanned = 0
+        row: list[Row] = []
+        add = row.append
+        r2 = rows2[q]
+        if r2:
+            r1 = rows1[p]
+            scanned += len(r1) * len(r2)
+            if scanned > PAIR_STRIDE and budget is not None:
+                # check before each run of `step` rows of a1 in this state
+                width = len(r2)
+                step = PAIR_STRIDE // width or 1
+                scanned = ((len(r1) - 1) % step + 1) * width  # the last run's pairs
+                r1 = _in_strides_reference(r1, step, budget, emitted)
+            for lo1, hi1, d1 in r1:
+                base = d1 * n2
+                for lo2, hi2, d2 in r2:
+                    if lo2 > hi1:
+                        break  # r2 is sorted by lo: no later row meets [lo1, hi1]
+                    lo = lo1 if lo1 >= lo2 else lo2
+                    hi = hi1 if hi1 <= hi2 else hi2
+                    if lo > hi:
+                        continue
+                    key = base + d2
+                    dst = get(key)
+                    if dst is None:
+                        dst = ids[key] = len(pairs)
+                        pairs.append((d1, d2))
+                    t = (lo, hi, dst)
+                    add(shared(t, t))
+        rows.append(_sorted_row_reference(row))
+        emitted += len(rows[-1])
+        if emitted > cap:
+            budget.check(emitted)
+    acc1, acc2 = a1.accepting, a2.accepting
+    return SNfa(tuple(rows), frozenset(range(len(a1.initial) * len(a2.initial))),
+                frozenset(i for i, (p, q) in enumerate(pairs) if p in acc1 and q in acc2),
+                trim=True)
+
+
+def _in_strides_reference(rows: tuple[Row, ...], step: int, budget: Budget, emitted: int) -> Iterator[Row]:
+    """The rows, with `budget.check(emitted)` before each run of `step` of them."""
+    for i in range(0, len(rows), step):
+        budget.check(emitted)
+        yield from rows[i:i + step]
 
 
 def rename(a: SNfa, tag: int) -> SNfa:

@@ -1,0 +1,88 @@
+"""The summary arithmetic of scripts/bench_pairs.py, on fixed numbers."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def run(value: float, failed: int = 0, digest: str = "d", unit: str = "s",
+        name: str = "wall_s") -> dict:
+    return {"correct": failed == 0, "attempted": 10, "failed": failed, "digest": digest,
+            "metrics": {name: {"value": value, "unit": unit}}}
+
+
+def test_compare_by_hand():
+    # exclusive quartiles of 1..5 are 1.5, 3 and 4.5
+    got = bench_pairs.compare([1, 2, 3, 4, 5], [0.5, 1.5, 2.5, 3.5, 6])
+    assert got == {"parent_q1_median_q3": [1.5, 3.0, 4.5],
+                   "change_q1_median_q3": [1.0, 2.5, 4.75],
+                   "change_over_parent": 0.833,
+                   "change_lower_in_pairs": 4,
+                   "median_gap_over_parent_iqr": 0.17}
+    # a rise reads as a negative gap; no spread on the parent's side, no gap
+    assert bench_pairs.compare([2, 2, 4, 6], [3, 3, 5, 7])["median_gap_over_parent_iqr"] == -0.29
+    assert bench_pairs.compare([2, 2, 2], [1, 1, 1])["median_gap_over_parent_iqr"] is None
+
+
+def test_summarize_counts_failures_and_digests():
+    pairs = [{"parent": run(1.0 + i, digest=f"d{i}"),
+              "change": run(0.5 + i, failed=int(i == 2), digest=f"d{min(i, 1)}")}
+             for i in range(4)]
+    got = bench_pairs.summarize(pairs, metrics=("wall_s",))
+    assert got["pairs"] == 4
+    assert got["failed"] == {"parent": 0, "change": 1}
+    assert got["correct"] == {"parent": True, "change": False}
+    assert got["digests_equal_in_pairs"] == 2
+    assert got["wall_s"]["change_lower_in_pairs"] == 4
+    assert got["wall_s"]["change_over_parent"] == round(2.0 / 2.5, 3)
+
+
+def test_summarize_traced_compares_counts_and_time_ratios():
+    def traced(ms: float, states: float) -> dict:
+        return {"failed": 0, "correct": True, "metrics": {
+            "snfa.product.ms": {"value": ms, "unit": "ms"},
+            "snfa.concat.ms": {"value": 0.0, "unit": "ms"},
+            "snfa.product.states_out": {"value": states, "unit": "count"}}}
+
+    pairs = [{"parent": traced(100.0, 7.0), "change": traced(50.0, 7.0)},
+             {"parent": traced(80.0, 7.0), "change": traced(60.0, 7.0)}]
+    got = bench_pairs.summarize_traced(pairs)
+    # a layer that reads 0 on the parent has no ratio
+    assert got == {"counts_equal": True, "ms_change_over_parent": {"snfa.product.ms": 0.625}}
+    pairs[1]["change"]["metrics"]["snfa.product.states_out"]["value"] = 8.0
+    assert not bench_pairs.summarize_traced(pairs)["counts_equal"]
+
+
+def test_benchmark_definition_comes_from_benchmark_json():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, workloads, end_to_end = bench_pairs.benchmark()
+    assert seconds == spec["run_seconds"]
+    assert workloads == [w["name"] for w in spec["workloads"]]
+    assert end_to_end == [m["name"] for m in spec["end_to_end"]]
+    assert "wall_s" in end_to_end and "long_models" in workloads
+
+
+@pytest.mark.parametrize("name", ["BENCH_5.json", "BENCH_6.json"])
+def test_summarize_reproduces_a_committed_summary(name):
+    report = json.loads((ROOT / name).read_text())
+    end_to_end = bench_pairs.benchmark()[2]
+    for workload, pairs in report["trace0"].items():
+        if not isinstance(pairs, list):
+            continue
+        got = bench_pairs.summarize(pairs, end_to_end)
+        want = report["summary"][workload]
+        for key in ("pairs", "failed", "correct"):
+            assert got[key] == want[key], (workload, key)
+        for metric in end_to_end:
+            # BENCH_5.json, made before the script, rounded the gap from a
+            # differently ordered expression: it may differ by one in the last place
+            gap = want[metric].pop("median_gap_over_parent_iqr")
+            assert got[metric].pop("median_gap_over_parent_iqr") == pytest.approx(gap, abs=0.011)
+            assert got[metric] == want[metric], (workload, metric)

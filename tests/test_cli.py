@@ -87,6 +87,19 @@ def test_solve_resource_exit(tmp_path):
     assert "resource" in proc.stderr
 
 
+def test_solve_huge_numerals_exit(tmp_path):
+    # past the digit bound: a parse error; inside it: the length cap's stop
+    f = tmp_path / "numeral.smt2"
+    f.write_text("(declare-const x String)(assert (<= (str.len x) " + "1" * 5000 + "))")
+    proc = run_cli("solve", str(f))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: numeral longer than 1000 digits (at offset 48)\n"
+    f.write_text("(declare-const x String)(assert (<= (str.len x) " + "1" * 1000 + "))")
+    proc = run_cli("solve", str(f))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource: length bound too large: 111")
+
+
 def test_solve_stats_schema(tmp_path):
     f = tmp_path / "s.smt2"
     f.write_text(SAT_SRC)

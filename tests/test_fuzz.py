@@ -59,7 +59,12 @@ regex = st.recursive(
                             _app("re.inter", inner, inner)),
     max_leaves=5)
 length = _app("str.len", var)
-bound = st.sampled_from(["0", "1", "2", "3", "-1", "10001"])
+# numerals around the digit bound of the reader and Python's 4300-digit
+# limit on int(), with leading zeros and signs
+huge_numeral = st.tuples(st.sampled_from(["", "-", "0" * 990]),
+                         st.sampled_from([1, 9, 999, 1000, 1001, 4300, 4301, 5000]),
+                         st.sampled_from("19")).map(lambda t: t[0] + t[2] * t[1])
+bound = st.one_of(st.sampled_from(["0", "1", "2", "3", "-1", "10001"]), huge_numeral)
 compare = st.sampled_from(["<", "<=", "=", ">=", ">"])
 atom = st.one_of(
     _app("=", st.one_of(var, string), word),
@@ -96,10 +101,7 @@ def test_smt_parser_raises_only_package_errors(src):
         pass
 
 
-@settings(derandomize=True, max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(src=smt_src)
-def test_solve_exits_with_a_documented_code(src, tmp_path, capsys):
+def _solve_exits_with_a_documented_code(src, tmp_path, capsys) -> None:
     path = tmp_path / "fuzz.smt2"
     path.write_text(src, encoding="utf-8")
     code = main(["solve", str(path), "--model", "--timeout", "2000",
@@ -110,3 +112,26 @@ def test_solve_exits_with_a_documented_code(src, tmp_path, capsys):
         assert out.splitlines()[0] in ("sat", "unsat", "unknown")
     else:
         assert out == ""
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(src=smt_src)
+def test_solve_exits_with_a_documented_code(src, tmp_path, capsys):
+    _solve_exits_with_a_documented_code(src, tmp_path, capsys)
+
+
+length_script = st.tuples(compare, huge_numeral, st.booleans()).map(
+    lambda t: DECLARED + (f"(assert ({t[0]} (str.len x) {t[1]}))" if t[2]
+                          else f"(assert ({t[0]} {t[1]} (str.len x)))") + "(check-sat)")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(src=length_script)
+def test_huge_numerals_end_in_a_documented_outcome(src, tmp_path, capsys):
+    try:
+        parse_smt(src)
+    except StrSolveError:
+        pass
+    _solve_exits_with_a_documented_code(src, tmp_path, capsys)

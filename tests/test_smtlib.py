@@ -8,7 +8,7 @@ from strsolve import smtlib
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
-from strsolve.smtlib import encode_string, parse_smt, print_smt
+from strsolve.smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt, print_smt
 
 
 def test_parse_simple_membership():
@@ -99,6 +99,19 @@ def test_escapes_and_numerals_take_only_ascii_digits():
     # a superscript digit is not a numeral (int() used to raise ValueError on it)
     with pytest.raises(UnsupportedError):
         parse_smt(decl + '(assert (<= (str.len x) \u00b9))')
+
+
+def test_numeral_digit_count_is_bounded_before_conversion():
+    prefix = '(declare-const x String)(assert (<= (str.len x) '
+    at = len(prefix)
+    # 1000 digits convert; more is an error at the numeral, well below the
+    # 4300 digits where int() would raise a bare ValueError
+    assert parse_smt(prefix + "9" * 1000 + "))").assertions[0].bound == int("9" * 1000)
+    for numeral in ("1" * 1001, "1" * 5000, "0" * 4999 + "1", "-" + "1" * 5000):
+        with pytest.raises(SyntaxParseError) as err:
+            parse_smt(prefix + numeral + "))")
+        assert (str(err.value), err.value.pos) == (
+            f"numeral longer than {MAX_NUMERAL_DIGITS} digits (at offset {at})", at)
 
 
 def test_encode_decode_round_trip():

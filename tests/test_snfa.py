@@ -1,10 +1,13 @@
 import importlib
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import (LEMMA_ALPHABET, isomorphic, random_regex, random_snfa, rename,
-                     split_word_scan, words_upto)
+from helpers import (LEMMA_ALPHABET, concat_reference, isomorphic, product_reference,
+                     random_regex, random_snfa, rename, split_word_scan, words_upto)
 from strsolve.errors import ResourceLimitError
 from strsolve.oracle import Bound, word_in
 from strsolve.regex import (compile, compile_pattern, length_automaton, sigma_star,
@@ -12,6 +15,7 @@ from strsolve.regex import (compile, compile_pattern, length_automaton, sigma_st
 from strsolve.snfa import (SNfa, StateId, accepts, concat, dump,
                            is_empty, product, remove_unreachable, snfa,
                            some_word, split_word, to_dot, validate)
+from strsolve.solver import Budget
 
 WORDS6 = words_upto(LEMMA_ALPHABET, 6)
 SNFA_MODULE = importlib.import_module("strsolve.snfa")  # the package attribute is the constructor
@@ -277,3 +281,85 @@ def test_determinism_of_constructions():
         a2, b2 = random_snfa(rng2), random_snfa(rng2)
         assert dump(concat(a1, b1)) == dump(concat(a2, b2))
         assert dump(product(a1, b1)) == dump(product(a2, b2))
+
+
+# Differential pin of `concat` and `product` against the reference kernels
+# in helpers: the same rows, numbering, names (as `StateId`s) and trim flag.
+
+label = st.tuples(st.integers(97, 100), st.integers(0, 2)).map(
+    lambda t: (t[0], min(t[0] + t[1], 100)))
+
+
+@st.composite
+def operand(draw) -> SNfa:
+    """Chains (one entry per row), wide rows that repeat labels, or sparse
+    random rows; with any initial and accepting sets, trimmed or not."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["chain", "wide", "sparse"]))
+    if shape == "chain":
+        rows = [[(*draw(label), draw(st.integers(0, n - 1)))] for _ in range(n)]
+    elif shape == "wide":
+        labels = draw(st.lists(label, min_size=1, max_size=2))
+        rows = [[(*draw(st.sampled_from(labels)), draw(st.integers(0, n - 1)))
+                 for _ in range(draw(st.integers(2, 6)))] for _ in range(n)]
+    else:
+        rows = [[(*draw(label), draw(st.integers(0, n - 1)))
+                 for _ in range(draw(st.integers(0, 2)))] for _ in range(n)]
+    states = st.sets(st.integers(0, n - 1), max_size=n)
+    a = snfa(rows, draw(states), draw(states))
+    return remove_unreachable(a) if draw(st.booleans()) else a
+
+
+def _same_automaton(got: SNfa, ref: SNfa) -> None:
+    assert dump(got) == dump(ref)
+    assert got == ref  # rows, initial, accepting and names
+    assert got.trim == ref.trim
+    assert got.names is None or all(type(nm) is StateId for nm in got.names)
+
+
+CHAIN = snfa([[(97, 98, 1)], [(98, 99, 2)], [(97, 97, 0)]], {0}, {2})
+WIDE = snfa([[(97, 97, 0), (97, 97, 1), (97, 98, 2), (97, 98, 0)], [(97, 97, 2)], []],
+            {0, 1}, {2})
+EPS = snfa([[(97, 97, 1)], [(98, 98, 0)], [(99, 99, 2)]], {0, 1}, {0, 1})  # accepts ε
+NOTHING = snfa([[(97, 97, 1)], [(97, 97, 0)]], {0}, ())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(operand(), operand(), st.booleans())
+@example(CHAIN, remove_unreachable(CHAIN), False)
+@example(remove_unreachable(CHAIN), remove_unreachable(CHAIN), True)
+@example(WIDE, remove_unreachable(WIDE), True)
+@example(remove_unreachable(EPS), remove_unreachable(WIDE), False)
+@example(EPS, CHAIN, True)
+@example(remove_unreachable(NOTHING), remove_unreachable(CHAIN), False)
+def test_concat_and_product_match_the_reference_kernels(a1, a2, budgeted):
+    def budget() -> Budget | None:
+        return Budget(max_transitions=10 ** 9, deadline=time.monotonic() + 3600) \
+            if budgeted else None
+
+    _same_automaton(concat(a1, a2, budget()), concat_reference(a1, a2, budget()))
+    _same_automaton(product(a1, a2, budget()), product_reference(a1, a2, budget()))
+
+
+def test_concat_of_trim_operands_reads_each_row_once():
+    reads: dict[tuple[int, int], int] = {}
+
+    class CountedRows(tuple):
+        side = 0
+
+        def __getitem__(self, q):
+            reads[self.side, q] = reads.get((self.side, q), 0) + 1
+            return tuple.__getitem__(self, q)
+
+    def counted(a: SNfa, side: int) -> SNfa:
+        rows = CountedRows(a.rows)
+        rows.side = side
+        return SNfa(rows, a.initial, a.accepting, a.names, a.trim)
+
+    a1, a2 = word_automaton("ab"), compile_pattern("(c|d)*e")
+    for x, y in ((a1, a2), (compile_pattern("a*"), a2), (a2, a1)):
+        c1, c2 = counted(x, 1), counted(y, 2)
+        reads.clear()
+        got = concat(c1, c2)
+        assert got == concat_reference(x, y)
+        assert reads == {(side, q): 1 for side, a in ((1, x), (2, y)) for q in a.states}
