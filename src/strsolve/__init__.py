@@ -19,7 +19,7 @@ from .oracle import Bound, oracle_lang, oracle_sat
 from .regex import (compile_pattern, length_automaton, parse_regex, sigma_star,
                     word_automaton)
 from .smtlib import SmtScript, parse_smt, print_smt
-from .snfa import (SNfa, StateId, Transition, accepts, concat, dump, is_empty,
+from .snfa import (SNfa, Transition, accepts, concat, dump, is_empty,
                    product, remove_unreachable, snfa, some_word, split_word, to_dot)
 from .solver import (Budget, RefinedReg, SolveStats, Verdict, classify,
                      extract_model, forward_prop, solve, var_lang)
@@ -30,7 +30,7 @@ __all__ = [
     "Assignment", "Bound", "Budget", "CyclicDependencyError", "Equation", "FULL",
     "Interval", "IntervalSet", "Length", "Lit", "MAX_CODEPOINT", "Membership",
     "Or", "Problem", "RefinedReg", "ResourceLimitError", "SNfa", "SmtScript",
-    "SolveStats", "StateId", "StrSolveError", "SurfaceConstraint",
+    "SolveStats", "StrSolveError", "SurfaceConstraint",
     "SyntaxParseError", "Transition", "UnsupportedError", "Var", "VarId",
     "Verdict", "accepts", "check_tree", "classify", "compile_pattern", "concat",
     "desugar", "dump", "extract_model", "forward_prop", "intersection",

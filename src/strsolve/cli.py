@@ -1,12 +1,13 @@
 """Command-line entry points: single-file solving and batch benchmarking.
 
 `solve` prints exactly one of sat/unsat/unknown as its first stdout line
-and exits 0 for any verdict, 1 on parse/unsupported input, 2 on resource
-exhaustion (including the cooperative timeout). `bench` runs every .smt2
-file under a directory in subprocesses with a per-file wall-clock timeout
-(the authoritative one; the child also gets the cooperative deadline),
-writes one JSON record per file, and prints a summary table with the
-columns total/sat/unknown/unsat/solved%/avg-time/timeout.
+and exits 0 for any verdict, 1 on parse/unsupported input or a malformed
+command line, 2 on resource exhaustion (including the cooperative
+timeout). `bench` runs every .smt2 file under a directory in subprocesses
+with a per-file wall-clock timeout (the authoritative one; the child also
+gets the cooperative deadline), writes one JSON record per file, and
+prints a summary table with the columns
+total/sat/unknown/unsat/solved%/avg-time/timeout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .constraints import desugar
 from .errors import ResourceLimitError, StrSolveError, UnsupportedError
@@ -39,11 +40,12 @@ def solve_path(path: str | Path, optimize: bool = False,
                timeout_ms: Optional[int] = None,
                dump_dot_dir: Optional[str | Path] = None) -> tuple[Verdict, SolveStats, int]:
     """Solve one SMT file. Disjunctions produce several problems, solved in
-    order with sat winning early. Returns (verdict, file stats, var count)."""
+    order with sat winning early. The timeout counts from before the file is
+    read. Returns (verdict, file stats, var count)."""
+    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
     src = Path(path).read_text(encoding="utf-8")
     script = parse_smt(src)
     declared = [name for name, _ in script.declarations]
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
     # memberships of one variable are intersected here, under the same limits
     problems = desugar(list(script.assertions), base_vars=declared,
                        budget=Budget(max_transitions, deadline))
@@ -307,9 +309,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_VERDICT if not report.errors else EXIT_PARSE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other malformed input; argparse's own
+    code 2 is the documented code for a resource stop."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="strsolve",
-                                     description="String-constraint solver over symbolic automata")
+    # subparsers are made with the parent's class, so they exit 1 as well
+    parser = _Parser(prog="strsolve",
+                     description="String-constraint solver over symbolic automata")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one SMT-LIB file")
@@ -317,8 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_solve.add_argument("--model", action="store_true", help="print a model on sat")
     p_solve.add_argument("--optimize", action="store_true",
                          help="enable all-words absorption rewrites")
-    p_solve.add_argument("--max-transitions", type=int, default=DEFAULT_MAX_TRANSITIONS)
-    p_solve.add_argument("--timeout", type=int, default=None, metavar="MS",
+    p_solve.add_argument("--max-transitions", type=_positive_int,
+                         default=DEFAULT_MAX_TRANSITIONS)
+    p_solve.add_argument("--timeout", type=_positive_int, default=None, metavar="MS",
                          help="cooperative time budget in milliseconds")
     p_solve.add_argument("--stats", default=None, metavar="OUT.JSONL")
     p_solve.add_argument("--dump-dot", default=None, metavar="DIR")
@@ -326,10 +345,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_bench = sub.add_parser("bench", help="run a directory of .smt2 files")
     p_bench.add_argument("dir")
-    p_bench.add_argument("--timeout", type=int, default=60_000, metavar="MS")
-    p_bench.add_argument("--jobs", type=int, default=1, metavar="N")
+    p_bench.add_argument("--timeout", type=_positive_int, default=60_000, metavar="MS")
+    p_bench.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
     p_bench.add_argument("--optimize", action="store_true")
-    p_bench.add_argument("--max-transitions", type=int, default=DEFAULT_MAX_TRANSITIONS)
+    p_bench.add_argument("--max-transitions", type=_positive_int,
+                         default=DEFAULT_MAX_TRANSITIONS)
     p_bench.add_argument("--stats", default=None, metavar="OUT.JSONL")
     p_bench.set_defaults(func=_cmd_bench)
 

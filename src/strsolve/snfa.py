@@ -6,26 +6,27 @@ holds the transitions leaving q, sorted by (lo, hi, dst) and free of
 duplicates. Labels are single non-empty code-point intervals. Every
 simulation, `product` and `concat` index `rows[q]` directly.
 
-Each state also has a printed name `id:tag` (a `StateId`). The tag
+Each state also has a printed name `id:tag`, stored as the one integer
+`4*id + tag` (tag 0..2), so integer order is (id, tag) order. The tag
 realizes the injective renaming that keeps the two operands of a
 concatenation disjoint: `concat` names the states it keeps from its first
 operand `i:1` and those from its second `j:2`, after their numbers there;
 `remove_unreachable` keeps the names of the states it keeps, and every
-other construction names state q `q:0`. The names are derived when an
-automaton is printed; `SNfa.names` stores them only where they differ from
-`q:0`. Every construction numbers its states in the sorted order of their
-names, so `dump` and `to_dot` print states sorted by (id, tag) and
-transitions sorted by (src, label, dst) straight from the rows, without a
-global sort: `product` numbers pair states in breadth-first discovery
-order, `concat` sorts the states it reached by name, and `regex` numbers
-positions in order.
+other construction names state q `q:0`. `SNfa.names` stores the names only
+where they differ from `q:0`, and `SNfa.name` decodes one for printing.
+Every construction numbers its states in the order of their names, so
+`dump` and `to_dot` print states sorted by (id, tag) and transitions sorted
+by (src, label, dst) straight from the rows, without a global sort:
+`product` numbers pair states in breadth-first discovery order, `concat`
+sorts the names of the states it reached, and `regex` numbers positions in
+order.
 
 Identical inputs always rebuild identical automata, and concatenation and
 product emit only states reachable from the initial set (trim), which
 makes language emptiness a check on the accepting set. `product` finds
-its states by exploring pairs; `concat` of two trim operands reads them off
-the flags, since every state of a trim a1 is reached and all of a trim a2
-is reached exactly when a1 has an accepting state (see `concat`). Both take
+its states by exploring pairs; `concat` takes them from each operand's
+reachable states, which a trim flag gives for free (see `concat`).
+`_reachable_states` is the one reachability pass. Both constructions take
 an optional budget that they consult while they build (see `product`).
 
 `validate` is the one well-formedness check; with validation switched on it
@@ -43,8 +44,8 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
-from operator import and_, eq, rshift
+from itertools import islice
+from operator import eq
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .intervals import MAX_CODEPOINT, Interval
@@ -62,15 +63,6 @@ BUDGET_STRIDE = 1024
 # since its last check: one pair state of two wide character classes scans
 # up to |rows1[p]|·|rows2[q]| of them.
 PAIR_STRIDE = 1 << 15
-
-
-class StateId(namedtuple("StateId", ["id", "tag"])):
-    """The printed name of a state."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"{self.id}:{self.tag}"
 
 
 Transition = namedtuple("Transition", ["src", "label", "dst"])
@@ -122,12 +114,12 @@ class SNfa:
     rows: Rows
     initial: frozenset[int]
     accepting: frozenset[int]
-    names: Optional[tuple[StateId, ...]] = None  # None: state q is named q:0
+    names: Optional[tuple[int, ...]] = None  # 4*id + tag; None: state q is q:0
     trim: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.names is not None and all(
-                nm.tag == 0 and nm.id == q for q, nm in enumerate(self.names)):
+                map(eq, self.names, range(0, 4 * len(self.names), 4))):
             object.__setattr__(self, "names", None)
         if _VALIDATE:
             validate(self)
@@ -140,8 +132,10 @@ class SNfa:
     def transitions(self) -> _Transitions:
         return _Transitions(self.rows)
 
-    def name(self, q: int) -> StateId:
-        return StateId(q, 0) if self.names is None else self.names[q]
+    def name(self, q: int) -> str:
+        """The printed name `id:tag` of state q."""
+        key = 4 * q if self.names is None else self.names[q]
+        return f"{key >> 2}:{key & 3}"
 
     def __repr__(self) -> str:
         return (f"SNfa(states={len(self.rows)}, transitions={len(self.transitions)}, "
@@ -177,6 +171,9 @@ def validate(a: SNfa) -> None:
     if a.names is not None:
         if len(a.names) != n:
             raise ValueError(f"{len(a.names)} names for {n} states")
+        bad = [nm for nm in a.names if not isinstance(nm, int) or nm < 0 or nm & 3 == 3]
+        if bad:
+            raise ValueError(f"state names not of the form 4*id + tag, tag 0..2: {bad}")
         if any(a.names[i] >= a.names[i + 1] for i in range(n - 1)):
             raise ValueError("state names not strictly increasing")
     if a.trim:
@@ -187,6 +184,7 @@ def validate(a: SNfa) -> None:
 
 
 def _reachable_states(a: SNfa) -> set[int]:
+    """The states reachable from the initial set, by breadth-first search."""
     seen = set(a.initial)
     queue = deque(sorted(a.initial))
     rows = a.rows
@@ -240,34 +238,32 @@ def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     bridged to each a2-initial state; the initial set additionally includes
     a2's when a1 accepts the empty word. Only states reachable from the
     initial set are kept, so the result is trim by construction; the kept
-    states are numbered in (id, tag) order of their names. The budget is
-    consulted as in `product`.
+    states are numbered in the order of their names. The budget is consulted
+    as in `product`.
 
-    When both operands are trim, reachability is read off the flags: every
-    state of a1 is reached, and a2's initial states are reached exactly when
-    a1 has an accepting state, since that state is initial (a1 accepts the
-    empty word) or the target of a bridged transition; all of a2 is then
-    reached from them. Every automaton the package builds is trim, so the
-    worklist pass that otherwise finds the reached states serves only
-    automata built by `SNfa(...)` or `snfa(...)` without `trim=True`.
+    The kept states of each operand are its reachable states: all of it when
+    it is trim, else `_reachable_states` of it. That is exact for a1, whose
+    states are entered only by its own transitions. a2's states are kept
+    exactly when a reached a1 state accepts: that state is initial (a1
+    accepts the empty word) or the target of a bridged transition, and
+    either way every a2-initial state is entered; without one, no a2 state
+    is entered at all.
     """
     rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
     n1, n2 = len(rows1), len(rows2)
-    # the name order (id, tag), tags 1 < 2, is the order of the keys 2i, 2j+1
-    if a1.trim and a2.trim:
-        keys = list(range(0, 2 * n1, 2))
-        if acc1:
-            keys += range(1, 2 * n2, 2)
-            keys.sort()
-    else:
-        keys = sorted(_reached_keys(a1, a2))
-    # state k of the result is state key >> 1 of a1 (key even) or of a2 (odd)
+    # state i of a1 is named 4i+1 (i:1) and state j of a2 4j+2 (j:2); the
+    # result numbers the states it keeps in the order of these names
+    reached = range(n1) if a1.trim else _reachable_states(a1)
+    keys = [4 * i + 1 for i in reached]
+    if not acc1.isdisjoint(reached):
+        keys += [4 * j + 2 for j in (range(n2) if a2.trim else _reachable_states(a2))]
+    keys.sort()
     new1, new2 = [None] * n1, [None] * n2
     for k, key in enumerate(keys):
-        if key & 1:
-            new2[key >> 1] = k
+        if key & 2:
+            new2[key >> 2] = k
         else:
-            new1[key >> 1] = k
+            new1[key >> 2] = k
     entry = [e for e in map(new2.__getitem__, sorted(a2.initial)) if e is not None]
     start = [new1[i] for i in a1.initial]
     if not acc1.isdisjoint(a1.initial):
@@ -278,12 +274,12 @@ def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     for k, key in enumerate(keys):
         if budget is not None and not k % BUDGET_STRIDE:
             budget.check(emitted)
-        if key & 1:
-            rows.append(tuple([(lo, hi, new2[d]) for lo, hi, d in rows2[key >> 1]]))
+        if key & 2:
+            rows.append(tuple([(lo, hi, new2[d]) for lo, hi, d in rows2[key >> 2]]))
         else:
             row = []
             bridged = False
-            for lo, hi, d in rows1[key >> 1]:
+            for lo, hi, d in rows1[key >> 2]:
                 row.append((lo, hi, new1[d]))
                 if d in acc1:
                     bridged = True
@@ -292,39 +288,9 @@ def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
         emitted += len(rows[-1])
         if emitted > cap:
             budget.check(emitted)
-    # (id, tag) pairs built in C, with no Python-level call per state
-    names = tuple(map(tuple.__new__, repeat(StateId),
-                      zip(map(rshift, keys, repeat(1)),
-                          map((1, 2).__getitem__, map(and_, keys, repeat(1))))))
     return SNfa(tuple(rows), frozenset(start),
                 frozenset(k for k in map(new2.__getitem__, a2.accepting) if k is not None),
-                names, trim=True)
-
-
-def _reached_keys(a1: SNfa, a2: SNfa) -> Iterator[int]:
-    """The keys (2i for state i of a1, 2j+1 for state j of a2) of the states
-    of concat(a1, a2) reachable from its initial set, by a worklist pass."""
-    rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
-    n1 = len(rows1)
-    entry2 = [n1 + j for j in sorted(a2.initial)]   # a2's state j is n1 + j here
-    start = sorted(a1.initial)
-    if not acc1.isdisjoint(a1.initial):
-        start += entry2
-    reached = set(start)
-    queue = deque(start)
-    while queue:
-        q = queue.popleft()
-        if q < n1:
-            succ = [d for _, _, d in rows1[q]]
-            if not acc1.isdisjoint(succ):
-                succ += entry2
-        else:
-            succ = [n1 + d for _, _, d in rows2[q - n1]]
-        for d in succ:
-            if d not in reached:
-                reached.add(d)
-                queue.append(d)
-    return (2 * q if q < n1 else 2 * (q - n1) + 1 for q in reached)
+                tuple(keys), trim=True)
 
 
 def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
@@ -431,9 +397,10 @@ def remove_unreachable(a: SNfa) -> SNfa:
     kept = sorted(_reachable_states(a))
     new = {q: k for k, q in enumerate(kept)}
     rows = tuple(tuple((lo, hi, new[d]) for lo, hi, d in a.rows[q]) for q in kept)
+    names = range(0, 4 * len(a.rows), 4) if a.names is None else a.names
     return SNfa(rows, frozenset(new[q] for q in a.initial),
                 frozenset(new[q] for q in a.accepting if q in new),
-                tuple(a.name(q) for q in kept), trim=True)
+                tuple(map(names.__getitem__, kept)), trim=True)
 
 
 def is_empty(a: SNfa) -> bool:
@@ -525,15 +492,9 @@ def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
     return None
 
 
-def _printed_names(a: SNfa) -> list[str]:
-    if a.names is None:
-        return [f"{q}:0" for q in a.states]
-    return [repr(nm) for nm in a.names]
-
-
 def to_dot(a: SNfa, name: str = "snfa") -> str:
     """GraphViz export with "lo-hi" edge labels."""
-    names = _printed_names(a)
+    names = list(map(a.name, a.states))
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for i, q in enumerate(sorted(a.initial)):
         lines.append(f'  __start{i} [shape=point];')
@@ -550,7 +511,7 @@ def to_dot(a: SNfa, name: str = "snfa") -> str:
 
 def dump(a: SNfa) -> str:
     """Line-based debug dump; exact grammar in docs/dump-format.md."""
-    names = _printed_names(a)
+    names = list(map(a.name, a.states))
     lines = [f"snfa trim={int(a.trim)} states={len(a.rows)} "
              f"initial={len(a.initial)} accepting={len(a.accepting)} "
              f"transitions={len(a.transitions)}"]

@@ -20,7 +20,7 @@ from strsolve.constraints import Problem, make_problem
 from strsolve.errors import ResourceLimitError, SyntaxParseError
 from strsolve.intervals import DEFAULT_ENUM_CAP, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.smtlib import SNode, SStr
-from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Row, SNfa, StateId, Transition,
+from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Row, SNfa, Transition,
                            accepts, remove_unreachable, snfa)
 from strsolve.solver import Budget
 
@@ -360,7 +360,7 @@ def concat_reference(a1: SNfa, a2: SNfa, budget: Budget | None = None) -> SNfa:
         emitted += len(rows[-1])
         if emitted > cap:
             budget.check(emitted)
-    names = tuple(StateId(q, 1) if q < n1 else StateId(q - n1, 2) for q in order)
+    names = tuple(4 * q + 1 if q < n1 else 4 * (q - n1) + 2 for q in order)
     return SNfa(tuple(rows), frozenset(new[q] for q in start),
                 frozenset(new[q] for q in order if q >= n1 and q - n1 in a2.accepting),
                 names, trim=True)
@@ -443,10 +443,10 @@ def _in_strides_reference(rows: tuple[Row, ...], step: int, budget: Budget, emit
 
 
 def rename(a: SNfa, tag: int) -> SNfa:
-    """Copy of `a` whose state q is named `q:tag`; distinct tags give
-    disjoint names."""
+    """Copy of `a` whose state q is named `q:tag` (tag 0..2); distinct tags
+    give disjoint names."""
     return SNfa(a.rows, a.initial, a.accepting,
-                tuple(StateId(q, tag) for q in a.states), a.trim)
+                tuple(4 * q + tag for q in a.states), a.trim)
 
 
 def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:

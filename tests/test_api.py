@@ -15,7 +15,8 @@ def test_removed_duplicates_stay_removed():
     for module_name, name in (("solver", "ready_set"), ("snfa", "well_formed"),
                               ("snfa", "isomorphic"), ("intervals", "sem"),
                               ("snfa", "_int_adjacency"), ("snfa", "rename"),
-                              ("snfa", "_out"), ("smtlib", "_tokenize")):
+                              ("snfa", "_out"), ("smtlib", "_tokenize"),
+                              ("snfa", "StateId"), ("snfa", "_reached_keys")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name

@@ -3,12 +3,15 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from strsolve import cli, solver
 from strsolve.cli import bench, main, solve_path
 from strsolve.constraints import desugar
+from strsolve.errors import ResourceLimitError
 from strsolve.smtlib import parse_smt
 from strsolve.snfa import to_dot
 
@@ -227,3 +230,61 @@ def test_bench_groups_by_subdirectory(tmp_path):
 
 def test_main_entry():
     assert main(["bench", str(MINI / "does-not-exist")]) == 0  # empty directory: zero rows
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "FILE", "--timeout", "abc"], "argument --timeout: expected a positive integer"),
+    (["solve", "FILE", "--timeout", "0"], "argument --timeout: expected a positive integer"),
+    (["solve", "FILE", "--max-transitions", "-1"],
+     "argument --max-transitions: expected a positive integer"),
+    (["bench", "DIR", "--timeout", "0"], "argument --timeout: expected a positive integer"),
+    (["bench", "DIR", "--jobs", "0"], "argument --jobs: expected a positive integer"),
+    (["bench", "DIR", "--max-transitions", "1e3"],
+     "argument --max-transitions: expected a positive integer"),
+    (["solve"], "the following arguments are required: file"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_malformed_command_line_exits_1(argv, message, capsys):
+    # exit 2 is the documented code for a resource stop, never a usage error
+    argv = [{"FILE": str(MINI / "sat_url.smt2"), "DIR": str(MINI)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out) == (1, "")
+    assert f"error: {message}" in err
+
+
+def test_usage_error_and_help_exit_codes():
+    proc = run_cli("solve", str(MINI / "sat_url.smt2"), "--timeout", "abc")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("usage: strsolve solve")
+    assert proc.stderr.endswith("error: argument --timeout: expected a positive integer, "
+                                "got 'abc'\n")
+    for argv in (["--help"], ["solve", "--help"], ["bench", "--help"]):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: strsolve")
+
+
+def test_timeout_counts_the_parse(monkeypatch):
+    # a parse that outlasts the timeout leaves no time for the first concat
+    def slow_parse(src):
+        time.sleep(0.2)
+        return parse_smt(src)
+
+    concats = []
+
+    def counted_concat(a1, a2, budget=None):
+        concats.append(budget)
+        return snfa_concat(a1, a2, budget)
+
+    snfa_concat = solver.concat
+    monkeypatch.setattr(cli, "parse_smt", slow_parse)
+    monkeypatch.setattr(solver, "concat", counted_concat)
+    with pytest.raises(ResourceLimitError, match="time budget exhausted"):
+        solve_path(MINI / "sat_url.smt2", timeout_ms=50)
+    assert len(concats) == 1  # stopped by the check at the start of that concat
+    concats.clear()
+    verdict, _, _ = solve_path(MINI / "sat_url.smt2", timeout_ms=60_000)
+    assert verdict.kind == "sat" and concats
