@@ -19,10 +19,10 @@ from .oracle import Bound, oracle_lang, oracle_sat
 from .regex import (compile_pattern, length_automaton, parse_regex, sigma_star,
                     word_automaton)
 from .smtlib import SmtScript, parse_smt, print_smt
-from .snfa import (SNfa, Transition, accepts, concat, dump, is_empty,
+from .snfa import (Budget, SNfa, Transition, accepts, concat, dump, is_empty,
                    product, remove_unreachable, snfa, some_word, split_word, to_dot)
-from .solver import (Budget, RefinedReg, SolveStats, Verdict, classify,
-                     extract_model, forward_prop, solve, var_lang)
+from .solver import (RefinedReg, SolveStats, Verdict, classify, extract_model,
+                     forward_prop, solve, var_lang)
 
 __version__ = "0.1.0"
 

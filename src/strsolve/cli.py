@@ -26,13 +26,16 @@ from typing import NoReturn, Optional
 from .constraints import desugar
 from .errors import ResourceLimitError, StrSolveError, UnsupportedError
 from .smtlib import encode_string, parse_smt
-from .snfa import to_dot
-from .solver import (DEFAULT_MAX_TRANSITIONS, Budget, RefinedReg, SolveStats, Verdict,
-                     solve)
+from .snfa import DEFAULT_MAX_TRANSITIONS, Budget, to_dot
+from .solver import RefinedReg, SolveStats, Verdict, solve
 
 EXIT_VERDICT = 0
 EXIT_PARSE = 1
 EXIT_RESOURCE = 2
+
+# The largest --timeout: 2^31 - 1 ms, about 24.8 days. Far larger values
+# overflow the clocks of the deadline and of the bench child's timeout.
+MAX_TIMEOUT_MS = 2 ** 31 - 1
 
 
 def solve_path(path: str | Path, optimize: bool = False,
@@ -43,19 +46,18 @@ def solve_path(path: str | Path, optimize: bool = False,
     order with sat winning early. The timeout counts from before the file is
     read. Returns (verdict, file stats, var count)."""
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
+    budget = Budget(max_transitions, deadline)
     src = Path(path).read_text(encoding="utf-8")
     script = parse_smt(src)
     declared = [name for name, _ in script.declarations]
-    # memberships of one variable are intersected here, under the same limits
-    problems = desugar(list(script.assertions), base_vars=declared,
-                       budget=Budget(max_transitions, deadline))
+    # memberships of one variable are intersected here, under the same budget
+    problems = desugar(list(script.assertions), base_vars=declared, budget=budget)
 
     total = SolveStats()
     nvars = 0
     verdicts: list[Verdict] = []
     for idx, problem in enumerate(problems):
-        verdict = solve(problem, optimize=optimize,
-                        max_transitions=max_transitions, deadline=deadline)
+        verdict = solve(problem, optimize=optimize, budget=budget)
         nvars = max(nvars, len(problem.variables))
         total.iterations += verdict.stats.iterations
         total.millis += verdict.stats.millis
@@ -324,6 +326,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _timeout_ms(text: str) -> int:
+    ms = _positive_int(text)
+    if ms > MAX_TIMEOUT_MS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_TIMEOUT_MS} ms, got {text!r}")
+    return ms
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     # subparsers are made with the parent's class, so they exit 1 as well
     parser = _Parser(prog="strsolve",
@@ -337,7 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                          help="enable all-words absorption rewrites")
     p_solve.add_argument("--max-transitions", type=_positive_int,
                          default=DEFAULT_MAX_TRANSITIONS)
-    p_solve.add_argument("--timeout", type=_positive_int, default=None, metavar="MS",
+    p_solve.add_argument("--timeout", type=_timeout_ms, default=None, metavar="MS",
                          help="cooperative time budget in milliseconds")
     p_solve.add_argument("--stats", default=None, metavar="OUT.JSONL")
     p_solve.add_argument("--dump-dot", default=None, metavar="DIR")
@@ -345,7 +354,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_bench = sub.add_parser("bench", help="run a directory of .smt2 files")
     p_bench.add_argument("dir")
-    p_bench.add_argument("--timeout", type=_positive_int, default=60_000, metavar="MS")
+    p_bench.add_argument("--timeout", type=_timeout_ms, default=60_000, metavar="MS")
     p_bench.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
     p_bench.add_argument("--optimize", action="store_true")
     p_bench.add_argument("--max-transitions", type=_positive_int,

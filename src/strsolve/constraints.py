@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import regex as rx
 from .errors import ResourceLimitError, StrSolveError
-from .snfa import SNfa, accepts, product
-
-if TYPE_CHECKING:
-    from .solver import Budget
+from .snfa import DEFAULT_BUDGET, Budget, SNfa, accepts, product
 
 VarId = str
 
 FRESH_PREFIX = "_t"
-DEFAULT_MAX_DISJUNCTS = 64
+MAX_DISJUNCTS = 64
 
 
 class CyclicDependencyError(StrSolveError):
@@ -131,22 +128,23 @@ def make_problem(variables: Iterable[VarId],
 # ---------------------------------------------------------------------------
 # Desugaring
 
-def _expand_or(cs: Sequence[SurfaceConstraint], cap: int) -> list[list[SurfaceConstraint]]:
-    """Cartesian expansion of nested disjunctions into flat conjunctions."""
+def _expand_or(cs: Sequence[SurfaceConstraint]) -> list[list[SurfaceConstraint]]:
+    """Cartesian expansion of nested disjunctions into flat conjunctions, of
+    at most MAX_DISJUNCTS of them."""
     alternatives: list[list[list[SurfaceConstraint]]] = []
     for c in cs:
         if isinstance(c, Or):
             branches: list[list[SurfaceConstraint]] = []
             for branch in c.branches:
-                branches.extend(_expand_or(list(branch), cap))
+                branches.extend(_expand_or(list(branch)))
             alternatives.append(branches)
         else:
             alternatives.append([[c]])
         total = 1
         for alt in alternatives:
             total *= len(alt)
-        if total > cap:
-            raise ResourceLimitError(f"disjunction expands to more than {cap} cases")
+        if total > MAX_DISJUNCTS:
+            raise ResourceLimitError(f"disjunction expands to more than {MAX_DISJUNCTS} cases")
     out = []
     for combo in itertools.product(*alternatives):
         out.append([c for chunk in combo for c in chunk])
@@ -154,7 +152,7 @@ def _expand_or(cs: Sequence[SurfaceConstraint], cap: int) -> list[list[SurfaceCo
 
 
 class _Desugarer:
-    def __init__(self, base_vars: Iterable[VarId], budget: Optional[Budget]):
+    def __init__(self, base_vars: Iterable[VarId], budget: Budget):
         self.budget = budget
         self.base_vars = set(base_vars)
         for v in self.base_vars:
@@ -238,19 +236,17 @@ class _Desugarer:
         return p
 
 
-def desugar(cs: Sequence[SurfaceConstraint],
-            base_vars: Iterable[VarId] = (),
-            max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-            budget: Optional[Budget] = None) -> list[Problem]:
+def desugar(cs: Sequence[SurfaceConstraint], base_vars: Iterable[VarId] = (),
+            budget: Budget = DEFAULT_BUDGET) -> list[Problem]:
     """Lower surface constraints to one Problem per disjunct.
 
     n-ary equations fold left through fresh variables, literals become fresh
     variables with singleton languages, length bounds become regular
     constraints, and several memberships on one variable are intersected
-    into a single automaton, under `budget` when one is given. `base_vars`
-    forces declared-but-unused variables into every Problem.
+    into a single automaton under `budget`. `base_vars` forces
+    declared-but-unused variables into every Problem.
     """
-    return [_Desugarer(base_vars, budget).run(conj) for conj in _expand_or(cs, max_disjuncts)]
+    return [_Desugarer(base_vars, budget).run(conj) for conj in _expand_or(cs)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from .errors import ResourceLimitError
 MAX_CODEPOINT = 0x10FFFF
 
 # Enumerating the members of a large label is almost always a bug, so
-# IntervalSet.code_points refuses it above this cap by default.
-DEFAULT_ENUM_CAP = 1 << 16
+# IntervalSet.code_points refuses it above this cap.
+ENUM_CAP = 1 << 16
 
 
 class Interval(namedtuple("Interval", ["lo", "hi"])):
@@ -111,10 +111,10 @@ class IntervalSet:
     def count(self) -> int:
         return sum(p.hi - p.lo + 1 for p in self.parts)
 
-    def code_points(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[int]:
-        """Enumerate members in increasing order; refused above `cap` elements."""
-        if self.count() > cap:
-            raise ResourceLimitError(f"refusing to enumerate {self.count()} code points (cap {cap})")
+    def code_points(self) -> Iterator[int]:
+        """Enumerate members in increasing order; refused above ENUM_CAP elements."""
+        if self.count() > ENUM_CAP:
+            raise ResourceLimitError(f"refusing to enumerate {self.count()} code points (cap {ENUM_CAP})")
         for p in self.parts:
             yield from range(p.lo, p.hi + 1)
 

@@ -74,7 +74,7 @@ class Opt:
 
 Regex = Literal | CharClass | AnyChar | Epsilon | Never | Concat | Union | Star | Plus | Opt
 
-DEFAULT_LENGTH_CAP = 10_000
+LENGTH_CAP = 10_000
 
 _UNSUPPORTED_GROUPS = {"=": "lookahead", "!": "negative lookahead", "<": "lookbehind",
                        "P": "named group", "'": "named group"}
@@ -391,18 +391,18 @@ def word_automaton(w: str) -> SNfa:
     return SNfa(rows, frozenset({0}), frozenset({len(w)}), trim=True)
 
 
-def length_automaton(op: str, n: int, cap: int = DEFAULT_LENGTH_CAP) -> SNfa:
+def length_automaton(op: str, n: int) -> SNfa:
     """Automaton for { w : |w| op n } with op in <, <=, =, >=, >.
 
     A chain of any-character steps counts the length; >= and > end in a
-    full self-loop. State count is n+O(1), hence the bound cap.
+    full self-loop. State count is n+O(1), hence the bound LENGTH_CAP.
     """
     if op not in ("<", "<=", "=", ">=", ">"):
         raise ValueError(f"unknown length operator {op!r}")
     if n < 0:
         raise ValueError("length bound must be non-negative")
-    if n > cap:
-        raise ResourceLimitError(f"length bound too large: {n} (cap {cap})")
+    if n > LENGTH_CAP:
+        raise ResourceLimitError(f"length bound too large: {n} (cap {LENGTH_CAP})")
     chain = {"<": max(n - 1, 0), "<=": n, "=": n, ">=": n, ">": n + 1}[op]
     last = ((0, MAX_CODEPOINT, chain),) if op in (">=", ">") else ()
     rows = tuple(((0, MAX_CODEPOINT, i + 1),) for i in range(chain)) + (last,)

@@ -26,8 +26,9 @@ product emit only states reachable from the initial set (trim), which
 makes language emptiness a check on the accepting set. `product` finds
 its states by exploring pairs; `concat` takes them from each operand's
 reachable states, which a trim flag gives for free (see `concat`).
-`_reachable_states` is the one reachability pass. Both constructions take
-an optional budget that they consult while they build (see `product`).
+`_reachable_states` is the one reachability pass. The module also owns
+the per-solve `Budget`, and `product` and `concat` are the only code that
+checks it: as they start and while they build (see `product`).
 
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
@@ -41,21 +42,21 @@ have no accepting run.
 
 from __future__ import annotations
 
+import time
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from operator import eq
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
+from .errors import ResourceLimitError
 from .intervals import MAX_CODEPOINT, Interval
-
-if TYPE_CHECKING:
-    from .solver import Budget
 
 Row = tuple[int, int, int]           # (lo, hi, dst)
 Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per state
 
+DEFAULT_MAX_TRANSITIONS = 5_000_000
 # The budget is consulted once per this many states built by `product` and
 # `concat`, in addition to the transition cap, which is checked per state.
 BUDGET_STRIDE = 1024
@@ -63,6 +64,29 @@ BUDGET_STRIDE = 1024
 # since its last check: one pair state of two wide character classes scans
 # up to |rows1[p]|·|rows2[q]| of them.
 PAIR_STRIDE = 1 << 15
+
+
+class Budget:
+    """Cooperative per-solve limits, checked by `product` and `concat` while
+    they build."""
+
+    def __init__(self, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
+                 deadline: Optional[float] = None):
+        self.max_transitions = max_transitions
+        self.deadline = deadline  # time.monotonic() value
+
+    def check(self, transitions: int) -> None:
+        """Raise ResourceLimitError when `transitions` passes the cap or the
+        deadline has passed."""
+        if transitions > self.max_transitions:
+            raise ResourceLimitError(
+                f"automaton grew past {self.max_transitions} transitions")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimitError("time budget exhausted")
+
+
+# Nothing mutates a budget, so every call that names none shares this one.
+DEFAULT_BUDGET = Budget()
 
 
 Transition = namedtuple("Transition", ["src", "label", "dst"])
@@ -230,7 +254,7 @@ def _sorted_row(row: list[Row]) -> tuple[Row, ...]:
     return tuple(row)
 
 
-def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
+def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     """Concatenation: L(result) = { w1+w2 | w1 in L(a1), w2 in L(a2) }.
 
     State i of a1 becomes `i:1` and state j of a2 becomes `j:2`, which keeps
@@ -268,11 +292,11 @@ def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     start = [new1[i] for i in a1.initial]
     if not acc1.isdisjoint(a1.initial):
         start += entry
-    cap = budget.max_transitions if budget is not None else float("inf")
+    cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
     emitted = 0
     for k, key in enumerate(keys):
-        if budget is not None and not k % BUDGET_STRIDE:
+        if not k % BUDGET_STRIDE:
             budget.check(emitted)
         if key & 2:
             rows.append(tuple([(lo, hi, new2[d]) for lo, hi, d in rows2[key >> 2]]))
@@ -293,7 +317,7 @@ def concat(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
                 tuple(keys), trim=True)
 
 
-def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
+def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     """Product: L(result) = L(a1) & L(a2).
 
     Pair states are numbered in breadth-first discovery order from I1 x I2,
@@ -304,13 +328,13 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     chains such as length and word automata, is built directly: it has at
     most one transition.
 
-    With a budget, `budget.check` runs before every BUDGET_STRIDE-th pair
-    state is explored, before any run of rows of a1 that would take the row
-    pairs scanned since the last check past PAIR_STRIDE (a row of a1 counts
-    as |rows2[q]| pairs; a pair of one-entry rows is not counted, as the
-    state stride already bounds those), and as soon as the number of
-    distinct transitions built passes `budget.max_transitions`, so a run past
-    either limit stops inside the operation.
+    `budget.check` runs before every BUDGET_STRIDE-th pair state is
+    explored, before any run of rows of a1 that would take the row pairs
+    scanned since the last check past PAIR_STRIDE (a row of a1 counts as
+    |rows2[q]| pairs; a pair of one-entry rows is not counted, as the state
+    stride already bounds those), and as soon as the number of distinct
+    transitions built passes `budget.max_transitions`, so a run past either
+    limit stops inside the operation.
     """
     rows1, rows2 = a1.rows, a2.rows
     n2 = len(rows2)
@@ -319,12 +343,12 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
     get = ids.get
     # many pair states reach the same pair on the same label: one tuple each
     shared = {}.setdefault
-    cap = budget.max_transitions if budget is not None else float("inf")
+    cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
     emitted = 0
     scanned = 0  # row pairs scanned since the last check, |r2| per row of a1
     for src, (p, q) in enumerate(pairs):  # `pairs` grows while it is walked
-        if budget is not None and not src % BUDGET_STRIDE:
+        if not src % BUDGET_STRIDE:
             budget.check(emitted)
             scanned = 0
         r1, r2 = rows1[p], rows2[q]
@@ -352,7 +376,7 @@ def product(a1: SNfa, a2: SNfa, budget: Optional[Budget] = None) -> SNfa:
         add = row.append
         if r2:
             scanned += len(r1) * len(r2)
-            if scanned > PAIR_STRIDE and budget is not None:
+            if scanned > PAIR_STRIDE:
                 # check before each run of `step` rows of a1 in this state
                 width = len(r2)
                 step = PAIR_STRIDE // width or 1

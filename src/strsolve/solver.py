@@ -22,11 +22,9 @@ from typing import Mapping, Optional
 
 from .constraints import (Assignment, CyclicDependencyError, Problem, VarId,
                           check_tree, layering, sat_str)
-from .errors import ResourceLimitError
 from .regex import sigma_star
-from .snfa import SNfa, concat, is_empty, product, some_word, split_word
-
-DEFAULT_MAX_TRANSITIONS = 5_000_000
+from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, is_empty, product, some_word,
+                   split_word)
 
 RefinedReg = dict[VarId, SNfa]
 
@@ -58,41 +56,17 @@ class Verdict:
     refined: Optional[RefinedReg] = field(default=None, repr=False, compare=False)
 
 
-class Budget:
-    """Cooperative per-solve limits, checked after every automaton operation
-    and, by `product` and `concat`, while they build."""
-
-    def __init__(self, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
-                 deadline: Optional[float] = None):
-        self.max_transitions = max_transitions
-        self.deadline = deadline  # time.monotonic() value
-
-    def check(self, transitions: int) -> None:
-        """Raise ResourceLimitError when `transitions` passes the cap or the
-        deadline has passed."""
-        if transitions > self.max_transitions:
-            raise ResourceLimitError(
-                f"automaton grew past {self.max_transitions} transitions")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimitError("time budget exhausted")
-
-    def charge(self, a: SNfa) -> SNfa:
-        self.check(len(a.transitions))
-        return a
-
-
 def _is_sigma_star(a: SNfa) -> bool:
     return a.rows == sigma_star().rows and a.initial == a.accepting == {0}
 
 
 def var_lang(c: set[VarId], p: Problem, reg: Mapping[VarId, SNfa],
-             budget: Optional[Budget] = None, optimize: bool = False) -> RefinedReg:
+             budget: Budget = DEFAULT_BUDGET, optimize: bool = False) -> RefinedReg:
     """Refine every variable in c against its concatenation constraints.
 
     With `optimize`, products with the canonical all-words automaton and
     concatenations of two of them are rewritten away instead of built.
     """
-    budget = budget or Budget()
     out = dict(reg)
     for v in sorted(c):
         a = out[v]
@@ -101,24 +75,23 @@ def var_lang(c: set[VarId], p: Problem, reg: Mapping[VarId, SNfa],
             if optimize and _is_sigma_star(r1) and _is_sigma_star(r2):
                 part = sigma_star()
             else:
-                part = budget.charge(concat(r1, r2, budget))
+                part = concat(r1, r2, budget)
             if optimize and _is_sigma_star(a):
                 a = part
             elif optimize and _is_sigma_star(part):
                 pass
             else:
-                a = budget.charge(product(a, part, budget))
+                a = product(a, part, budget)
         out[v] = a
     return out
 
 
-def forward_prop(p: Problem, budget: Optional[Budget] = None,
+def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
                  optimize: bool = False, stats: Optional[SolveStats] = None) -> RefinedReg:
     """Refine all regular constraints, one round per dependence layer;
     raises CyclicDependencyError before any automaton is built when the
     dependence graph has a cycle."""
     layers = layering(p)
-    budget = budget or Budget()
     reg: RefinedReg = dict(p.reg)
     for layer in reversed(layers):
         reg = var_lang(layer, p, reg, budget, optimize)
@@ -159,8 +132,7 @@ def extract_model(p: Problem, reg1: Mapping[VarId, SNfa]) -> Assignment:
     return mu
 
 
-def classify(p: Problem, reg1: RefinedReg | CyclicDependencyError,
-             stats: Optional[SolveStats] = None) -> Verdict:
+def classify(p: Problem, reg1: RefinedReg, stats: Optional[SolveStats] = None) -> Verdict:
     """Turn refined constraints into a verdict.
 
     unsat needs only one empty language (sound unconditionally); sat
@@ -168,8 +140,6 @@ def classify(p: Problem, reg1: RefinedReg | CyclicDependencyError,
     checked model; everything else is unknown.
     """
     stats = stats or SolveStats()
-    if isinstance(reg1, CyclicDependencyError):
-        return Verdict("unknown", reason="cyclic", stats=stats)
     stats.var_sizes = {v: (len(reg1[v].states), len(reg1[v].transitions))
                        for v in sorted(reg1)}
     for v in sorted(reg1):
@@ -183,20 +153,17 @@ def classify(p: Problem, reg1: RefinedReg | CyclicDependencyError,
     return Verdict("sat", model=model, stats=stats)
 
 
-def solve(p: Problem, optimize: bool = False,
-          max_transitions: int = DEFAULT_MAX_TRANSITIONS,
-          deadline: Optional[float] = None) -> Verdict:
-    """Propagate and classify one problem, collecting run statistics."""
+def solve(p: Problem, optimize: bool = False, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """Propagate and classify one problem under `budget`, collecting run
+    statistics; a cyclic dependence graph is unknown."""
     stats = SolveStats()
     start = time.perf_counter()
-    budget = Budget(max_transitions, deadline)
     try:
-        reg1: RefinedReg | CyclicDependencyError = forward_prop(
-            p, budget, optimize, stats)
-    except CyclicDependencyError as err:
-        reg1 = err
-    verdict = classify(p, reg1, stats)
-    if not isinstance(reg1, CyclicDependencyError):
+        reg1 = forward_prop(p, budget, optimize, stats)
+    except CyclicDependencyError:
+        verdict = Verdict("unknown", reason="cyclic", stats=stats)
+    else:
+        verdict = classify(p, reg1, stats)
         verdict.refined = reg1
     stats.millis = (time.perf_counter() - start) * 1000.0
     return verdict

@@ -18,11 +18,10 @@ from typing import Iterator
 from strsolve import regex as rx
 from strsolve.constraints import Problem, make_problem
 from strsolve.errors import ResourceLimitError, SyntaxParseError
-from strsolve.intervals import DEFAULT_ENUM_CAP, MAX_CODEPOINT, Interval, IntervalSet
+from strsolve.intervals import ENUM_CAP, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.smtlib import SNode, SStr
-from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Row, SNfa, Transition,
+from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, Transition,
                            accepts, remove_unreachable, snfa)
-from strsolve.solver import Budget
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
 LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
@@ -161,7 +160,7 @@ def random_regex(rng: random.Random, depth: int,
     return random_regex(rng, 0, alphabet)
 
 
-def sem(a: Interval, cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
+def sem(a: Interval, cap: int = ENUM_CAP) -> frozenset[int]:
     """The set {n | lo <= n <= hi}, materialized. Refused above `cap` elements."""
     n = a.hi - a.lo + 1 if a.lo <= a.hi else 0
     if n > cap:

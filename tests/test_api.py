@@ -21,6 +21,7 @@ def test_removed_duplicates_stay_removed():
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name
     assert not hasattr(strsolve.SNfa, "_out")  # the rows are the one adjacency form
+    assert not hasattr(strsolve.Budget, "charge")  # product and concat check as they build
 
 
 def test_benchmark_hooks_keep_their_names_and_signatures():

@@ -232,6 +232,14 @@ def test_main_entry():
     assert main(["bench", str(MINI / "does-not-exist")]) == 0  # empty directory: zero rows
 
 
+def test_largest_timeout_is_accepted(tmp_path, capsys):
+    (tmp_path / "a.smt2").write_text(SAT_SRC)
+    largest = str(2 ** 31 - 1)
+    assert main(["solve", str(tmp_path / "a.smt2"), "--timeout", largest]) == 0
+    assert main(["bench", str(tmp_path), "--timeout", largest]) == 0
+    assert capsys.readouterr().out.startswith("sat\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "FILE", "--timeout", "abc"], "argument --timeout: expected a positive integer"),
     (["solve", "FILE", "--timeout", "0"], "argument --timeout: expected a positive integer"),
@@ -244,6 +252,10 @@ def test_main_entry():
     (["solve"], "the following arguments are required: file"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
+    (["solve", "FILE", "--timeout", "1" + "0" * 400],
+     "argument --timeout: expected at most 2147483647 ms"),
+    (["bench", "DIR", "--timeout", "9999999999999"],
+     "argument --timeout: expected at most 2147483647 ms"),
 ])
 def test_malformed_command_line_exits_1(argv, message, capsys):
     # exit 2 is the documented code for a resource stop, never a usage error

@@ -57,7 +57,7 @@ def test_cycle_found_before_any_automaton_is_built():
     p = make_problem(list("abcdef"),
                      {"a": {("b", "c")}, "b": {("a", "d")}, "e": {("f", "f")}},
                      {"f": rx.word_automaton("abcdef")})
-    verdict = solve(p, max_transitions=10)
+    verdict = solve(p, budget=Budget(max_transitions=10))
     assert (verdict.kind, verdict.reason, verdict.stats.iterations) == ("unknown", "cyclic", 0)
 
 
@@ -201,6 +201,14 @@ class CountingBudget(Budget):
 def doubling(k: int):
     return make_problem(["x"] + [f"x{i}" for i in range(1, k + 1)],
                         {"x": {(f"x{i}", f"x{i}") for i in range(1, k + 1)}})
+
+
+def test_budget_is_checked_only_inside_operations():
+    # each of the 4 concats and 4 products checks once, at its first state;
+    # nothing between or after the operations consults the budget
+    budget = CountingBudget()
+    forward_prop(doubling(4), budget=budget)
+    assert budget.checked == [0] * 8
 
 
 def test_budget_stops_inside_product_and_concat():
