@@ -3,10 +3,11 @@
 `solve` prints exactly one of sat/unsat/unknown as its first stdout line
 and exits 0 for any verdict, 1 on parse/unsupported input or a malformed
 command line, 2 on resource exhaustion (including the cooperative
-timeout). `bench` runs every .smt2 file under a directory in subprocesses
-with a per-file wall-clock timeout (the authoritative one; the child also
-gets the cooperative deadline), writes one JSON record per file, and
-prints a summary table with the columns
+timeout). `bench` solves every .smt2 file under a directory with
+`solve_path` in a child process per file, with a per-file wall-clock
+timeout (the authoritative one; the child also gets the cooperative
+deadline), writes one JSON record per file, and prints a summary table
+with the columns
 total/sat/unknown/unsat/solved%/avg-time/timeout.
 """
 
@@ -14,18 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NoReturn, Optional
 
 from .constraints import desugar
 from .errors import ResourceLimitError, StrSolveError, UnsupportedError
-from .smtlib import encode_string, parse_smt
+from .smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt
 from .snfa import DEFAULT_MAX_TRANSITIONS, Budget, to_dot
 from .solver import RefinedReg, SolveStats, Verdict, solve
 
@@ -33,9 +31,15 @@ EXIT_VERDICT = 0
 EXIT_PARSE = 1
 EXIT_RESOURCE = 2
 
-# The largest --timeout: 2^31 - 1 ms, about 24.8 days. Far larger values
-# overflow the clocks of the deadline and of the bench child's timeout.
+# The largest timeout: 2^31 - 1 ms, about 24.8 days. Far larger values
+# overflow the clock of the deadline and the millisecond wait of `bench`.
 MAX_TIMEOUT_MS = 2 ** 31 - 1
+
+
+def _seconds(timeout_ms: int) -> float:
+    if not 1 <= timeout_ms <= MAX_TIMEOUT_MS:
+        raise ValueError(f"timeout_ms must be between 1 and {MAX_TIMEOUT_MS}")
+    return timeout_ms / 1000.0
 
 
 def solve_path(path: str | Path, optimize: bool = False,
@@ -45,7 +49,7 @@ def solve_path(path: str | Path, optimize: bool = False,
     """Solve one SMT file. Disjunctions produce several problems, solved in
     order with sat winning early. The timeout counts from before the file is
     read. Returns (verdict, file stats, var count)."""
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms else None
+    deadline = time.monotonic() + _seconds(timeout_ms) if timeout_ms is not None else None
     budget = Budget(max_transitions, deadline)
     src = Path(path).read_text(encoding="utf-8")
     script = parse_smt(src)
@@ -74,16 +78,12 @@ def solve_path(path: str | Path, optimize: bool = False,
 
 
 def _combine(verdicts: list[Verdict], declared: list[str]) -> Verdict:
-    for v in verdicts:
-        if v.kind == "sat":
-            model = {name: v.model.get(name, "") for name in declared} if v.model is not None else {}
-            return Verdict("sat", model=model, stats=v.stats)
-    if verdicts and all(v.kind == "unsat" for v in verdicts):
-        return verdicts[0]
-    for v in verdicts:
-        if v.kind == "unknown":
-            return v
-    raise AssertionError("no verdicts to combine")
+    """Sat, which can only be the last verdict, else the first unknown, else unsat."""
+    v = verdicts[-1]
+    if v.kind == "sat":
+        model = {name: v.model.get(name, "") for name in declared} if v.model is not None else {}
+        return Verdict("sat", model=model, stats=v.stats)
+    return next((v for v in verdicts if v.kind == "unknown"), verdicts[0])
 
 
 def _dump_dots(directory: Path, stem: str, idx: int, refined: Optional[RefinedReg]) -> None:
@@ -165,7 +165,6 @@ class GroupRow:
     unsat: int = 0
     timeout: int = 0
     time_sum_s: float = 0.0
-    timed: int = 0
 
     @property
     def solved_pct(self) -> float:
@@ -174,7 +173,8 @@ class GroupRow:
     @property
     def avg_time_s(self) -> float:
         # average over files that produced a verdict
-        return self.time_sum_s / self.timed if self.timed else 0.0
+        verdicts = self.sat + self.unknown + self.unsat
+        return self.time_sum_s / verdicts if verdicts else 0.0
 
 
 @dataclass
@@ -192,47 +192,58 @@ def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
     """Run every .smt2 file under `directory` and tabulate verdicts per group.
 
     A file's group is its immediate subdirectory ("." for toplevel files).
-    Each file runs in its own interpreter; the harness wall clock kills it
-    at the timeout, and a budget failure inside the child counts as a
-    timeout too (same kind of give-up). Unsupported files are counted
-    separately; unreadable ones are reported and skipped.
+    Each file is solved by `solve_path` in a child process of its own, at
+    most `jobs` at once, and the parent kills a child at the timeout; a
+    budget stop inside the child counts as a timeout too. Unsupported files
+    are counted separately; any other failure, a child's death included, is
+    an error. Children start by the platform's default method, a fork on
+    Linux up to Python 3.13, so call this from a process without threads.
     """
+    import multiprocessing
+    from itertools import islice
+    from multiprocessing.connection import wait
+
+    limit_s = _seconds(timeout_ms)
     directory = Path(directory)
     files = sorted(directory.rglob("*.smt2"))
     rows: dict[str, GroupRow] = {}
     report = BenchReport(rows=[], records=[])
+    options = dict(optimize=optimize, max_transitions=max_transitions, timeout_ms=timeout_ms)
+    outcomes: dict[Path, tuple[str, Optional[dict], float]] = {}
+    running: dict = {}  # result pipe -> (child, file, start time)
+    queue = iter(files)
+    try:
+        while len(outcomes) < len(files):
+            for path in islice(queue, max(1, jobs) - len(running)):
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_bench_one, args=(writer, path, options))
+                child.start()
+                writer.close()  # the child's exit is then EOF on `reader`
+                running[reader] = (child, path, time.monotonic())
+            earliest = min(start for _, _, start in running.values()) + limit_s
+            ready = wait(list(running), timeout=max(0.0, earliest - time.monotonic()))
+            now = time.monotonic()
+            for reader, (child, path, start) in list(running.items()):
+                if reader in ready:
+                    try:
+                        outcome, record = reader.recv()
+                    except EOFError:  # the child died without a result
+                        outcome, record = "error", None
+                elif now - start >= limit_s:
+                    outcome, record = "timeout", None
+                else:
+                    continue
+                child.kill()  # no effect once the child has exited
+                child.join()
+                reader.close()
+                del running[reader]
+                outcomes[path] = (outcome, record, now - start)
+    finally:
+        for child, _, _ in running.values():
+            child.kill()
 
-    def run_one(path: Path) -> tuple[Path, str, Optional[dict], float]:
-        if not path.is_file() or not _readable(path):
-            return path, "error", None, 0.0
-        with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False) as tmp:
-            tmp_path = Path(tmp.name)
-        cmd = [sys.executable, "-m", "strsolve", "solve", str(path),
-               "--timeout", str(timeout_ms), "--stats", str(tmp_path),
-               "--max-transitions", str(max_transitions)]
-        if optimize:
-            cmd.append("--optimize")
-        start = time.perf_counter()
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=timeout_ms / 1000.0)
-            wall = time.perf_counter() - start
-            if proc.returncode == EXIT_VERDICT:
-                verdict = proc.stdout.splitlines()[0].strip()
-                return path, verdict, _read_record(tmp_path), wall
-            if proc.returncode == EXIT_RESOURCE:
-                return path, "timeout", None, wall
-            outcome = "unsupported" if "unsupported" in proc.stderr else "error"
-            return path, outcome, None, wall
-        except subprocess.TimeoutExpired:
-            return path, "timeout", None, time.perf_counter() - start
-        finally:
-            tmp_path.unlink(missing_ok=True)
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        outcomes = list(pool.map(run_one, files))
-
-    for path, outcome, record, wall in outcomes:
+    for path in files:
+        outcome, record, wall = outcomes[path]
         rel = path.relative_to(directory)
         group = rel.parts[0] if len(rel.parts) > 1 else "."
         row = rows.setdefault(group, GroupRow(group))
@@ -240,7 +251,6 @@ def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
         if outcome in ("sat", "unsat", "unknown"):
             setattr(row, outcome, getattr(row, outcome) + 1)
             row.time_sum_s += wall
-            row.timed += 1
         elif outcome == "timeout":
             row.timeout += 1
         elif outcome == "unsupported":
@@ -248,10 +258,10 @@ def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
         else:
             report.errors += 1
             report.notes.append(f"skipped unreadable/failing file: {path}")
-        report.records.append(record if record is not None
-                              else {"file": str(path), "verdict": outcome, "vars": 0,
-                                    "max_states": 0, "max_transitions": 0,
-                                    "iterations": 0, "millis": round(wall * 1000.0, 3)})
+        if record is None:  # an empty solve's record, with the outcome and the wall time
+            record = stats_record(path, Verdict("unknown"), SolveStats(millis=wall * 1000.0), 0)
+            record["verdict"] = outcome
+        report.records.append(record)
 
     report.rows = [rows[g] for g in sorted(rows)]
     if stats_path is not None:
@@ -263,20 +273,18 @@ def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
     return report
 
 
-def _readable(path: Path) -> bool:
+def _bench_one(conn, path: Path, options: dict) -> None:
+    """A bench child: solve `path`, send back (outcome, stats record or None)."""
     try:
-        with open(path, "rb"):
-            return True
-    except OSError:
-        return False
-
-
-def _read_record(tmp_path: Path) -> Optional[dict]:
-    try:
-        lines = tmp_path.read_text(encoding="utf-8").strip().splitlines()
-        return json.loads(lines[-1]) if lines else None
-    except (OSError, json.JSONDecodeError):
-        return None
+        verdict, stats, nvars = solve_path(path, **options)
+        result = (verdict.kind, stats_record(path, verdict, stats, nvars))
+    except UnsupportedError:
+        result = ("unsupported", None)
+    except ResourceLimitError:
+        result = ("timeout", None)
+    except Exception:  # noqa: BLE001 - any other failure is this file's error
+        result = ("error", None)
+    conn.send(result)
 
 
 def format_table(report: BenchReport) -> str:
@@ -285,20 +293,12 @@ def format_table(report: BenchReport) -> str:
     lines = [header, "-" * len(header)]
     total = GroupRow("total")
     for row in report.rows:
+        for counter in fields(GroupRow)[1:]:  # every field after the group name
+            setattr(total, counter.name, getattr(total, counter.name) + getattr(row, counter.name))
+    for row in report.rows if len(report.rows) == 1 else [*report.rows, total]:
         lines.append(f"{row.group:<16}{row.total:>7}{row.sat:>6}{row.unknown:>9}{row.unsat:>7}"
                      f"{row.solved_pct:>8.1f}%{row.avg_time_s:>9.2f}s{row.timeout:>9}")
-        total.total += row.total
-        total.sat += row.sat
-        total.unknown += row.unknown
-        total.unsat += row.unsat
-        total.timeout += row.timeout
-        total.time_sum_s += row.time_sum_s
-        total.timed += row.timed
-    if len(report.rows) != 1:
-        lines.append(f"{total.group:<16}{total.total:>7}{total.sat:>6}{total.unknown:>9}{total.unsat:>7}"
-                     f"{total.solved_pct:>8.1f}%{total.avg_time_s:>9.2f}s{total.timeout:>9}")
-    for note in report.notes:
-        lines.append(note)
+    lines.extend(report.notes)
     if report.unsupported:
         lines.append(f"unsupported files: {report.unsupported}")
     return "\n".join(lines)
@@ -321,7 +321,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) == 0:
+    # the digit bound of SMT numerals keeps int() inside Python's own limit
+    if not (text.isascii() and text.isdigit()) or len(text) > MAX_NUMERAL_DIGITS or int(text) == 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 

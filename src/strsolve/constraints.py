@@ -132,17 +132,15 @@ def _expand_or(cs: Sequence[SurfaceConstraint]) -> list[list[SurfaceConstraint]]
     """Cartesian expansion of nested disjunctions into flat conjunctions, of
     at most MAX_DISJUNCTS of them."""
     alternatives: list[list[list[SurfaceConstraint]]] = []
+    total = 1
     for c in cs:
+        branches: list[list[SurfaceConstraint]] = [[c]]
         if isinstance(c, Or):
-            branches: list[list[SurfaceConstraint]] = []
+            branches = []
             for branch in c.branches:
                 branches.extend(_expand_or(list(branch)))
-            alternatives.append(branches)
-        else:
-            alternatives.append([[c]])
-        total = 1
-        for alt in alternatives:
-            total *= len(alt)
+        alternatives.append(branches)
+        total *= len(branches)
         if total > MAX_DISJUNCTS:
             raise ResourceLimitError(f"disjunction expands to more than {MAX_DISJUNCTS} cases")
     out = []

@@ -294,6 +294,20 @@ def test_criterion_10_bench_mini_corpus():
     for record in report.records:
         assert list(record) == ["file", "verdict", "vars", "max_states",
                                 "max_transitions", "iterations", "millis"]
+    # in sorted file order, each the in-process record but for the time;
+    # the budget stop is the timeout file's, and its record holds zeros
+    assert [r["file"] for r in report.records] == [str(f) for f in sorted(MINI.glob("*.smt2"))]
+    for record in report.records:
+        del record["millis"]
+        if record["verdict"] == "timeout":
+            with pytest.raises(ResourceLimitError):
+                solve_path(record["file"], timeout_ms=2000)
+            assert record == {"file": record["file"], "verdict": "timeout", "vars": 0,
+                              "max_states": 0, "max_transitions": 0, "iterations": 0}
+        else:
+            expected = stats_record(record["file"], *solve_path(record["file"]))
+            del expected["millis"]
+            assert record == expected
     table = __import__("strsolve.cli", fromlist=["format_table"]).format_table(report)
     for column in ("total", "sat", "unknown", "unsat", "solved%", "avg-time", "timeout"):
         assert column in table

@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import json
+import multiprocessing
+import os
+import random
 import subprocess
 import sys
 import time
@@ -9,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from strsolve import cli, solver
-from strsolve.cli import bench, main, solve_path
+from strsolve.cli import bench, main, solve_path, stats_record
 from strsolve.constraints import desugar
-from strsolve.errors import ResourceLimitError
+from strsolve.errors import ResourceLimitError, UnsupportedError
 from strsolve.smtlib import parse_smt
 from strsolve.snfa import to_dot
 
@@ -228,6 +231,95 @@ def test_bench_groups_by_subdirectory(tmp_path):
     assert report.rows[0].sat == 1 and report.rows[1].unsat == 1
 
 
+def test_bench_outcome_comes_from_the_exception(tmp_path):
+    # an undeclared variable named `unsupported` is an error, as in `solve`,
+    # however the message reads
+    f = tmp_path / "undeclared.smt2"
+    f.write_text('(assert (str.in_re unsupported (str.to_re "a")))(check-sat)')
+    assert main(["solve", str(f)]) == 1
+    report = bench(tmp_path, timeout_ms=30_000, quiet=True)
+    assert (report.unsupported, report.errors) == (0, 1)
+    assert [r["verdict"] for r in report.records] == ["error"]
+    assert report.notes == [f"skipped unreadable/failing file: {f}"]
+
+
+def test_bench_kills_a_parse_at_the_timeout(tmp_path):
+    # parsing this file alone takes well over 1 s, and no deadline check
+    # runs inside the parser: only the parent's kill stops it in time
+    (tmp_path / "slow.smt2").write_text(
+        "(declare-const x String)" + '(assert (str.in_re x (str.to_re "ab")))' * 100_000)
+    start = time.monotonic()
+    report = bench(tmp_path, timeout_ms=200, quiet=True)
+    assert time.monotonic() - start < 1.0
+    assert report.rows[0].timeout == 1 and report.errors == 0
+    assert [r["verdict"] for r in report.records] == ["timeout"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched solve_path reaches the child only through fork")
+def test_bench_child_dying_without_a_result_fails_only_its_file(tmp_path, monkeypatch):
+    for name in ("a", "b", "c", "d"):
+        (tmp_path / f"{name}.smt2").write_text(SAT_SRC if name != "c" else UNSAT_SRC)
+    real = cli.solve_path
+
+    def dying_on_b(path, **options):
+        if Path(path).name == "b.smt2":
+            os._exit(3)
+        return real(path, **options)
+
+    monkeypatch.setattr(cli, "solve_path", dying_on_b)
+    report = bench(tmp_path, timeout_ms=30_000, jobs=2, quiet=True)
+    assert [r["verdict"] for r in report.records] == ["sat", "error", "unsat", "sat"]
+    assert (report.rows[0].sat, report.rows[0].unsat, report.errors) == (2, 1, 1)
+    assert report.notes == [f"skipped unreadable/failing file: {tmp_path / 'b.smt2'}"]
+
+
+def _in_process_record(path: Path) -> dict:
+    """The bench record of `path` without `millis`, computed in this process."""
+    try:
+        record = stats_record(path, *solve_path(path))
+    except UnsupportedError:
+        record = {"file": str(path), "verdict": "unsupported"}
+    except Exception:  # noqa: BLE001 - any other failure is the file's error
+        record = {"file": str(path), "verdict": "error"}
+    record.pop("millis", None)
+    return record
+
+
+def test_bench_records_equal_the_in_process_records(tmp_path):
+    # a generated corpus in three groups, every outcome but timeout
+    rng = random.Random(7)
+    shapes = [
+        lambda w: f'(declare-const x String)(assert (str.in_re x (str.to_re "{w}")))',
+        lambda w: (f'(declare-const x String)(assert (str.in_re x (str.to_re "{w}")))'
+                   f'(assert (str.in_re x (re.+ (str.to_re "{w[0]}"))))'),
+        lambda w: ('(declare-const x String)(declare-const y String)(declare-const z String)'
+                   f'(assert (= x (str.++ y z)))(assert (str.in_re x (str.to_re "{w}")))'
+                   f'(assert (str.in_re y (re.* (re.range "a" "{w[-1]}"))))'),
+        lambda w: ('(declare-const x String)(declare-const y String)'
+                   f'(assert (= x (str.++ x y)))(assert (str.in_re y (str.to_re "{w}")))'),
+        lambda w: (f'(declare-const x String)(assert (or (str.in_re x (str.to_re "{w}"))'
+                   f' (str.in_re x (re.range "a" "b"))))(assert (<= (str.len x) 1))'),
+        lambda w: f'(declare-const x String)(assert (str.contains x "{w}"))',
+        lambda w: f'(declare-const x String)(assert (str.in_re x (str.to_re "{w}"))',
+    ]
+    for i in range(45):
+        group = tmp_path / f"g{i % 3}"
+        group.mkdir(exist_ok=True)
+        word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+        (group / f"f{i:02d}.smt2").write_text(rng.choice(shapes)(word) + "(check-sat)")
+    files = sorted(tmp_path.rglob("*.smt2"))
+    report = bench(tmp_path, timeout_ms=30_000, jobs=3, quiet=True)
+    for record in report.records:
+        del record["millis"]
+        if record["verdict"] in ("unsupported", "error"):
+            record = {"file": record["file"], "verdict": record["verdict"]}
+        assert record == _in_process_record(Path(record["file"]))
+    assert [r["file"] for r in report.records] == [str(f) for f in files]
+    assert {r["verdict"] for r in report.records} == {"sat", "unsat", "unknown",
+                                                      "unsupported", "error"}
+
+
 def test_main_entry():
     assert main(["bench", str(MINI / "does-not-exist")]) == 0  # empty directory: zero rows
 
@@ -236,8 +328,21 @@ def test_largest_timeout_is_accepted(tmp_path, capsys):
     (tmp_path / "a.smt2").write_text(SAT_SRC)
     largest = str(2 ** 31 - 1)
     assert main(["solve", str(tmp_path / "a.smt2"), "--timeout", largest]) == 0
+    assert capsys.readouterr().out == "sat\n"
     assert main(["bench", str(tmp_path), "--timeout", largest]) == 0
-    assert capsys.readouterr().out.startswith("sat\n")
+    # group, total, sat, unknown, unsat
+    assert capsys.readouterr().out.splitlines()[2].split()[:5] == [".", "1", "1", "0", "0"]
+
+
+@pytest.mark.parametrize("timeout_ms", [0, 10 ** 400], ids=["0", "10**400"])
+def test_api_rejects_a_timeout_outside_the_cli_range(timeout_ms, monkeypatch):
+    # rejected before any work: neither a parse nor a child process starts
+    monkeypatch.setattr(cli, "parse_smt", None)
+    monkeypatch.setattr(multiprocessing, "Process", None)
+    with pytest.raises(ValueError, match="timeout_ms must be between 1 and 2147483647"):
+        solve_path(MINI / "sat_url.smt2", timeout_ms=timeout_ms)
+    with pytest.raises(ValueError, match="timeout_ms must be between 1 and 2147483647"):
+        bench(MINI, timeout_ms=timeout_ms, quiet=True)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -256,6 +361,8 @@ def test_largest_timeout_is_accepted(tmp_path, capsys):
      "argument --timeout: expected at most 2147483647 ms"),
     (["bench", "DIR", "--timeout", "9999999999999"],
      "argument --timeout: expected at most 2147483647 ms"),
+    (["solve", "FILE", "--max-transitions", "1" * 5000],
+     "argument --max-transitions: expected a positive integer"),
 ])
 def test_malformed_command_line_exits_1(argv, message, capsys):
     # exit 2 is the documented code for a resource stop, never a usage error

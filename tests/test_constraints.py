@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
 from strsolve.oracle import Bound, oracle_sat
-from strsolve.snfa import accepts, is_empty
+from strsolve.snfa import accepts, is_empty, set_validation
 
 
 def pairs_of(p: Problem, v: str):
@@ -85,9 +86,23 @@ def test_desugar_disjunction():
 def test_desugar_disjunction_cap():
     two_way = Or(((Membership("x", rx.parse_regex("a")),),
                   (Membership("x", rx.parse_regex("b")),)))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="disjunction expands to more than 64 cases"):
         desugar([two_way] * 7)  # 2^7 = 128 > 64
+    with pytest.raises(ResourceLimitError):  # at the 7th: an empty Or after it would make 0
+        desugar([two_way] * 7 + [Or(())])
     assert len(desugar([two_way] * 6)) == 64
+
+
+def test_desugar_is_linear_in_the_number_of_constraints():
+    # recounting the disjuncts over all earlier constraints after each one
+    # is quadratic: 5.4-5.9 s for these 20 000 memberships on 2 CPUs,
+    # against 0.25 s for a running product
+    cs = [Membership(f"x{i}", rx.Epsilon()) for i in range(20_000)]
+    set_validation(False)  # the autouse fixture turns it back on
+    start = time.perf_counter()
+    (problem,) = desugar(cs)
+    assert time.perf_counter() - start < 1.0
+    assert len(problem.variables) == 20_000
 
 
 def test_reserved_prefix_rejected():
