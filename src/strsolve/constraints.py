@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import regex as rx
 from .errors import ResourceLimitError, StrSolveError
-from .snfa import DEFAULT_BUDGET, Budget, SNfa, accepts, product
+from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, Budget, SNfa, accepts, product
 
 VarId = str
 
@@ -88,26 +88,26 @@ SurfaceConstraint = Membership | Equation | Length | Or
 @dataclass(frozen=True)
 class Problem:
     """Well-formed core constraint: reg is total on variables, concat maps a
-    subset of variables to pair sets whose components are variables."""
+    subset of variables to pair sets whose components are variables.
+    Construction raises ValueError otherwise."""
 
     variables: frozenset[VarId]
     concat: Mapping[VarId, frozenset[tuple[VarId, VarId]]]
     reg: Mapping[VarId, SNfa]
 
+    def __post_init__(self):
+        for v in self.concat:
+            if v not in self.variables:
+                raise ValueError(f"equation variable {v!r} not in the variable set")
+            for v1, v2 in self.concat[v]:
+                if v1 not in self.variables or v2 not in self.variables:
+                    raise ValueError(f"pair ({v1!r},{v2!r}) mentions unknown variables")
+        if set(self.reg) != set(self.variables):
+            missing = set(self.variables) ^ set(self.reg)
+            raise ValueError(f"regular-constraint map must be total on variables; mismatch {sorted(missing)}")
+
 
 Assignment = dict[VarId, str]
-
-
-def validate_problem(p: Problem) -> None:
-    for v in p.concat:
-        if v not in p.variables:
-            raise ValueError(f"equation variable {v!r} not in the variable set")
-        for v1, v2 in p.concat[v]:
-            if v1 not in p.variables or v2 not in p.variables:
-                raise ValueError(f"pair ({v1!r},{v2!r}) mentions unknown variables")
-    if set(p.reg) != set(p.variables):
-        missing = set(p.variables) ^ set(p.reg)
-        raise ValueError(f"regular-constraint map must be total on variables; mismatch {sorted(missing)}")
 
 
 def make_problem(variables: Iterable[VarId],
@@ -118,11 +118,9 @@ def make_problem(variables: Iterable[VarId],
     reg = dict(reg or {})
     for v in variables:
         reg.setdefault(v, rx.sigma_star())
-    p = Problem(variables,
-                {v: frozenset(pairs) for v, pairs in (concat or {}).items() if pairs},
-                reg)
-    validate_problem(p)
-    return p
+    return Problem(variables,
+                   {v: frozenset(pairs) for v, pairs in (concat or {}).items() if pairs},
+                   reg)
 
 
 # ---------------------------------------------------------------------------
@@ -152,35 +150,28 @@ def _expand_or(cs: Sequence[SurfaceConstraint]) -> list[list[SurfaceConstraint]]
 class _Desugarer:
     def __init__(self, base_vars: Iterable[VarId], budget: Budget):
         self.budget = budget
-        self.base_vars = set(base_vars)
-        for v in self.base_vars:
-            if v.startswith(FRESH_PREFIX):
-                raise ValueError(f"variable name {v!r} uses the reserved prefix {FRESH_PREFIX!r}")
         self.counter = 0
-        self.automata: dict[VarId, list[SNfa]] = {}   # memberships, in input order
-        self.fixed: dict[VarId, SNfa] = {}            # fresh vars with a fixed language
+        # each variable's languages in input order; a fresh variable has one
+        self.langs: dict[VarId, list[SNfa]] = {}
         self.pairs: dict[VarId, list[tuple[VarId, VarId]]] = {}
-        self.seen: set[VarId] = set(self.base_vars)
+        for v in base_vars:
+            self.note(v)
 
     def fresh(self, language: SNfa) -> VarId:
         self.counter += 1
         name = f"{FRESH_PREFIX}{self.counter}"
-        self.fixed[name] = language
-        self.seen.add(name)
+        self.langs[name] = [language]
         return name
 
     def note(self, v: VarId) -> VarId:
         """Record a surface variable; the fresh prefix is off limits to those."""
         if v.startswith(FRESH_PREFIX):
             raise ValueError(f"variable name {v!r} uses the reserved prefix {FRESH_PREFIX!r}")
-        self.seen.add(v)
+        self.langs.setdefault(v, [])
         return v
 
     def add_pair(self, lhs: VarId, a: VarId, b: VarId) -> None:
         self.pairs.setdefault(lhs, []).append((a, b))
-
-    def constrain(self, v: VarId, a: SNfa) -> None:
-        self.automata.setdefault(v, []).append(a)
 
     def equation(self, eq: Equation) -> None:
         if isinstance(eq.lhs, Lit):
@@ -207,31 +198,26 @@ class _Desugarer:
         self.add_pair(lhs, cur, names[-1])
 
     def run(self, cs: Sequence[SurfaceConstraint]) -> Problem:
-        for c in cs:
+        for i, c in enumerate(cs):
+            if not i % BUDGET_STRIDE:
+                self.budget.check(0)
             if isinstance(c, Membership):
-                self.constrain(self.note(c.var), rx.compile(c.regex))
+                self.langs[self.note(c.var)].append(rx.compile(c.regex))
             elif isinstance(c, Length):
-                self.constrain(self.note(c.var), rx.length_automaton(c.op, c.bound))
+                self.langs[self.note(c.var)].append(rx.length_automaton(c.op, c.bound))
             elif isinstance(c, Equation):
                 self.equation(c)
             else:
                 raise TypeError(f"unexpected constraint in flat conjunction: {c!r}")
         reg: dict[VarId, SNfa] = {}
-        for v in sorted(self.seen):
-            if v in self.fixed:
-                reg[v] = self.fixed[v]
-            elif v in self.automata:
-                acc = self.automata[v][0]
-                for extra in self.automata[v][1:]:
-                    acc = product(acc, extra, self.budget)
-                reg[v] = acc
-            else:
-                reg[v] = rx.sigma_star()
-        p = Problem(frozenset(self.seen),
-                    {v: frozenset(prs) for v, prs in self.pairs.items()},
-                    reg)
-        validate_problem(p)
-        return p
+        for v in sorted(self.langs):
+            acc, *extra = self.langs[v] or [rx.sigma_star()]
+            for a in extra:
+                acc = product(acc, a, self.budget)
+            reg[v] = acc
+        return Problem(frozenset(self.langs),
+                       {v: frozenset(prs) for v, prs in self.pairs.items()},
+                       reg)
 
 
 def desugar(cs: Sequence[SurfaceConstraint], base_vars: Iterable[VarId] = (),
@@ -241,8 +227,10 @@ def desugar(cs: Sequence[SurfaceConstraint], base_vars: Iterable[VarId] = (),
     n-ary equations fold left through fresh variables, literals become fresh
     variables with singleton languages, length bounds become regular
     constraints, and several memberships on one variable are intersected
-    into a single automaton under `budget`. `base_vars` forces
-    declared-but-unused variables into every Problem.
+    into a single automaton under `budget`, which is also checked before
+    every BUDGET_STRIDE-th constraint of a disjunct, starting with the
+    first. `base_vars` forces declared-but-unused variables into every
+    Problem.
     """
     return [_Desugarer(base_vars, budget).run(conj) for conj in _expand_or(cs)]
 
@@ -281,12 +269,11 @@ def layering(p: Problem) -> list[set[VarId]]:
     exists exactly when the dependence graph is acyclic. On a cycle, raises
     CyclicDependencyError carrying the stuck variables.
     """
-    validate_problem(p)
     deps = {v: dependencies(p, v) for v in p.variables}
     level: dict[VarId, int] = {}
     remaining = set(p.variables)
     while remaining:
-        ready = [v for v in remaining if deps[v].issubset(level)]
+        ready = [v for v in remaining if deps[v] <= level.keys()]
         if not ready:
             raise CyclicDependencyError(frozenset(remaining))
         for v in ready:
@@ -301,7 +288,6 @@ def layering(p: Problem) -> list[set[VarId]]:
 def check_tree(p: Problem) -> bool:
     """True iff no variable repeats on the right-hand sides of the equations
     (which implies the dependence graph is a forest)."""
-    validate_problem(p)
     occurrences: list[VarId] = []
     for v in sorted(p.concat):
         for v1, v2 in sorted(p.concat[v]):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .constraints import CyclicDependencyError, Problem, VarId, layering, validate_problem
+from .constraints import CyclicDependencyError, Problem, VarId, layering
 from .errors import ResourceLimitError
 from .intervals import IntervalSet
 from .snfa import SNfa
@@ -98,7 +98,6 @@ def oracle_sat(p: Problem, bound: Bound, cap: int = DEFAULT_SPACE_CAP) -> Option
     that could satisfy the problem. The space cap applies to the number of
     enumerated base assignments.
     """
-    validate_problem(p)
     try:
         order = [v for layer in reversed(layering(p)) for v in sorted(layer)]
     except CyclicDependencyError:

@@ -271,37 +271,15 @@ def parse_regex(src: str) -> Regex:
     return _Parser(src).parse()
 
 
-def _without_never(node: Regex) -> Regex:
-    """Rewrite away embedded empty-language nodes so the position construction
-    below never creates unreachable states; only a top-level Never survives."""
-    if isinstance(node, CharClass) and node.chars.is_empty():
-        return Never()
-    if isinstance(node, Concat):
-        items = tuple(_without_never(x) for x in node.items)
-        if any(isinstance(x, Never) for x in items):
-            return Never()
-        return Concat(items)
-    if isinstance(node, Union):
-        items = tuple(x for x in (_without_never(x) for x in node.items)
-                      if not isinstance(x, Never))
-        if not items:
-            return Never()
-        return items[0] if len(items) == 1 else Union(items)
-    if isinstance(node, Star):
-        inner = _without_never(node.item)
-        return Epsilon() if isinstance(inner, Never) else Star(inner)
-    if isinstance(node, Plus):
-        inner = _without_never(node.item)
-        return Never() if isinstance(inner, Never) else Plus(inner)
-    if isinstance(node, Opt):
-        inner = _without_never(node.item)
-        return Epsilon() if isinstance(inner, Never) else Opt(inner)
-    return node
-
-
 def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
-    """Position-construction compile; the result is epsilon-free and trim."""
-    ast = _without_never(ast)
+    """Position-construction compile; the result is epsilon-free and trim.
+
+    A subterm that denotes no word (`Never`, an empty `CharClass`, a `Plus`
+    of such a subterm, a `Union` of only such subterms, or a `Concat` with
+    one among its items) makes no positions: a `Union` skips it, `Star` and
+    `Opt` of it denote the empty word, and at the top it leaves only the
+    initial state, which does not accept. So no position is unreachable.
+    """
     labels: list[IntervalSet] = []       # label of position p at labels[p-1]
     follow: list[set[int]] = []          # follow set of position p at follow[p-1]
 
@@ -314,11 +292,17 @@ def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
         for p in lasts:
             follow[p - 1].update(firsts)
 
-    def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    # (nullable, first positions, last positions), or None for a subterm that
+    # denotes no word. Every position a call returns or links was made during
+    # that call, so a call that returns None leaves labels and follow as it
+    # found them: a Concat that meets such an item deletes what it made.
+    def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]] | None:
         if isinstance(node, Literal):
             p = new_pos(IntervalSet((Interval(node.cp, node.cp),)))
             return False, (p,), (p,)
         if isinstance(node, CharClass):
+            if node.chars.is_empty():
+                return None
             p = new_pos(node.chars)
             return False, (p,), (p,)
         if isinstance(node, AnyChar):
@@ -327,38 +311,46 @@ def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
         if isinstance(node, Epsilon):
             return True, (), ()
         if isinstance(node, Never):
-            return False, (), ()
+            return None
         if isinstance(node, Concat):
-            nullable, first, last = lin(node.items[0])
-            for item in node.items[1:]:
-                n2, f2, l2 = lin(item)
+            mark = len(labels)
+            nullable, first, last = True, (), ()
+            for item in node.items:
+                part = lin(item)
+                if part is None:
+                    del labels[mark:], follow[mark:]
+                    return None
+                n2, f2, l2 = part
                 link(last, f2)
                 first = first + f2 if nullable else first
                 last = last + l2 if n2 else l2
                 nullable = nullable and n2
             return nullable, first, last
         if isinstance(node, Union):
+            parts = [part for part in map(lin, node.items) if part is not None]
+            if not parts:
+                return None
             nullable, first, last = False, (), ()
-            for item in node.items:
-                n2, f2, l2 = lin(item)
+            for n2, f2, l2 in parts:
                 nullable = nullable or n2
                 first += f2
                 last += l2
             return nullable, first, last
         if isinstance(node, Star):
-            _, first, last = lin(node.item)
+            _, first, last = lin(node.item) or (True, (), ())
             link(last, first)
             return True, first, last
         if isinstance(node, Plus):
-            nullable, first, last = lin(node.item)
-            link(last, first)
-            return nullable, first, last
+            part = lin(node.item)
+            if part is not None:
+                link(part[2], part[1])
+            return part
         if isinstance(node, Opt):
-            _, first, last = lin(node.item)
+            _, first, last = lin(node.item) or (True, (), ())
             return True, first, last
         raise TypeError(f"not a regex node: {node!r}")
 
-    nullable, first, last = lin(ast)
+    nullable, first, last = lin(ast) or (False, (), ())
     # state 0 is the initial state and state p is position p
     rows = [[(part.lo, part.hi, p) for p in first for part in labels[p - 1].parts]]
     rows += [[(part.lo, part.hi, q) for q in follow[p - 1] for part in labels[q - 1].parts]

@@ -27,8 +27,9 @@ makes language emptiness a check on the accepting set. `product` finds
 its states by exploring pairs; `concat` takes them from each operand's
 reachable states, which a trim flag gives for free (see `concat`).
 `_reachable_states` is the one reachability pass. The module also owns
-the per-solve `Budget`, and `product` and `concat` are the only code that
-checks it: as they start and while they build (see `product`).
+the per-solve `Budget`. `product` and `concat` check it as they start and
+while they build (see `product`); the only other check is desugaring's,
+once per BUDGET_STRIDE surface constraints.
 
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
@@ -58,7 +59,8 @@ Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per stat
 
 DEFAULT_MAX_TRANSITIONS = 5_000_000
 # The budget is consulted once per this many states built by `product` and
-# `concat`, in addition to the transition cap, which is checked per state.
+# `concat`, in addition to the transition cap, which is checked per state,
+# and once per this many surface constraints desugared.
 BUDGET_STRIDE = 1024
 # `product` also consults it before scanning more than this many row pairs
 # since its last check: one pair state of two wide character classes scans
@@ -68,7 +70,7 @@ PAIR_STRIDE = 1 << 15
 
 class Budget:
     """Cooperative per-solve limits, checked by `product` and `concat` while
-    they build."""
+    they build and by desugaring between constraints."""
 
     def __init__(self, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
                  deadline: Optional[float] = None):

@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random generators, reference matchers,
 interval enumeration, the reference word split, the reference SMT-LIB
-reader, the reference `concat` and `product`, renaming and automaton
-isomorphism.
+reader, the reference `concat`, `product` and regex compile, renaming and
+automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -18,7 +18,9 @@ from typing import Iterator
 from strsolve import regex as rx
 from strsolve.constraints import Problem, make_problem
 from strsolve.errors import ResourceLimitError, SyntaxParseError
-from strsolve.intervals import ENUM_CAP, MAX_CODEPOINT, Interval, IntervalSet
+from strsolve.intervals import ENUM_CAP, FULL, MAX_CODEPOINT, Interval, IntervalSet
+from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
+                            Regex, Star, Union)
 from strsolve.smtlib import SNode, SStr
 from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, Transition,
                            accepts, remove_unreachable, snfa)
@@ -160,6 +162,106 @@ def random_regex(rng: random.Random, depth: int,
     return random_regex(rng, 0, alphabet)
 
 
+def _without_never(node: Regex) -> Regex:
+    """Rewrite away embedded empty-language nodes so the position construction
+    below never creates unreachable states; only a top-level Never survives."""
+    if isinstance(node, CharClass) and node.chars.is_empty():
+        return Never()
+    if isinstance(node, Concat):
+        items = tuple(_without_never(x) for x in node.items)
+        if any(isinstance(x, Never) for x in items):
+            return Never()
+        return Concat(items)
+    if isinstance(node, Union):
+        items = tuple(x for x in (_without_never(x) for x in node.items)
+                      if not isinstance(x, Never))
+        if not items:
+            return Never()
+        return items[0] if len(items) == 1 else Union(items)
+    if isinstance(node, Star):
+        inner = _without_never(node.item)
+        return Epsilon() if isinstance(inner, Never) else Star(inner)
+    if isinstance(node, Plus):
+        inner = _without_never(node.item)
+        return Never() if isinstance(inner, Never) else Plus(inner)
+    if isinstance(node, Opt):
+        inner = _without_never(node.item)
+        return Epsilon() if isinstance(inner, Never) else Opt(inner)
+    return node
+
+
+def compile_reference(ast: Regex) -> SNfa:
+    """Two-pass reference for `regex.compile`: rewrite away the subterms that
+    denote no word, then run the position construction on what is left. The
+    result is epsilon-free and trim."""
+    ast = _without_never(ast)
+    labels: list[IntervalSet] = []       # label of position p at labels[p-1]
+    follow: list[set[int]] = []          # follow set of position p at follow[p-1]
+
+    def new_pos(chars: IntervalSet) -> int:
+        labels.append(chars)
+        follow.append(set())
+        return len(labels)
+
+    def link(lasts: tuple[int, ...], firsts: tuple[int, ...]) -> None:
+        for p in lasts:
+            follow[p - 1].update(firsts)
+
+    def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+        if isinstance(node, Literal):
+            p = new_pos(IntervalSet((Interval(node.cp, node.cp),)))
+            return False, (p,), (p,)
+        if isinstance(node, CharClass):
+            p = new_pos(node.chars)
+            return False, (p,), (p,)
+        if isinstance(node, AnyChar):
+            p = new_pos(IntervalSet((FULL,)))
+            return False, (p,), (p,)
+        if isinstance(node, Epsilon):
+            return True, (), ()
+        if isinstance(node, Never):
+            return False, (), ()
+        if isinstance(node, Concat):
+            nullable, first, last = lin(node.items[0])
+            for item in node.items[1:]:
+                n2, f2, l2 = lin(item)
+                link(last, f2)
+                first = first + f2 if nullable else first
+                last = last + l2 if n2 else l2
+                nullable = nullable and n2
+            return nullable, first, last
+        if isinstance(node, Union):
+            nullable, first, last = False, (), ()
+            for item in node.items:
+                n2, f2, l2 = lin(item)
+                nullable = nullable or n2
+                first += f2
+                last += l2
+            return nullable, first, last
+        if isinstance(node, Star):
+            _, first, last = lin(node.item)
+            link(last, first)
+            return True, first, last
+        if isinstance(node, Plus):
+            nullable, first, last = lin(node.item)
+            link(last, first)
+            return nullable, first, last
+        if isinstance(node, Opt):
+            _, first, last = lin(node.item)
+            return True, first, last
+        raise TypeError(f"not a regex node: {node!r}")
+
+    nullable, first, last = lin(ast)
+    # state 0 is the initial state and state p is position p
+    rows = [[(part.lo, part.hi, p) for p in first for part in labels[p - 1].parts]]
+    rows += [[(part.lo, part.hi, q) for q in follow[p - 1] for part in labels[q - 1].parts]
+             for p in range(1, len(labels) + 1)]
+    accepting = set(last)
+    if nullable:
+        accepting.add(0)
+    return snfa(rows, {0}, accepting, trim=True)
+
+
 def sem(a: Interval, cap: int = ENUM_CAP) -> frozenset[int]:
     """The set {n | lo <= n <= hi}, materialized. Refused above `cap` elements."""
     n = a.hi - a.lo + 1 if a.lo <= a.hi else 0
@@ -292,6 +394,18 @@ def read_all_scan(src: str) -> list[SNode]:
 # trim flags: a worklist pass over both operands, states ordered by a key
 # function, and every row through `_sorted_row`. `snfa.concat` and
 # `snfa.product` must build the same automata.
+
+class CountingBudget(Budget):
+    """A budget that records the transition count of every check."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.checked: list[int] = []
+
+    def check(self, transitions: int) -> None:
+        self.checked.append(transitions)
+        super().check(transitions)
+
 
 def _sorted_row_reference(row: list[Row]) -> tuple[Row, ...]:
     """`row` sorted and without duplicates (sorting first makes any

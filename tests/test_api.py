@@ -16,7 +16,8 @@ def test_removed_duplicates_stay_removed():
                               ("snfa", "isomorphic"), ("intervals", "sem"),
                               ("snfa", "_int_adjacency"), ("snfa", "rename"),
                               ("snfa", "_out"), ("smtlib", "_tokenize"),
-                              ("snfa", "StateId"), ("snfa", "_reached_keys")):
+                              ("snfa", "StateId"), ("snfa", "_reached_keys"),
+                              ("regex", "_without_never"), ("constraints", "validate_problem")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name

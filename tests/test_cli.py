@@ -387,7 +387,8 @@ def test_usage_error_and_help_exit_codes():
 
 
 def test_timeout_counts_the_parse(monkeypatch):
-    # a parse that outlasts the timeout leaves no time for the first concat
+    # a parse that outlasts the timeout leaves no time for desugaring, which
+    # checks the budget before its first constraint
     def slow_parse(src):
         time.sleep(0.2)
         return parse_smt(src)
@@ -403,7 +404,7 @@ def test_timeout_counts_the_parse(monkeypatch):
     monkeypatch.setattr(solver, "concat", counted_concat)
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         solve_path(MINI / "sat_url.smt2", timeout_ms=50)
-    assert len(concats) == 1  # stopped by the check at the start of that concat
+    assert concats == []  # stopped before the first concat
     concats.clear()
     verdict, _, _ = solve_path(MINI / "sat_url.smt2", timeout_ms=60_000)
     assert verdict.kind == "sat" and concats

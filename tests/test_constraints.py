@@ -3,12 +3,12 @@ import time
 
 import pytest
 
-from helpers import TEST_ALPHABET, random_problem, ref_regex_match, words_upto
+from helpers import TEST_ALPHABET, CountingBudget, random_problem, ref_regex_match, words_upto
 from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
                                   Membership, Or, Problem, Var, check_tree,
                                   desugar, layering, make_problem, problem_dump,
-                                  sat_str, validate_problem)
+                                  sat_str)
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
 from strsolve.oracle import Bound, oracle_sat
@@ -105,19 +105,33 @@ def test_desugar_is_linear_in_the_number_of_constraints():
     assert len(problem.variables) == 20_000
 
 
+def test_desugar_checks_the_budget_every_stride_of_constraints():
+    # one membership per variable, so no product runs: the checks are
+    # desugaring's own, before constraints 0, 1024 and 2048
+    cs = [Membership(f"x{i}", rx.parse_regex("ab")) for i in range(3000)]
+    budget = CountingBudget()
+    (problem,) = desugar(cs, budget=budget)
+    assert budget.checked == [0, 0, 0]
+    assert len(problem.variables) == 3000
+    with pytest.raises(ResourceLimitError, match="time budget exhausted"):
+        desugar(cs, budget=CountingBudget(deadline=time.monotonic() - 1))
+
+
 def test_reserved_prefix_rejected():
     with pytest.raises(ValueError):
         desugar([Membership("_tricky", rx.parse_regex("a"))])
     with pytest.raises(ValueError):
         desugar([], base_vars=["_t1"])
+    # the first reserved name in input order, whatever the string hash seed
+    with pytest.raises(ValueError, match="_t9"):
+        desugar([], base_vars=["_t9", "_t1"])
 
 
 def test_problem_wf_validation():
     with pytest.raises(ValueError):
-        validate_problem(Problem(frozenset({"x"}), {"x": frozenset({("x", "ghost")})},
-                                 {"x": rx.sigma_star()}))
+        Problem(frozenset({"x"}), {"x": frozenset({("x", "ghost")})}, {"x": rx.sigma_star()})
     with pytest.raises(ValueError):
-        validate_problem(Problem(frozenset({"x"}), {}, {}))
+        Problem(frozenset({"x"}), {}, {})
 
 
 def test_sat_str_url_example():
@@ -162,6 +176,19 @@ def test_layering_cycle():
     with pytest.raises(CyclicDependencyError) as err:
         layering(p)
     assert err.value.variables == frozenset({"x", "y1"})
+
+
+def test_layering_of_a_long_chain():
+    # x_i = x_{i-1} ++ c_i for 1000 links, the shape of a deep str.++: 1000
+    # layers. A subset test against the dict of levels copied it into a set
+    # for every candidate, which took seconds here.
+    n = 1000
+    p = make_problem([f"x{i}" for i in range(n + 1)] + [f"c{i}" for i in range(1, n + 1)],
+                     {f"x{i}": {(f"x{i - 1}", f"c{i}")} for i in range(1, n + 1)})
+    start = time.perf_counter()
+    layers = layering(p)
+    assert time.perf_counter() - start < 1.0
+    assert layers[0] == {f"x{n}"} and len(layers) == n + 1
 
 
 def test_layering_no_equations():

@@ -101,10 +101,10 @@ def test_smt_parser_raises_only_package_errors(src):
         pass
 
 
-def _solve_exits_with_a_documented_code(src, tmp_path, capsys) -> None:
+def _solve_exits_with_a_documented_code(src, tmp_path, capsys, timeout_ms=2000) -> None:
     path = tmp_path / "fuzz.smt2"
     path.write_text(src, encoding="utf-8")
-    code = main(["solve", str(path), "--model", "--timeout", "2000",
+    code = main(["solve", str(path), "--model", "--timeout", str(timeout_ms),
                  "--max-transitions", "20000"])
     assert code in (EXIT_VERDICT, EXIT_PARSE, EXIT_RESOURCE)
     out, _ = capsys.readouterr()
@@ -135,3 +135,36 @@ def test_huge_numerals_end_in_a_documented_outcome(src, tmp_path, capsys):
     except StrSolveError:
         pass
     _solve_exits_with_a_documented_code(src, tmp_path, capsys)
+
+
+# Deep nesting, up to about 1500 levels, in each of the three places the
+# grammar nests: regex operators, `and`/`or`, and `str.++`. A term is its base
+# wrapped `depth` times, cycling through a drawn pattern of wrappers.
+NESTINGS = {
+    "(assert (str.in_re x {}))": ('(str.to_re "a")', [
+        "(re.* {})", '(re.++ {} (str.to_re "b"))', '(re.union (str.to_re "a") {})',
+        "(re.opt {})"]),
+    "(assert {})": ('(str.in_re x (str.to_re "a"))', [
+        '(and {} (str.in_re y (re.* (str.to_re "a"))))', '(or (= x "b") {})']),
+    "(assert (= x {}))": ('"a"', ['(str.++ {} "a")', "(str.++ y {})"]),
+}
+
+
+@st.composite
+def deep_script(draw) -> str:
+    place = draw(st.sampled_from(sorted(NESTINGS)))
+    base, wrappers = NESTINGS[place]
+    pattern = draw(st.lists(st.sampled_from(wrappers), min_size=1, max_size=4))
+    depth = draw(st.one_of(st.sampled_from([500, 1000, 1500]), st.integers(1, 1500)))
+    levels = [pattern[i % len(pattern)].split("{}") for i in range(depth)]
+    term = ("".join(pre for pre, _ in levels) + base
+            + "".join(post for _, post in reversed(levels)))
+    return DECLARED + place.format(term) + "(check-sat)"
+
+
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(src=deep_script())
+def test_deep_nesting_ends_in_a_documented_outcome(src, tmp_path, capsys):
+    # a long str.++ chain of literals solves in seconds, so the deadline is short
+    _solve_exits_with_a_documented_code(src, tmp_path, capsys, timeout_ms=500)

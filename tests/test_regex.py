@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import TEST_ALPHABET, random_regex, ref_regex_match, words_upto
+from helpers import TEST_ALPHABET, compile_reference, random_regex, ref_regex_match, words_upto
 from strsolve import regex as rx
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, Interval, IntervalSet, MAX_CODEPOINT
-from strsolve.snfa import Transition, accepts, remove_unreachable, validate
+from strsolve.snfa import Transition, accepts, dump, remove_unreachable, validate
 
 
 def test_parse_class_plus():
@@ -110,6 +112,36 @@ def test_compile_never_and_embedded_never():
     assert not a.accepting and a.trim
     dropped = rx.Union((rx.Never(), rx.Literal(97)))
     assert accepts(rx.compile(dropped), "a")
+
+
+A, B = rx.Literal(97), rx.Literal(98)
+NO_CHARS = rx.CharClass(IntervalSet(()))
+# leaves over a..c, with the two subterms that denote no word: Never and an
+# empty class
+regex_ast = st.recursive(
+    st.one_of(st.builds(rx.Literal, st.integers(97, 99)),
+              st.tuples(st.integers(97, 99), st.integers(0, 2)).map(
+                  lambda t: rx.CharClass(IntervalSet.from_pairs((t[0], t[0] + t[1])))),
+              st.sampled_from([rx.AnyChar(), rx.Epsilon(), rx.Never(), NO_CHARS])),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Concat(tuple(xs))),
+        st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Union(tuple(xs))),
+        st.builds(rx.Star, inner), st.builds(rx.Plus, inner), st.builds(rx.Opt, inner)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(regex_ast)
+@example(rx.Union((rx.Concat((A, rx.Never())), B)))
+@example(rx.Plus(rx.Concat((A, rx.Star(B), rx.Never()))))
+@example(rx.Star(rx.Never()))
+@example(NO_CHARS)
+def test_compile_matches_the_two_pass_reference(ast):
+    # dropping what denotes no word inside the one pass gives what rewriting
+    # it away first gives: the same states, names, transitions and trim flag
+    a, ref = rx.compile(ast), compile_reference(ast)
+    assert dump(a) == dump(ref)
+    assert a.trim == ref.trim
 
 
 def test_sigma_star_canonical_form():

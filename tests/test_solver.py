@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from helpers import TEST_ALPHABET, random_problem, words_upto
+from helpers import TEST_ALPHABET, CountingBudget, random_problem, words_upto
 from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Lit, Membership,
                                   Var, check_tree, desugar, layering, make_problem,
@@ -184,18 +184,6 @@ def test_budget_and_deadline():
         forward_prop(p, budget=Budget(max_transitions=100))
     with pytest.raises(ResourceLimitError):
         forward_prop(p, budget=Budget(deadline=time.monotonic() - 1))
-
-
-class CountingBudget(Budget):
-    """A budget that records the transition count of every check."""
-
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.checked: list[int] = []
-
-    def check(self, transitions: int) -> None:
-        self.checked.append(transitions)
-        super().check(transitions)
 
 
 def doubling(k: int):
