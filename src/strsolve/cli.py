@@ -52,7 +52,7 @@ def solve_path(path: str | Path, optimize: bool = False,
     deadline = time.monotonic() + _seconds(timeout_ms) if timeout_ms is not None else None
     budget = Budget(max_transitions, deadline)
     src = Path(path).read_text(encoding="utf-8")
-    script = parse_smt(src)
+    script = parse_smt(src, budget)
     declared = [name for name, _ in script.declarations]
     # memberships of one variable are intersected here, under the same budget
     problems = desugar(list(script.assertions), base_vars=declared, budget=budget)

@@ -5,6 +5,12 @@ Legacy spellings from older string benchmarks (str.in.re, str.to.re) are
 accepted and normalized. Parsing produces a SmtScript of surface
 constraints; print_smt renders one back so that parse(print(parse(s)))
 equals parse(s), which the round-trip tests rely on.
+
+`parse_smt` makes one pass over the tokens on one explicit stack, so any
+nesting depth parses. Each list is reduced when its `)` arrives, from
+reduced arguments. A failed reduction is the list's value, raised only
+where the enclosing operator uses it: where a top-down reading meets it.
+A text error anywhere in the file wins over the first bad command's error.
 """
 
 from __future__ import annotations
@@ -14,27 +20,16 @@ from dataclasses import dataclass
 
 from . import regex as rx
 from .constraints import Equation, Length, Lit, Membership, Or, SurfaceConstraint, Var
-from .errors import SyntaxParseError, UnsupportedError
+from .errors import StrSolveError, SyntaxParseError, UnsupportedError
 from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
+from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, Budget
 
 _IGNORED_COMMANDS = {"set-logic", "set-option", "set-info", "exit"}
 _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
-
-
-@dataclass(frozen=True)
-class SStr:
-    """A decoded string literal (kept distinct from symbols)."""
-    text: str
-
-
-class SNode:
-    """An s-expression node and the offset where it starts in the source."""
-
-    __slots__ = ("val", "pos")
-
-    def __init__(self, val: object, pos: int):
-        self.val = val  # str symbol | int | SStr | tuple[SNode, ...]
-        self.pos = pos
+_CONSTRAINT_HEADS = {"and", "or", "str.in_re", "str.in.re", *_FLIP}
+_REPEAT = {"re.*": rx.Star, "re.+": rx.Plus, "re.opt": rx.Opt}
+_REGEX_HEADS = {"str.to_re", "str.to.re", "re.++", "re.union", "re.range", *_REPEAT}
+_RE_SYMBOLS = {"re.allchar": rx.AnyChar(), "re.all": rx.Star(rx.AnyChar()), "re.none": rx.Never()}
 
 
 @dataclass(frozen=True)
@@ -115,235 +110,248 @@ _OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(1, 8)
 MAX_NUMERAL_DIGITS = 1000
 
 
-def _read_all(src: str) -> list[SNode]:
-    stack: list[tuple[list[SNode], int]] = []
-    top: list[SNode] = []
-    for m in _TOKEN.finditer(src):
+# A term is a tuple (kind, value, start, end) over src[start:end]. The value
+# of a symbol is its name, of a literal its decoded text, of a numeral its
+# int, and of a list (head, result): the name of its first term (None if it
+# is empty) and what `_reduce` made of the list, or the error that it raised.
+_SYM, _STR, _NUM, _LIST = range(4)
+
+
+def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
+    """Parse an SMT-LIB script in the supported string fragment. A list at
+    depth 0 is a command, run when it closes. The budget is checked before
+    every BUDGET_STRIDE-th token, starting with the first."""
+    declared: dict[str, str] = {}  # name -> sort, in declaration order
+    assertions: list[SurfaceConstraint] = []
+    has_check_sat = False
+    held: StrSolveError | None = None  # the first command error
+    stack: list[tuple[int, list]] = []  # (offset, terms) of each enclosing list
+    terms: list = []  # of the innermost open list; at depth 0, stray atoms
+    for i, m in enumerate(_TOKEN.finditer(src)):
+        if not i % BUDGET_STRIDE:
+            budget.check(0)
         kind = m.lastindex
         if kind == _OPEN:
-            stack.append((top, m.end() - 1))
-            top = []
+            stack.append((m.end() - 1, terms))
+            terms = []
         elif kind == _CLOSE:
             if not stack:
                 raise SyntaxParseError("unbalanced )", m.end() - 1)
-            parent, open_pos = stack.pop()
-            parent.append(SNode(tuple(top), open_pos))
-            top = parent
+            pos, parent = stack.pop()
+            head = _name(terms[0], src) if terms else None
+            if stack:
+                try:
+                    result = _reduce(head, terms[1:], pos, declared)
+                except StrSolveError as err:
+                    result = err
+                parent.append((_LIST, (head, result), pos, m.end()))
+            elif held is None:
+                try:
+                    if parent or head is None:  # an atom before this command, or ()
+                        raise SyntaxParseError("expected a command", parent[0][2] if parent else pos)
+                    if head == "check-sat":
+                        has_check_sat = True
+                    else:
+                        _command(head, terms[1:], pos, declared, assertions, src)
+                except StrSolveError as err:
+                    held = err
+            terms = parent
         elif kind == _WORD:
-            top.append(SNode(m[kind], m.start(kind)))
+            terms.append((_SYM, m[kind], m.start(kind), m.end()))
         elif kind == _STRING:
             pos = m.start(kind) - 1  # the opening quote
-            top.append(SNode(SStr(_decode_string(m[kind], pos)), pos))
+            terms.append((_STR, _decode_string(m[kind], pos), pos, m.end()))
         elif kind == _QUOTED:
-            top.append(SNode(m[kind], m.start(kind) - 1))
+            terms.append((_SYM, m[kind], m.start(kind) - 1, m.end()))
         elif kind == _NUMERAL:
             text = m[kind]
             if len(text) - (text[0] == "-") > MAX_NUMERAL_DIGITS:
                 raise SyntaxParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits",
                                        m.start(kind))
-            top.append(SNode(int(text), m.start(kind)))
+            terms.append((_NUM, int(text), m.start(kind), m.end()))
         elif kind == _STRAY:
-            if m[kind] == '"':
-                raise SyntaxParseError("unterminated string literal", m.start(kind))
-            raise SyntaxParseError("unterminated quoted symbol", m.start(kind))
+            what = "string literal" if m[kind] == '"' else "quoted symbol"
+            raise SyntaxParseError(f"unterminated {what}", m.start(kind))
     if stack:
-        raise SyntaxParseError("unbalanced (", stack[-1][1])
-    return top
+        raise SyntaxParseError("unbalanced (", stack[-1][0])
+    if held is not None:
+        raise held
+    if terms:  # an atom after the last command
+        raise SyntaxParseError("expected a command", terms[0][2])
+    return SmtScript(tuple(declared.items()), tuple(assertions), has_check_sat)
 
 
-# ---------------------------------------------------------------------------
-# Command interpretation
-
-def parse_smt(src: str) -> SmtScript:
-    """Parse an SMT-LIB script in the supported string fragment."""
-    declarations: list[tuple[str, str]] = []
-    declared: set[str] = set()
-    assertions: list[SurfaceConstraint] = []
-    has_check_sat = False
-    for node in _read_all(src):
-        if not isinstance(node.val, tuple) or not node.val:
-            raise SyntaxParseError("expected a command", node.pos)
-        head = node.val[0].val
-        args = node.val[1:]
-        if head in _IGNORED_COMMANDS:
-            continue
-        if head == "check-sat":
-            has_check_sat = True
-            continue
-        if head in ("declare-fun", "declare-const"):
-            name, sort = _declaration(head, args, node.pos)
-            if name in declared:
-                raise SyntaxParseError(f"duplicate declaration of {name!r}", node.pos)
-            declared.add(name)
-            declarations.append((name, sort))
-            continue
-        if head == "assert":
-            if len(args) != 1:
-                raise SyntaxParseError("assert takes exactly one term", node.pos)
-            assertions.extend(_constraints(args[0], declared))
-            continue
-        raise UnsupportedError(f"command {head}", node.pos)
-    return SmtScript(tuple(declarations), tuple(assertions), has_check_sat)
+def _name(term: tuple, src: str) -> str:
+    """A symbol's name, a numeral's value, or else the term's source text."""
+    kind, val, start, end = term
+    return val if kind == _SYM else str(val) if kind == _NUM else src[start:end]
 
 
-def _declaration(head: str, args: tuple[SNode, ...], pos: int) -> tuple[str, str]:
-    if head == "declare-fun":
-        if len(args) != 3 or not isinstance(args[0].val, str):
-            raise SyntaxParseError("malformed declare-fun", pos)
-        if args[1].val != ():
-            raise UnsupportedError("function declarations with arguments", pos)
-        name, sort = args[0].val, args[2].val
-    else:
-        if len(args) != 2 or not isinstance(args[0].val, str):
-            raise SyntaxParseError("malformed declare-const", pos)
-        name, sort = args[0].val, args[1].val
-    if sort != "String":
-        raise UnsupportedError(f"sort {sort}", pos)
-    return name, "String"
+def _value(result: object):
+    """A reduced list's value, or the error that its reduction raised."""
+    if isinstance(result, StrSolveError):
+        raise result
+    return result
 
 
-def _constraints(node: SNode, declared: set[str]) -> list[SurfaceConstraint]:
-    """A term in assert position, flattened over `and`."""
-    if not isinstance(node.val, tuple) or not node.val:
-        raise UnsupportedError("assertion that is not an application", node.pos)
-    head = node.val[0].val
-    args = node.val[1:]
-    if head == "and":
-        out: list[SurfaceConstraint] = []
-        for a in args:
-            out.extend(_constraints(a, declared))
-        return out
-    if head == "or":
-        if not args:
-            raise SyntaxParseError("empty disjunction", node.pos)
-        return [Or(tuple(tuple(_constraints(a, declared)) for a in args))]
-    if head in ("str.in_re", "str.in.re"):
-        if len(args) != 2:
-            raise SyntaxParseError("str.in_re takes a variable and a regex", node.pos)
-        var = _variable(args[0], declared)
-        return [Membership(var, _regex(args[1]))]
-    if head in ("<", "<=", "=", ">=", ">"):
-        if len(args) != 2:
-            raise UnsupportedError(f"non-binary {head}", node.pos)
-        return [_comparison(head, args[0], args[1], declared, node.pos)]
-    raise UnsupportedError(f"operator {head}", node.pos)
+def _command(head: str, args: list, pos: int, declared: dict[str, str],
+             assertions: list[SurfaceConstraint], src: str) -> None:
+    """Run the command `(head args...)` at `pos`, other than check-sat."""
+    if head == "assert":
+        if len(args) != 1:
+            raise SyntaxParseError("assert takes exactly one term", pos)
+        assertions.extend(_constraints(args[0]))
+    elif head == "declare-fun" and (len(args) != 3 or args[0][0] != _SYM):
+        raise SyntaxParseError("malformed declare-fun", pos)
+    elif head == "declare-fun" and (args[1][0] != _LIST or args[1][1][0] is not None):
+        raise UnsupportedError("function declarations with arguments", pos)
+    elif head == "declare-const" and (len(args) != 2 or args[0][0] != _SYM):
+        raise SyntaxParseError("malformed declare-const", pos)
+    elif head in ("declare-fun", "declare-const"):
+        name, sort = args[0][1], _name(args[-1], src)
+        if sort != "String":
+            raise UnsupportedError(f"sort {sort}", pos)
+        if name in declared:
+            raise SyntaxParseError(f"duplicate declaration of {name!r}", pos)
+        declared[name] = sort
+    elif head not in _IGNORED_COMMANDS:
+        raise UnsupportedError(f"command {head}", pos)
 
 
-def _is_strlen(node: SNode) -> bool:
-    return (isinstance(node.val, tuple) and len(node.val) == 2
-            and node.val[0].val == "str.len")
-
-
-def _comparison(op: str, a: SNode, b: SNode, declared: set[str], pos: int) -> SurfaceConstraint:
-    if _is_strlen(a) or _is_strlen(b):
-        if _is_strlen(b):
-            a, b = b, a
-            op = _FLIP[op]
-        var = _variable(a.val[1], declared)  # type: ignore[index]
-        if not isinstance(b.val, int):
-            raise UnsupportedError("length compared to a non-constant", b.pos)
-        if b.val < 0:
-            raise SyntaxParseError("negative length bound", b.pos)
-        return Length(var, op, b.val)
-    if op != "=":
-        raise UnsupportedError(f"arithmetic comparison {op}", pos)
-    return _equation(a, b, declared, pos)
-
-
-def _equation(lhs: SNode, rhs: SNode, declared: set[str], pos: int) -> Equation:
-    items = _word_items(rhs, declared)
-    if isinstance(lhs.val, str):
-        return Equation(Var(_variable(lhs, declared)), tuple(items))
-    if isinstance(lhs.val, SStr):
-        if any(isinstance(t, Var) for t in items):
-            raise UnsupportedError("equation with a literal left-hand side", pos)
-        return Equation(Lit(lhs.val.text), tuple(items))
-    raise UnsupportedError("equation left-hand side is not a variable", lhs.pos)
-
-
-def _word_items(node: SNode, declared: set[str]) -> list[Var | Lit]:
-    if isinstance(node.val, str):
-        return [Var(_variable(node, declared))]
-    if isinstance(node.val, SStr):
-        return [Lit(node.val.text)]
-    if isinstance(node.val, tuple) and node.val and node.val[0].val == "str.++":
-        out: list[Var | Lit] = []
-        for part in node.val[1:]:
-            out.extend(_word_items(part, declared))
-        if not out:
-            raise SyntaxParseError("empty str.++", node.pos)
-        return out
-    raise UnsupportedError("word term (expected variable, literal, or str.++)", node.pos)
-
-
-def _variable(node: SNode, declared: set[str]) -> str:
-    if not isinstance(node.val, str):
-        raise UnsupportedError("expected a variable", node.pos)
-    if node.val not in declared:
-        raise SyntaxParseError(f"undeclared variable {node.val!r}", node.pos)
-    return node.val
-
-
-# ---------------------------------------------------------------------------
-# Regex terms
-
-_CHARLIKE = (rx.Literal, rx.CharClass, rx.AnyChar)
-
-
-def _regex(node: SNode) -> rx.Regex:
-    if isinstance(node.val, str):
-        if node.val == "re.allchar":
-            return rx.AnyChar()
-        if node.val == "re.all":
-            return rx.Star(rx.AnyChar())
-        if node.val == "re.none":
-            return rx.Never()
-        raise UnsupportedError(f"regex symbol {node.val}", node.pos)
-    if not isinstance(node.val, tuple) or not node.val:
-        raise UnsupportedError("regex term", node.pos)
-    head = node.val[0].val
-    args = node.val[1:]
-    if head in ("str.to_re", "str.to.re"):
-        if len(args) != 1 or not isinstance(args[0].val, SStr):
-            raise SyntaxParseError("str.to_re takes one string literal", node.pos)
-        return _word_regex(args[0].val.text)
-    if head == "re.++":
-        items: list[rx.Regex] = []
-        for a in args:
-            sub = _regex(a)
-            if isinstance(sub, rx.Concat):
-                items.extend(sub.items)
-            elif not isinstance(sub, rx.Epsilon):
-                items.append(sub)
+def _reduce(head: str | None, args: list, pos: int, declared: dict[str, str]):
+    """The value of the list `(head args...)` at `pos`: a regex, word items
+    or constraints. Any other head, `str.len` among them, keeps its args."""
+    if head in ("str.to_re", "str.to.re", "re.++"):  # a concatenation
+        if head == "re.++":  # of its operands' items; no Concat holds an Epsilon
+            items = [x for t in args for x in _items(_regex(t), rx.Concat)
+                     if not isinstance(x, rx.Epsilon)]
+        elif len(args) != 1 or args[0][0] != _STR:
+            raise SyntaxParseError("str.to_re takes one string literal", pos)
+        else:  # of a literal's characters
+            items = [rx.Literal(ord(ch)) for ch in args[0][1]]
         if not items:
             return rx.Epsilon()
         return items[0] if len(items) == 1 else rx.Concat(tuple(items))
     if head == "re.union":
-        items = []
-        for a in args:
-            sub = _regex(a)
-            if isinstance(sub, rx.Union):
-                items.extend(sub.items)
-            else:
-                items.append(sub)
+        items = [x for t in args for x in _items(_regex(t), rx.Union)]
         if not items:
-            raise SyntaxParseError("empty re.union", node.pos)
-        if len(items) > 1 and all(isinstance(x, _CHARLIKE) for x in items):
+            raise SyntaxParseError("empty re.union", pos)
+        if len(items) > 1 and all(isinstance(x, (rx.Literal, rx.CharClass, rx.AnyChar))
+                                  for x in items):
             return rx.CharClass(IntervalSet.normalize(p for x in items for p in _char_parts(x)))
         return items[0] if len(items) == 1 else rx.Union(tuple(items))
-    if head in ("re.*", "re.+", "re.opt"):
+    if head in _REPEAT:
         if len(args) != 1:
-            raise SyntaxParseError(f"{head} takes one regex", node.pos)
-        inner = _regex(args[0])
-        return {"re.*": rx.Star, "re.+": rx.Plus, "re.opt": rx.Opt}[head](inner)
+            raise SyntaxParseError(f"{head} takes one regex", pos)
+        return _REPEAT[head](_regex(args[0]))
     if head == "re.range":
-        if len(args) != 2 or not (isinstance(args[0].val, SStr) and isinstance(args[1].val, SStr)):
-            raise SyntaxParseError("re.range takes two string literals", node.pos)
-        lo, hi = args[0].val.text, args[1].val.text  # type: ignore[union-attr]
+        if len(args) != 2 or args[0][0] != _STR or args[1][0] != _STR:
+            raise SyntaxParseError("re.range takes two string literals", pos)
+        lo, hi = args[0][1], args[1][1]
         if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
             return rx.Never()  # standard semantics: such a range denotes no characters
         return rx.CharClass(IntervalSet((Interval(ord(lo), ord(hi)),)))  # one range is normal
-    raise UnsupportedError(f"regex operator {head}", node.pos)
+    if head == "str.++":
+        words = [w for t in args for w in _words(t, declared)]
+        if not words:
+            raise SyntaxParseError("empty str.++", pos)
+        return words
+    if head == "and":
+        return [c for t in args for c in _constraints(t)]
+    if head == "or":
+        if not args:
+            raise SyntaxParseError("empty disjunction", pos)
+        return [Or(tuple(tuple(_constraints(t)) for t in args))]
+    if head in ("str.in_re", "str.in.re"):
+        if len(args) != 2:
+            raise SyntaxParseError("str.in_re takes a variable and a regex", pos)
+        return [Membership(_variable(args[0], declared), _regex(args[1]))]
+    if head in _FLIP:
+        if len(args) != 2:
+            raise UnsupportedError(f"non-binary {head}", pos)
+        return [_comparison(head, args[0], args[1], declared, pos)]
+    return args
+
+
+def _constraints(t: tuple) -> list[SurfaceConstraint]:
+    """A term in assert position, flattened over `and`."""
+    kind, val, pos, _ = t
+    if kind != _LIST or val[0] is None:
+        raise UnsupportedError("assertion that is not an application", pos)
+    if val[0] not in _CONSTRAINT_HEADS:
+        raise UnsupportedError(f"operator {val[0]}", pos)
+    return _value(val[1])
+
+
+def _is_length(t: tuple) -> bool:
+    return t[0] == _LIST and t[1][0] == "str.len" and len(t[1][1]) == 1
+
+
+def _comparison(op: str, a: tuple, b: tuple, declared: dict[str, str],
+                pos: int) -> SurfaceConstraint:
+    if _is_length(b):
+        a, b, op = b, a, _FLIP[op]
+    elif not _is_length(a):
+        if op != "=":
+            raise UnsupportedError(f"arithmetic comparison {op}", pos)
+        return _equation(a, b, declared, pos)
+    var = _variable(a[1][1][0], declared)
+    kind, bound, bound_pos, _ = b
+    if kind != _NUM:
+        raise UnsupportedError("length compared to a non-constant", bound_pos)
+    if bound < 0:
+        raise SyntaxParseError("negative length bound", bound_pos)
+    return Length(var, op, bound)
+
+
+def _equation(lhs: tuple, rhs: tuple, declared: dict[str, str], pos: int) -> Equation:
+    items = tuple(_words(rhs, declared))
+    kind, val, lhs_pos, _ = lhs
+    if kind == _SYM:
+        return Equation(Var(_variable(lhs, declared)), items)
+    if kind == _STR:
+        if any(isinstance(t, Var) for t in items):
+            raise UnsupportedError("equation with a literal left-hand side", pos)
+        return Equation(Lit(val), items)
+    raise UnsupportedError("equation left-hand side is not a variable", lhs_pos)
+
+
+def _words(t: tuple, declared: dict[str, str]) -> list[Var | Lit]:
+    kind, val, pos, _ = t
+    if kind == _SYM:
+        return [Var(_variable(t, declared))]
+    if kind == _STR:
+        return [Lit(val)]
+    if kind == _LIST and val[0] == "str.++":
+        return _value(val[1])
+    raise UnsupportedError("word term (expected variable, literal, or str.++)", pos)
+
+
+def _variable(t: tuple, declared: dict[str, str]) -> str:
+    kind, name, pos, _ = t
+    if kind != _SYM:
+        raise UnsupportedError("expected a variable", pos)
+    if name not in declared:
+        raise SyntaxParseError(f"undeclared variable {name!r}", pos)
+    return name
+
+
+def _regex(t: tuple) -> rx.Regex:
+    kind, val, pos, _ = t
+    if kind == _SYM:
+        if val not in _RE_SYMBOLS:
+            raise UnsupportedError(f"regex symbol {val}", pos)
+        return _RE_SYMBOLS[val]
+    if kind != _LIST or val[0] is None:
+        raise UnsupportedError("regex term", pos)
+    if val[0] not in _REGEX_HEADS:
+        raise UnsupportedError(f"regex operator {val[0]}", pos)
+    return _value(val[1])
+
+
+def _items(r: rx.Regex, cls: type) -> tuple[rx.Regex, ...]:
+    """The items of `r` if it is a `cls` (Concat or Union), else just `r`."""
+    return r.items if isinstance(r, cls) else (r,)
 
 
 def _char_parts(node: rx.Regex) -> tuple[Interval, ...]:
@@ -352,14 +360,6 @@ def _char_parts(node: rx.Regex) -> tuple[Interval, ...]:
     if isinstance(node, rx.CharClass):
         return node.chars.parts
     return (FULL,)  # AnyChar
-
-
-def _word_regex(w: str) -> rx.Regex:
-    if not w:
-        return rx.Epsilon()
-    if len(w) == 1:
-        return rx.Literal(ord(w))
-    return rx.Concat(tuple(rx.Literal(ord(ch)) for ch in w))
 
 
 # ---------------------------------------------------------------------------

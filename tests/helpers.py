@@ -1,6 +1,6 @@
 """Shared test utilities: seeded random generators, reference matchers,
 interval enumeration, the reference word split, the reference SMT-LIB
-reader, the reference `concat`, `product` and regex compile, renaming and
+readers, the reference `concat`, `product` and regex compile, renaming and
 automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from itertools import islice
 from operator import eq
 from typing import Iterator
 
 from strsolve import regex as rx
-from strsolve.constraints import Problem, make_problem
-from strsolve.errors import ResourceLimitError, SyntaxParseError
+from strsolve.constraints import (Equation, Length, Lit, Membership, Or, Problem,
+                                  SurfaceConstraint, Var, make_problem)
+from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import ENUM_CAP, FULL, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
                             Regex, Star, Union)
-from strsolve.smtlib import SNode, SStr
+from strsolve.smtlib import (_CLOSE, _FLIP, _IGNORED_COMMANDS, _NUMERAL, _OPEN, _QUOTED,
+                            _STRAY, _STRING, _TOKEN, _WORD, MAX_NUMERAL_DIGITS, SmtScript,
+                            _decode_string)
 from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, Transition,
                            accepts, remove_unreachable, snfa)
 
@@ -279,6 +283,268 @@ def split_word_scan(a1: SNfa, a2: SNfa, w: str) -> tuple[str, str] | None:
     return None
 
 
+# The SMT-LIB reader as it was before `parse_smt` reduced each list at its
+# `)`: `_read_all` builds a tree of SNodes, and recursive interpreters walk
+# it top-down. `parse_smt` must give the same script, or raise the same
+# error at the same offset.
+
+@dataclass(frozen=True)
+class SStr:
+    """A decoded string literal (kept distinct from symbols)."""
+    text: str
+
+
+class SNode:
+    """An s-expression node and the offset where it starts in the source."""
+
+    __slots__ = ("val", "pos")
+
+    def __init__(self, val: object, pos: int):
+        self.val = val  # str symbol | int | SStr | tuple[SNode, ...]
+        self.pos = pos
+
+
+def _read_all(src: str) -> list[SNode]:
+    stack: list[tuple[list[SNode], int]] = []
+    top: list[SNode] = []
+    for m in _TOKEN.finditer(src):
+        kind = m.lastindex
+        if kind == _OPEN:
+            stack.append((top, m.end() - 1))
+            top = []
+        elif kind == _CLOSE:
+            if not stack:
+                raise SyntaxParseError("unbalanced )", m.end() - 1)
+            parent, open_pos = stack.pop()
+            parent.append(SNode(tuple(top), open_pos))
+            top = parent
+        elif kind == _WORD:
+            top.append(SNode(m[kind], m.start(kind)))
+        elif kind == _STRING:
+            pos = m.start(kind) - 1  # the opening quote
+            top.append(SNode(SStr(_decode_string(m[kind], pos)), pos))
+        elif kind == _QUOTED:
+            top.append(SNode(m[kind], m.start(kind) - 1))
+        elif kind == _NUMERAL:
+            text = m[kind]
+            if len(text) - (text[0] == "-") > MAX_NUMERAL_DIGITS:
+                raise SyntaxParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits",
+                                       m.start(kind))
+            top.append(SNode(int(text), m.start(kind)))
+        elif kind == _STRAY:
+            if m[kind] == '"':
+                raise SyntaxParseError("unterminated string literal", m.start(kind))
+            raise SyntaxParseError("unterminated quoted symbol", m.start(kind))
+    if stack:
+        raise SyntaxParseError("unbalanced (", stack[-1][1])
+    return top
+
+
+def parse_smt_reference(src: str) -> SmtScript:
+    """Parse an SMT-LIB script in the supported string fragment."""
+    declarations: list[tuple[str, str]] = []
+    declared: set[str] = set()
+    assertions: list[SurfaceConstraint] = []
+    has_check_sat = False
+    for node in _read_all(src):
+        if not isinstance(node.val, tuple) or not node.val:
+            raise SyntaxParseError("expected a command", node.pos)
+        head = node.val[0].val
+        args = node.val[1:]
+        if head in _IGNORED_COMMANDS:
+            continue
+        if head == "check-sat":
+            has_check_sat = True
+            continue
+        if head in ("declare-fun", "declare-const"):
+            name, sort = _declaration(head, args, node.pos)
+            if name in declared:
+                raise SyntaxParseError(f"duplicate declaration of {name!r}", node.pos)
+            declared.add(name)
+            declarations.append((name, sort))
+            continue
+        if head == "assert":
+            if len(args) != 1:
+                raise SyntaxParseError("assert takes exactly one term", node.pos)
+            assertions.extend(_constraints(args[0], declared))
+            continue
+        raise UnsupportedError(f"command {head}", node.pos)
+    return SmtScript(tuple(declarations), tuple(assertions), has_check_sat)
+
+
+def _declaration(head: str, args: tuple[SNode, ...], pos: int) -> tuple[str, str]:
+    if head == "declare-fun":
+        if len(args) != 3 or not isinstance(args[0].val, str):
+            raise SyntaxParseError("malformed declare-fun", pos)
+        if args[1].val != ():
+            raise UnsupportedError("function declarations with arguments", pos)
+        name, sort = args[0].val, args[2].val
+    else:
+        if len(args) != 2 or not isinstance(args[0].val, str):
+            raise SyntaxParseError("malformed declare-const", pos)
+        name, sort = args[0].val, args[1].val
+    if sort != "String":
+        raise UnsupportedError(f"sort {sort}", pos)
+    return name, "String"
+
+
+def _constraints(node: SNode, declared: set[str]) -> list[SurfaceConstraint]:
+    """A term in assert position, flattened over `and`."""
+    if not isinstance(node.val, tuple) or not node.val:
+        raise UnsupportedError("assertion that is not an application", node.pos)
+    head = node.val[0].val
+    args = node.val[1:]
+    if head == "and":
+        out: list[SurfaceConstraint] = []
+        for a in args:
+            out.extend(_constraints(a, declared))
+        return out
+    if head == "or":
+        if not args:
+            raise SyntaxParseError("empty disjunction", node.pos)
+        return [Or(tuple(tuple(_constraints(a, declared)) for a in args))]
+    if head in ("str.in_re", "str.in.re"):
+        if len(args) != 2:
+            raise SyntaxParseError("str.in_re takes a variable and a regex", node.pos)
+        var = _variable(args[0], declared)
+        return [Membership(var, _regex(args[1]))]
+    if head in ("<", "<=", "=", ">=", ">"):
+        if len(args) != 2:
+            raise UnsupportedError(f"non-binary {head}", node.pos)
+        return [_comparison(head, args[0], args[1], declared, node.pos)]
+    raise UnsupportedError(f"operator {head}", node.pos)
+
+
+def _is_strlen(node: SNode) -> bool:
+    return (isinstance(node.val, tuple) and len(node.val) == 2
+            and node.val[0].val == "str.len")
+
+
+def _comparison(op: str, a: SNode, b: SNode, declared: set[str], pos: int) -> SurfaceConstraint:
+    if _is_strlen(a) or _is_strlen(b):
+        if _is_strlen(b):
+            a, b = b, a
+            op = _FLIP[op]
+        var = _variable(a.val[1], declared)  # type: ignore[index]
+        if not isinstance(b.val, int):
+            raise UnsupportedError("length compared to a non-constant", b.pos)
+        if b.val < 0:
+            raise SyntaxParseError("negative length bound", b.pos)
+        return Length(var, op, b.val)
+    if op != "=":
+        raise UnsupportedError(f"arithmetic comparison {op}", pos)
+    return _equation(a, b, declared, pos)
+
+
+def _equation(lhs: SNode, rhs: SNode, declared: set[str], pos: int) -> Equation:
+    items = _word_items(rhs, declared)
+    if isinstance(lhs.val, str):
+        return Equation(Var(_variable(lhs, declared)), tuple(items))
+    if isinstance(lhs.val, SStr):
+        if any(isinstance(t, Var) for t in items):
+            raise UnsupportedError("equation with a literal left-hand side", pos)
+        return Equation(Lit(lhs.val.text), tuple(items))
+    raise UnsupportedError("equation left-hand side is not a variable", lhs.pos)
+
+
+def _word_items(node: SNode, declared: set[str]) -> list[Var | Lit]:
+    if isinstance(node.val, str):
+        return [Var(_variable(node, declared))]
+    if isinstance(node.val, SStr):
+        return [Lit(node.val.text)]
+    if isinstance(node.val, tuple) and node.val and node.val[0].val == "str.++":
+        out: list[Var | Lit] = []
+        for part in node.val[1:]:
+            out.extend(_word_items(part, declared))
+        if not out:
+            raise SyntaxParseError("empty str.++", node.pos)
+        return out
+    raise UnsupportedError("word term (expected variable, literal, or str.++)", node.pos)
+
+
+def _variable(node: SNode, declared: set[str]) -> str:
+    if not isinstance(node.val, str):
+        raise UnsupportedError("expected a variable", node.pos)
+    if node.val not in declared:
+        raise SyntaxParseError(f"undeclared variable {node.val!r}", node.pos)
+    return node.val
+
+
+_CHARLIKE = (rx.Literal, rx.CharClass, rx.AnyChar)
+
+
+def _regex(node: SNode) -> rx.Regex:
+    if isinstance(node.val, str):
+        if node.val == "re.allchar":
+            return rx.AnyChar()
+        if node.val == "re.all":
+            return rx.Star(rx.AnyChar())
+        if node.val == "re.none":
+            return rx.Never()
+        raise UnsupportedError(f"regex symbol {node.val}", node.pos)
+    if not isinstance(node.val, tuple) or not node.val:
+        raise UnsupportedError("regex term", node.pos)
+    head = node.val[0].val
+    args = node.val[1:]
+    if head in ("str.to_re", "str.to.re"):
+        if len(args) != 1 or not isinstance(args[0].val, SStr):
+            raise SyntaxParseError("str.to_re takes one string literal", node.pos)
+        return _word_regex(args[0].val.text)
+    if head == "re.++":
+        items: list[rx.Regex] = []
+        for a in args:
+            sub = _regex(a)
+            if isinstance(sub, rx.Concat):
+                items.extend(sub.items)
+            elif not isinstance(sub, rx.Epsilon):
+                items.append(sub)
+        if not items:
+            return rx.Epsilon()
+        return items[0] if len(items) == 1 else rx.Concat(tuple(items))
+    if head == "re.union":
+        items = []
+        for a in args:
+            sub = _regex(a)
+            if isinstance(sub, rx.Union):
+                items.extend(sub.items)
+            else:
+                items.append(sub)
+        if not items:
+            raise SyntaxParseError("empty re.union", node.pos)
+        if len(items) > 1 and all(isinstance(x, _CHARLIKE) for x in items):
+            return rx.CharClass(IntervalSet.normalize(p for x in items for p in _char_parts(x)))
+        return items[0] if len(items) == 1 else rx.Union(tuple(items))
+    if head in ("re.*", "re.+", "re.opt"):
+        if len(args) != 1:
+            raise SyntaxParseError(f"{head} takes one regex", node.pos)
+        inner = _regex(args[0])
+        return {"re.*": rx.Star, "re.+": rx.Plus, "re.opt": rx.Opt}[head](inner)
+    if head == "re.range":
+        if len(args) != 2 or not (isinstance(args[0].val, SStr) and isinstance(args[1].val, SStr)):
+            raise SyntaxParseError("re.range takes two string literals", node.pos)
+        lo, hi = args[0].val.text, args[1].val.text  # type: ignore[union-attr]
+        if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
+            return rx.Never()  # standard semantics: such a range denotes no characters
+        return rx.CharClass(IntervalSet((Interval(ord(lo), ord(hi)),)))  # one range is normal
+    raise UnsupportedError(f"regex operator {head}", node.pos)
+
+
+def _char_parts(node: rx.Regex) -> tuple[Interval, ...]:
+    if isinstance(node, rx.Literal):
+        return (Interval(node.cp, node.cp),)
+    if isinstance(node, rx.CharClass):
+        return node.chars.parts
+    return (FULL,)  # AnyChar
+
+
+def _word_regex(w: str) -> rx.Regex:
+    if not w:
+        return rx.Epsilon()
+    if len(w) == 1:
+        return rx.Literal(ord(w))
+    return rx.Concat(tuple(rx.Literal(ord(ch)) for ch in w))
+
+
 def _decode_string_scan(raw: str, pos: int) -> str:
     """Decode the inside of an SMT string literal: "" is a quote, \\u{H+} and
     \\uHHHH are code points, any other backslash stands for itself."""
@@ -368,7 +634,7 @@ def _tokenize_scan(src: str) -> Iterator[tuple[str, object, int]]:
 
 def read_all_scan(src: str) -> list[SNode]:
     """Reference reader: a character-at-a-time tokenizer and decoder feeding a
-    stack of open lists. `smtlib._read_all` must give the same nodes, or
+    stack of open lists. `_read_all` above must give the same nodes, or
     raise the same error at the same position."""
     stack: list[tuple[list[SNode], int]] = []
     top: list[SNode] = []

@@ -17,7 +17,8 @@ def test_removed_duplicates_stay_removed():
                               ("snfa", "_int_adjacency"), ("snfa", "rename"),
                               ("snfa", "_out"), ("smtlib", "_tokenize"),
                               ("snfa", "StateId"), ("snfa", "_reached_keys"),
-                              ("regex", "_without_never"), ("constraints", "validate_problem")):
+                              ("regex", "_without_never"), ("constraints", "validate_problem"),
+                              ("smtlib", "SNode"), ("smtlib", "SStr"), ("smtlib", "_read_all")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name

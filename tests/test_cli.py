@@ -177,14 +177,15 @@ def test_dump_dot_reuses_the_solve(tmp_path, monkeypatch):
 
 
 def test_solve_deep_nesting_exit(tmp_path):
+    # re.++ flattens, so 1500 levels of it are one concatenation that solves
     term = '(str.to_re "a")'
     for _ in range(1500):
         term = f'(re.++ {term} (str.to_re "b"))'
     f = tmp_path / "deep.smt2"
     f.write_text(f"(declare-const x String)(assert (str.in_re x {term}))(check-sat)")
-    proc = run_cli("solve", str(f))
-    assert proc.returncode == 1
-    assert proc.stderr == "error: input nested too deeply\n"
+    proc = run_cli("solve", str(f), "--model")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["sat", f'(define-fun x () String "a{"b" * 1500}")']
 
 
 def test_solve_path_api(tmp_path):
@@ -244,8 +245,8 @@ def test_bench_outcome_comes_from_the_exception(tmp_path):
 
 
 def test_bench_kills_a_parse_at_the_timeout(tmp_path):
-    # parsing this file alone takes well over 1 s, and no deadline check
-    # runs inside the parser: only the parent's kill stops it in time
+    # parsing this file alone takes well over 1 s; the child's parser stops
+    # at its deadline, and the parent's kill stops the child in any case
     (tmp_path / "slow.smt2").write_text(
         "(declare-const x String)" + '(assert (str.in_re x (str.to_re "ab")))' * 100_000)
     start = time.monotonic()
@@ -386,12 +387,23 @@ def test_usage_error_and_help_exit_codes():
         assert proc.stdout.startswith("usage: strsolve")
 
 
+def test_parse_stops_at_the_deadline(tmp_path, monkeypatch):
+    # parsing this file alone takes seconds; the parser's own deadline check
+    # stops it, before desugaring could
+    f = tmp_path / "slow.smt2"
+    f.write_text("(declare-const x String)" + '(assert (str.in_re x (str.to_re "ab")))' * 100_000)
+    monkeypatch.setattr(cli, "desugar", None)
+    with pytest.raises(ResourceLimitError, match="time budget exhausted"):
+        solve_path(f, timeout_ms=200)
+
+
 def test_timeout_counts_the_parse(monkeypatch):
     # a parse that outlasts the timeout leaves no time for desugaring, which
     # checks the budget before its first constraint
-    def slow_parse(src):
+    def slow_parse(src, budget):
+        script = parse_smt(src, budget)
         time.sleep(0.2)
-        return parse_smt(src)
+        return script
 
     concats = []
 

@@ -1,14 +1,16 @@
+import time
+
 import pytest
-from helpers import read_all_scan
+from helpers import CountingBudget, parse_smt_reference, read_all_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strsolve import regex as rx
-from strsolve import smtlib
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
-from strsolve.errors import StrSolveError, SyntaxParseError, UnsupportedError
+from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
 from strsolve.smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt, print_smt
+from strsolve.snfa import Budget
 
 
 def test_parse_simple_membership():
@@ -137,11 +139,19 @@ def test_literal_equality_allowed():
     ('(declare-const x String)(assert (< (str.len x) y))', "non-constant"),
     ('(declare-const x String)(assert (< x 3))', "arithmetic comparison"),
     ('(declare-const x String)(assert x)', "not an application"),
+    # a head or sort that is not a symbol is named by its source text; a
+    # needle that names the offset is the whole message
+    ('(declare-fun w () (Array Int Int))', "unsupported: sort (Array Int Int) (at offset 0)"),
+    ('(declare-const x "S")', 'unsupported: sort "S" (at offset 0)'),
+    ('(declare-const x String)(assert ((f) x))', "unsupported: operator (f) (at offset 32)"),
+    ('((set-logic))', "unsupported: command (set-logic) (at offset 0)"),
 ])
 def test_unsupported_inputs(src, needle):
     with pytest.raises(UnsupportedError) as err:
         parse_smt(src)
     assert needle in str(err.value)
+    if "(at offset" in needle:
+        assert str(err.value) == needle
 
 
 @pytest.mark.parametrize("src", [
@@ -184,21 +194,130 @@ reader_src = st.one_of(st.text(alphabet=READER_ALPHABET, max_size=40),
                        st.lists(st.sampled_from(READER_PIECES), max_size=20).map("".join))
 
 
-def _tree(nodes):
-    return [(_tree(n.val) if isinstance(n.val, tuple) else n.val, n.pos) for n in nodes]
-
-
-def _read(read, src):
+def _outcome(parse, src):
     try:
-        return _tree(read(src))
+        return parse(src)
     except StrSolveError as err:
         return type(err), str(err), err.pos
+
+
+def _same_outcome(src):
+    """`parse_smt` gives the reference reader's script, or its error type,
+    message and offset. Where the reference names a head or sort that is not
+    a symbol by a Python repr, only the type and offset are compared."""
+    got, want = _outcome(parse_smt, src), _outcome(parse_smt_reference, src)
+    if isinstance(want, tuple) and ("object at 0x" in want[1] or "SStr(" in want[1]):
+        return isinstance(got, tuple) and (got[0], got[2]) == (want[0], want[2])
+    return got == want
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(reader_src)
 def test_reader_matches_the_character_scanner(src):
-    assert _read(smtlib._read_all, src) == _read(read_all_scan, src)
+    # a text error is the character scanner's; any other outcome is the
+    # reference reader's
+    try:
+        read_all_scan(src)
+    except StrSolveError as err:
+        assert _outcome(parse_smt, src) == (type(err), str(err), err.pos)
+    else:
+        assert _same_outcome(src)
+
+
+# Scripts of 1-5 commands whose terms, up to depth 5, mostly follow the
+# grammar, so that they reach deep operators, but not always: about one
+# argument in seven is of another sort or anything, one head in ten is any
+# head (every supported operator and command, unsupported ones, and heads
+# that are not symbols), and one list in five takes 0-3 arguments whatever
+# its arity. One script in ten has a (, ), " or | inserted. Most scripts
+# are rejected somewhere, which is the point: several errors compete.
+HEADS = ["and", "or", "str.in_re", "str.in.re", "<", "<=", "=", ">=", ">", "str.len", "str.++",
+         "str.to_re", "str.to.re", "re.++", "re.union", "re.*", "re.+", "re.opt", "re.range",
+         "assert", "declare-fun", "declare-const", "check-sat", "set-logic", "set-info", "exit",
+         "push", "str.contains", "re.comp", "|re.*|", '"and"', "-1", "(f)", "()"]
+# leaves of each sort: constraint, regex, word, length, variable, string
+# literal, numeral, and anything
+LEAVES = {"c": ["(str.in_re y re.all)", "(= x y)", '(= "a" "a")'],
+          "r": ["re.allchar", "re.all", "re.none", '(str.to_re "ab")', '(re.range "a" "c")'],
+          "w": ["x", "y", "|x|", '"a"', '""', '"q""q"'],
+          "l": ["(str.len x)"],
+          "v": ["x", "y", "|x|", "x", "y", "z"],
+          "s": ['""', '"a"', '"ab"', '"\\u{62}"', '"\\u0063d"'],
+          "n": ["0", "3", "-2", "007"]}
+LEAVES["any"] = [leaf for leaves in LEAVES.values() for leaf in leaves] + ["()", "String", "y ()"]
+# the heads of each sort, with their argument sorts; the last one repeats
+OPERATORS = {"c": [("and", "c"), ("or", "c"), ("str.in_re", "vr"), ("str.in_re", "vr"),
+                   ("str.in.re", "vr"), ("=", "ww"), ("=", "ln"), ("=", "nl"), ("<", "ln"),
+                   ("<=", "nl"), (">=", "ln"), (">", "nl")],
+             "r": [("str.to_re", "s"), ("str.to.re", "s"), ("re.++", "r"), ("re.union", "r"),
+                   ("re.*", "r"), ("re.+", "r"), ("re.opt", "r"), ("re.range", "ss")],
+             "w": [("str.++", "w")],
+             "l": [("str.len", "v")]}
+VARIADIC = {"and", "or", "re.++", "re.union", "str.++"}
+_LEAF = {sort: st.sampled_from(leaves) for sort, leaves in LEAVES.items()}
+_OPERATOR = {sort: st.sampled_from(ops) for sort, ops in OPERATORS.items()}
+_HEAD = st.sampled_from(HEADS)
+_ARG_SORT = {sort: st.sampled_from([sort] * 25 + [*OPERATORS, "any"]) for sort in LEAVES}
+
+
+@st.composite
+def smt_term(draw, sort="c", depth=5):
+    roll = draw(st.integers(0, 799))  # four independent choices, in mixed radix
+    if sort not in OPERATORS or depth == 0 or roll % 4 == 0:
+        return draw(_LEAF[sort])
+    head, sorts = draw(_OPERATOR[sort])
+    if roll // 4 % 10 == 0:
+        head = draw(_HEAD)
+    if roll // 40 % 5 == 0:
+        sorts = sorts[-1] * (roll // 200)
+    elif head in VARIADIC:
+        sorts = sorts * (1 + roll // 200 % 3)
+    args = [draw(smt_term(draw(_ARG_SORT[arg]), depth - 1)) for arg in sorts]
+    return "(" + " ".join([head, *args]) + ")"
+
+
+# commands: mostly assertions, which the declarations usually precede
+assertion = smt_term().map("(assert {})".format)
+smt_command = st.one_of(assertion, assertion, assertion, assertion, assertion,
+                        st.sampled_from(["c", "r", "any"]).flatmap(smt_term),
+                        st.sampled_from(["(declare-fun y () String)", "(check-sat)",
+                                         "(set-info :status sat)"]))
+
+
+@st.composite
+def smt_script(draw):
+    src = draw(st.sampled_from(["(declare-const x String)(declare-fun y () String)"] * 3
+                               + ["(declare-const x String)", ""]))
+    src += "".join(draw(st.lists(smt_command, min_size=1, max_size=5)))
+    at = draw(st.integers(0, len(src)))
+    return src[:at] + draw(st.sampled_from([""] * 36 + ["(", ")", '"', "|"])) + src[at:]
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(smt_script())
+def test_parse_matches_the_reference_reader(src):
+    assert _same_outcome(src)
+
+
+def test_deeply_nested_terms_parse():
+    # nothing recurses: walk the results iteratively, as == on them would not
+    depth = 100_000
+    src = DECL + "(assert (str.in_re x " + "(re.* " * depth + '(str.to_re "a")' + ")" * depth + "))"
+    (membership,) = parse_smt(src).assertions
+    node, stars = membership.regex, 0
+    while isinstance(node, rx.Star):
+        node, stars = node.item, stars + 1
+    assert stars == depth and isinstance(node, rx.Literal) and node.cp == ord("a")
+    src = DECL + "(assert " + "(and " * depth + "(str.in_re x re.all)" + ")" * depth + ")"
+    assert parse_smt(src).assertions == (Membership("x", rx.Star(rx.AnyChar())),)
+
+
+def test_parse_checks_the_budget_every_stride_of_tokens():
+    budget = CountingBudget()
+    parse_smt("(check-sat)" * 1000, budget)  # 3000 tokens
+    assert budget.checked == [0, 0, 0]
+    with pytest.raises(ResourceLimitError, match="time budget exhausted"):
+        parse_smt("(check-sat)", Budget(deadline=time.monotonic() - 1))
 
 
 def test_comments_and_ignored_commands():
