@@ -10,6 +10,7 @@ production code paths they check.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import islice
@@ -23,9 +24,7 @@ from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedErr
 from strsolve.intervals import ENUM_CAP, FULL, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
                             Regex, Star, Union)
-from strsolve.smtlib import (_CLOSE, _FLIP, _IGNORED_COMMANDS, _NUMERAL, _OPEN, _QUOTED,
-                            _STRAY, _STRING, _TOKEN, _WORD, MAX_NUMERAL_DIGITS, SmtScript,
-                            _decode_string)
+from strsolve.smtlib import _FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript
 from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, Transition,
                            accepts, remove_unreachable, snfa)
 
@@ -302,6 +301,50 @@ class SNode:
     def __init__(self, val: object, pos: int):
         self.val = val  # str symbol | int | SStr | tuple[SNode, ...]
         self.pos = pos
+
+
+# The reader's token pattern, its group numbers and its string decoder as
+# they were when `parse_smt` first read in one pass, copied so that the
+# reference reader does not change along with the code it checks.
+_ESCAPE = re.compile(r'""|\\u(?:\{([^}]*)(\}?)|([0-9A-Fa-f]{4}))')
+
+
+def _decode_string(raw: str, pos: int) -> str:
+    """Decode the inside of an SMT string literal: "" is a quote, \\u{H+} and
+    \\uHHHH are code points, any other backslash stands for itself."""
+    if '"' not in raw and "\\u" not in raw:
+        return raw
+
+    def escape(m: re.Match) -> str:
+        kind = m.lastindex
+        if kind is None:
+            return '"'
+        if kind == 3:
+            return chr(int(m[3], 16))
+        if not m[2]:
+            raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
+        cp = rx.hex_value(m[1])
+        if cp is None:
+            raise SyntaxParseError("bad hex in \\u{...} escape", pos)
+        if cp > MAX_CODEPOINT:
+            raise SyntaxParseError("bad code point in \\u{...} escape", pos)
+        return chr(cp)
+
+    return _ESCAPE.sub(escape, raw)
+
+
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]+ | ;[^\n]*)*+
+    (?: (\()
+      | (\))
+      | "((?:[^"]*+"")*+[^"]*+)"
+      | \|([^|]*)\|
+      | (-?[0-9]++)(?![^ \t\r\n();"|])
+      | ([^ \t\r\n();"|]+)
+      | (.)
+      | \Z)
+""", re.VERBOSE | re.DOTALL)
+_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(1, 8)
 
 
 def _read_all(src: str) -> list[SNode]:
