@@ -8,9 +8,18 @@ equals parse(s), which the round-trip tests rely on.
 
 `parse_smt` makes one pass over the tokens on one explicit stack, so any
 nesting depth parses. Each list is reduced when its `)` arrives, from
-reduced arguments. A failed reduction is the list's value, raised only
-where the enclosing operator uses it: where a top-down reading meets it.
-A text error anywhere in the file wins over the first bad command's error.
+reduced arguments, by the reducer of its head. A failed reduction is the
+list's value, raised only where the enclosing operator uses it: where a
+top-down reading meets it. A text error anywhere in the file wins over the
+first bad command's error. `and`, `str.++` and `re.++` nest their
+operands' values, and the operator or command that uses a chain of them
+flattens it once, so a chain of any depth costs linear time.
+
+Reading is the largest front-end cost of a benchmark of many small
+scripts, so the loop makes few calls per token. A literal that is one
+\\u{...} escape is a token of its own, decoded without `_decode_string`:
+such literals are the characters of wide-Unicode classes, 32 832 of the
+45 921 literals of the smt_mix benchmark.
 """
 
 from __future__ import annotations
@@ -88,14 +97,20 @@ def encode_string(w: str) -> str:
 # One token per match, with the whitespace and comments before it, told
 # apart by `lastindex`: the groups below, or None for what trails the last
 # token. Whitespace is exactly space, tab, CR and LF (docs/smtlib-subset.md).
-# The string body is unrolled and possessive: it takes "" pairs from the
-# left, as a character scanner does, and does not backtrack to end an
-# unterminated literal at a doubled quote. A lone " or | that starts no
-# complete token falls through to the catch-all.
+# A literal that is exactly one \u{...} escape of 1-5 hex digits (at most
+# 0xFFFFF, a valid code point) is a token of its own, decoded in the loop
+# without `_decode_string`: each character of a wide-Unicode class is
+# written so, and such literals are 32 832 of the 45 921 literals of the
+# smt_mix benchmark. Its (?!") leaves `"\u{41}"""` to the general literal,
+# which reads the "" pair as a quote. The general body is unrolled and
+# possessive: it takes "" pairs from the left, as a character scanner does,
+# and does not backtrack to end an unterminated literal at a doubled quote.
+# A lone " or | that starts no complete token falls through to the catch-all.
 _TOKEN = re.compile(r"""
     (?:[ \t\r\n]+ | ;[^\n]*)*+
     (?: (\()
       | (\))
+      | "\\u\{([0-9A-Fa-f]{1,5})\}"(?!")
       | "((?:[^"]*+"")*+[^"]*+)"
       | \|([^|]*)\|
       | (-?[0-9]++)(?![^ \t\r\n();"|])
@@ -103,7 +118,7 @@ _TOKEN = re.compile(r"""
       | (.)
       | \Z)
 """, re.VERBOSE | re.DOTALL)
-_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(1, 8)
+_OPEN, _CLOSE, _CHAR, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(1, 9)
 # A numeral of more digits is a syntax error, before `int()` meets Python's
 # limit on converting long digit strings (4300 by default). Any length
 # bound of this many digits is far past every length cap anyway.
@@ -113,7 +128,8 @@ MAX_NUMERAL_DIGITS = 1000
 # A term is a tuple (kind, value, start, end) over src[start:end]. The value
 # of a symbol is its name, of a literal its decoded text, of a numeral its
 # int, and of a list (head, result): the name of its first term (None if it
-# is empty) and what `_reduce` made of the list, or the error that it raised.
+# is empty) and what its reducer made of the list, or the error that it
+# raised. A head without a reducer, `str.len` among them, keeps its args.
 _SYM, _STR, _NUM, _LIST = range(4)
 
 
@@ -127,9 +143,12 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
     held: StrSolveError | None = None  # the first command error
     stack: list[tuple[int, list]] = []  # (offset, terms) of each enclosing list
     terms: list = []  # of the innermost open list; at depth 0, stray atoms
-    for i, m in enumerate(_TOKEN.finditer(src)):
-        if not i % BUDGET_STRIDE:
+    countdown = 0  # tokens left before the next budget check
+    for m in _TOKEN.finditer(src):
+        if not countdown:
             budget.check(0)
+            countdown = BUDGET_STRIDE
+        countdown -= 1
         kind = m.lastindex
         if kind == _OPEN:
             stack.append((m.end() - 1, terms))
@@ -138,12 +157,21 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
             if not stack:
                 raise SyntaxParseError("unbalanced )", m.end() - 1)
             pos, parent = stack.pop()
-            head = _name(terms[0], src) if terms else None
+            if not terms:
+                head = None
+            elif terms[0][0] == _SYM:
+                head = terms[0][1]
+            else:
+                head = _name(terms[0], src)
             if stack:
-                try:
-                    result = _reduce(head, terms[1:], pos, declared)
-                except StrSolveError as err:
-                    result = err
+                reducer = _REDUCERS.get(head)
+                if reducer is None:
+                    result = terms[1:]
+                else:
+                    try:
+                        result = reducer(head, terms[1:], pos, declared)
+                    except StrSolveError as err:
+                        result = err
                 parent.append((_LIST, (head, result), pos, m.end()))
             elif held is None:
                 try:
@@ -157,21 +185,32 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
                     held = err
             terms = parent
         elif kind == _WORD:
-            terms.append((_SYM, m[kind], m.start(kind), m.end()))
+            text = m[kind]
+            end = m.end()
+            terms.append((_SYM, text, end - len(text), end))
+        elif kind == _CHAR:
+            digits = m[kind]
+            end = m.end()
+            terms.append((_STR, chr(int(digits, 16)), end - len(digits) - 6, end))
         elif kind == _STRING:
-            pos = m.start(kind) - 1  # the opening quote
-            terms.append((_STR, _decode_string(m[kind], pos), pos, m.end()))
+            raw = m[kind]
+            end = m.end()
+            pos = end - len(raw) - 2  # the opening quote
+            terms.append((_STR, _decode_string(raw, pos), pos, end))
         elif kind == _QUOTED:
-            terms.append((_SYM, m[kind], m.start(kind) - 1, m.end()))
+            text = m[kind]
+            end = m.end()
+            terms.append((_SYM, text, end - len(text) - 2, end))
         elif kind == _NUMERAL:
             text = m[kind]
+            end = m.end()
             if len(text) - (text[0] == "-") > MAX_NUMERAL_DIGITS:
                 raise SyntaxParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits",
-                                       m.start(kind))
-            terms.append((_NUM, int(text), m.start(kind), m.end()))
+                                       end - len(text))
+            terms.append((_NUM, int(text), end - len(text), end))
         elif kind == _STRAY:
             what = "string literal" if m[kind] == '"' else "quoted symbol"
-            raise SyntaxParseError(f"unterminated {what}", m.start(kind))
+            raise SyntaxParseError(f"unterminated {what}", m.end() - 1)
     if stack:
         raise SyntaxParseError("unbalanced (", stack[-1][0])
     if held is not None:
@@ -194,13 +233,34 @@ def _value(result: object):
     return result
 
 
+def _flatten(value) -> list:
+    """The leaves of `value`, in order: a list whose items may be lists, to
+    any depth, or else a leaf. `and`, `str.++` and `re.++` nest their
+    operands' values instead of copying them, which would be quadratic in a
+    chain's depth, and the command or operator that uses the whole chain
+    flattens it once."""
+    if type(value) is not list:
+        return [value]
+    out: list = []
+    todo = [iter(value)]
+    while todo:
+        for x in todo[-1]:
+            if type(x) is list:
+                todo.append(iter(x))
+                break
+            out.append(x)
+        else:
+            todo.pop()
+    return out
+
+
 def _command(head: str, args: list, pos: int, declared: dict[str, str],
              assertions: list[SurfaceConstraint], src: str) -> None:
     """Run the command `(head args...)` at `pos`, other than check-sat."""
     if head == "assert":
         if len(args) != 1:
             raise SyntaxParseError("assert takes exactly one term", pos)
-        assertions.extend(_constraints(args[0]))
+        assertions.extend(_flatten(_constraints(args[0])))
     elif head == "declare-fun" and (len(args) != 3 or args[0][0] != _SYM):
         raise SyntaxParseError("malformed declare-fun", pos)
     elif head == "declare-fun" and (args[1][0] != _LIST or args[1][1][0] is not None):
@@ -218,63 +278,83 @@ def _command(head: str, args: list, pos: int, declared: dict[str, str],
         raise UnsupportedError(f"command {head}", pos)
 
 
-def _reduce(head: str | None, args: list, pos: int, declared: dict[str, str]):
-    """The value of the list `(head args...)` at `pos`: a regex, word items
-    or constraints. Any other head, `str.len` among them, keeps its args."""
-    if head in ("str.to_re", "str.to.re", "re.++"):  # a concatenation
-        if head == "re.++":  # of its operands' items; no Concat holds an Epsilon
-            items = [x for t in args for x in _items(_regex(t), rx.Concat)
-                     if not isinstance(x, rx.Epsilon)]
-        elif len(args) != 1 or args[0][0] != _STR:
-            raise SyntaxParseError("str.to_re takes one string literal", pos)
-        else:  # of a literal's characters
-            items = [rx.Literal(ord(ch)) for ch in args[0][1]]
-        if not items:
-            return rx.Epsilon()
-        return items[0] if len(items) == 1 else rx.Concat(tuple(items))
-    if head == "re.union":
-        items = [x for t in args for x in _items(_regex(t), rx.Union)]
-        if not items:
-            raise SyntaxParseError("empty re.union", pos)
-        if len(items) > 1 and all(isinstance(x, (rx.Literal, rx.CharClass, rx.AnyChar))
-                                  for x in items):
-            return rx.CharClass(IntervalSet.normalize(p for x in items for p in _char_parts(x)))
-        return items[0] if len(items) == 1 else rx.Union(tuple(items))
-    if head in _REPEAT:
-        if len(args) != 1:
-            raise SyntaxParseError(f"{head} takes one regex", pos)
-        return _REPEAT[head](_regex(args[0]))
-    if head == "re.range":
-        if len(args) != 2 or args[0][0] != _STR or args[1][0] != _STR:
-            raise SyntaxParseError("re.range takes two string literals", pos)
-        lo, hi = args[0][1], args[1][1]
-        if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
-            return rx.Never()  # standard semantics: such a range denotes no characters
-        return rx.CharClass(IntervalSet((Interval(ord(lo), ord(hi)),)))  # one range is normal
-    if head == "str.++":
-        words = [w for t in args for w in _words(t, declared)]
-        if not words:
-            raise SyntaxParseError("empty str.++", pos)
-        return words
-    if head == "and":
-        return [c for t in args for c in _constraints(t)]
-    if head == "or":
-        if not args:
-            raise SyntaxParseError("empty disjunction", pos)
-        return [Or(tuple(tuple(_constraints(t)) for t in args))]
-    if head in ("str.in_re", "str.in.re"):
-        if len(args) != 2:
-            raise SyntaxParseError("str.in_re takes a variable and a regex", pos)
-        return [Membership(_variable(args[0], declared), _regex(args[1]))]
-    if head in _FLIP:
-        if len(args) != 2:
-            raise UnsupportedError(f"non-binary {head}", pos)
-        return [_comparison(head, args[0], args[1], declared, pos)]
-    return args
+# The reducers, by head in `_REDUCERS`: each makes the value of the list
+# `(head args...)` at `pos` from its reduced args, a regex, a word (nested
+# under `str.++`) or a constraint (nested under `and`), or raises.
+
+def _to_re(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:
+    if len(args) != 1 or args[0][0] != _STR:
+        raise SyntaxParseError("str.to_re takes one string literal", pos)
+    word = args[0][1]
+    if len(word) == 1:
+        return rx.Literal(ord(word))
+    return rx.Concat(tuple(map(rx.Literal, map(ord, word)))) if word else rx.Epsilon()
 
 
-def _constraints(t: tuple) -> list[SurfaceConstraint]:
-    """A term in assert position, flattened over `and`."""
+def _re_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> list:
+    """The operands of a `re.++`, those of a nested `re.++` as a list; `_regex`
+    makes the Concat."""
+    return [_regex_term(t) for t in args]
+
+
+def _re_union(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:
+    items = [x for t in args for x in _items(_regex(t), rx.Union)]
+    if not items:
+        raise SyntaxParseError("empty re.union", pos)
+    if len(items) == 1:
+        return items[0]
+    parts: list[Interval] = []  # of a union of only characters
+    for x in items:
+        if isinstance(x, rx.CharClass):
+            parts += x.chars.parts
+        elif isinstance(x, rx.Literal):
+            parts.append(Interval(x.cp, x.cp))
+        elif isinstance(x, rx.AnyChar):
+            parts.append(FULL)
+        else:
+            return rx.Union(tuple(items))
+    return rx.CharClass(IntervalSet.normalize(parts))
+
+
+def _repeat(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:
+    if len(args) != 1:
+        raise SyntaxParseError(f"{head} takes one regex", pos)
+    return _REPEAT[head](_regex(args[0]))
+
+
+def _re_range(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:
+    if len(args) != 2 or args[0][0] != _STR or args[1][0] != _STR:
+        raise SyntaxParseError("re.range takes two string literals", pos)
+    lo, hi = args[0][1], args[1][1]
+    if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
+        return rx.Never()  # standard semantics: such a range denotes no characters
+    return rx.CharClass(IntervalSet((Interval(ord(lo), ord(hi)),)))  # one range is normal
+
+
+def _str_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> list:
+    if not args:  # an operand is never empty: a nested empty str.++ raises
+        raise SyntaxParseError("empty str.++", pos)
+    return [_word(t, declared) for t in args]
+
+
+def _and(head: str, args: list, pos: int, declared: dict[str, str]) -> list:
+    return [_constraints(t) for t in args]
+
+
+def _or(head: str, args: list, pos: int, declared: dict[str, str]) -> Or:
+    if not args:
+        raise SyntaxParseError("empty disjunction", pos)
+    return Or(tuple(tuple(_flatten(_constraints(t))) for t in args))
+
+
+def _in_re(head: str, args: list, pos: int, declared: dict[str, str]) -> Membership:
+    if len(args) != 2:
+        raise SyntaxParseError("str.in_re takes a variable and a regex", pos)
+    return Membership(_variable(args[0], declared), _regex(args[1]))
+
+
+def _constraints(t: tuple):
+    """A term in assert position: a constraint, or the nested list of an `and`."""
     kind, val, pos, _ = t
     if kind != _LIST or val[0] is None:
         raise UnsupportedError("assertion that is not an application", pos)
@@ -287,8 +367,10 @@ def _is_length(t: tuple) -> bool:
     return t[0] == _LIST and t[1][0] == "str.len" and len(t[1][1]) == 1
 
 
-def _comparison(op: str, a: tuple, b: tuple, declared: dict[str, str],
-                pos: int) -> SurfaceConstraint:
+def _comparison(op: str, args: list, pos: int, declared: dict[str, str]) -> SurfaceConstraint:
+    if len(args) != 2:
+        raise UnsupportedError(f"non-binary {op}", pos)
+    a, b = args
     if _is_length(b):
         a, b, op = b, a, _FLIP[op]
     elif not _is_length(a):
@@ -305,7 +387,7 @@ def _comparison(op: str, a: tuple, b: tuple, declared: dict[str, str],
 
 
 def _equation(lhs: tuple, rhs: tuple, declared: dict[str, str], pos: int) -> Equation:
-    items = tuple(_words(rhs, declared))
+    items = tuple(_flatten(_word(rhs, declared)))
     kind, val, lhs_pos, _ = lhs
     if kind == _SYM:
         return Equation(Var(_variable(lhs, declared)), items)
@@ -316,12 +398,13 @@ def _equation(lhs: tuple, rhs: tuple, declared: dict[str, str], pos: int) -> Equ
     raise UnsupportedError("equation left-hand side is not a variable", lhs_pos)
 
 
-def _words(t: tuple, declared: dict[str, str]) -> list[Var | Lit]:
+def _word(t: tuple, declared: dict[str, str]) -> Var | Lit | list:
+    """A word term: a variable, a literal, or the nested list of a `str.++`."""
     kind, val, pos, _ = t
     if kind == _SYM:
-        return [Var(_variable(t, declared))]
+        return Var(_variable(t, declared))
     if kind == _STR:
-        return [Lit(val)]
+        return Lit(val)
     if kind == _LIST and val[0] == "str.++":
         return _value(val[1])
     raise UnsupportedError("word term (expected variable, literal, or str.++)", pos)
@@ -336,7 +419,8 @@ def _variable(t: tuple, declared: dict[str, str]) -> str:
     return name
 
 
-def _regex(t: tuple) -> rx.Regex:
+def _regex_term(t: tuple) -> rx.Regex | list:
+    """A regex term: a regex, or the operand list of a `re.++`."""
     kind, val, pos, _ = t
     if kind == _SYM:
         if val not in _RE_SYMBOLS:
@@ -349,17 +433,29 @@ def _regex(t: tuple) -> rx.Regex:
     return _value(val[1])
 
 
+def _regex(t: tuple) -> rx.Regex:
+    """A regex term's regex. A `re.++` is the Concat of its operands' items,
+    those of a nested `re.++` or Concat spliced in; no Concat holds an
+    Epsilon."""
+    r = _regex_term(t)
+    if type(r) is not list:
+        return r
+    items = [x for operand in _flatten(r) for x in _items(operand, rx.Concat)
+             if not isinstance(x, rx.Epsilon)]
+    if not items:
+        return rx.Epsilon()
+    return items[0] if len(items) == 1 else rx.Concat(tuple(items))
+
+
 def _items(r: rx.Regex, cls: type) -> tuple[rx.Regex, ...]:
     """The items of `r` if it is a `cls` (Concat or Union), else just `r`."""
     return r.items if isinstance(r, cls) else (r,)
 
 
-def _char_parts(node: rx.Regex) -> tuple[Interval, ...]:
-    if isinstance(node, rx.Literal):
-        return (Interval(node.cp, node.cp),)
-    if isinstance(node, rx.CharClass):
-        return node.chars.parts
-    return (FULL,)  # AnyChar
+_REDUCERS = {"str.to_re": _to_re, "str.to.re": _to_re, "re.++": _re_concat,
+             "re.union": _re_union, **dict.fromkeys(_REPEAT, _repeat), "re.range": _re_range,
+             "str.++": _str_concat, "and": _and, "or": _or, "str.in_re": _in_re,
+             "str.in.re": _in_re, **dict.fromkeys(_FLIP, _comparison)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import random
 import time
 
 import pytest
 from helpers import CountingBudget, parse_smt_reference, read_all_scan
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strsolve import regex as rx
@@ -10,7 +11,7 @@ from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
 from strsolve.smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt, print_smt
-from strsolve.snfa import Budget
+from strsolve.snfa import BUDGET_STRIDE, Budget
 
 
 def test_parse_simple_membership():
@@ -293,8 +294,16 @@ def smt_script(draw):
     return src[:at] + draw(st.sampled_from([""] * 36 + ["(", ")", '"', "|"])) + src[at:]
 
 
+# a script of the wide-Unicode family of the smt_mix benchmark, whose
+# literals are each one \u{...} escape
+WIDE_UNICODE = ('(declare-fun u () String)(assert (str.in_re u (re.+ (re.union '
+                '(re.range "\\u{a0}" "\\u{b5f}") (re.range "\\u{1f600}" "\\u{1f64f}") '
+                '(re.range "\\u{2fffe}" "\\u{2ffff}")))))(assert (<= (str.len u) 3))(check-sat)')
+
+
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(smt_script())
+@example(WIDE_UNICODE)
 def test_parse_matches_the_reference_reader(src):
     assert _same_outcome(src)
 
@@ -312,10 +321,113 @@ def test_deeply_nested_terms_parse():
     assert parse_smt(src).assertions == (Membership("x", rx.Star(rx.AnyChar())),)
 
 
+CHAIN_DEPTH = 40_000
+# a chain of each flattening operator nested in its last argument, and its
+# flat value
+CHAINS = {
+    "and": ("(assert " + "(and (str.in_re x re.all) " * CHAIN_DEPTH + "(str.in_re x re.all)"
+            + ")" * CHAIN_DEPTH + ")",
+            (Membership("x", rx.Star(rx.AnyChar())),) * (CHAIN_DEPTH + 1)),
+    "str.++": ("(assert (= x " + '(str.++ "a" ' * CHAIN_DEPTH + "x" + ")" * CHAIN_DEPTH + "))",
+               (Equation(Var("x"), (Lit("a"),) * CHAIN_DEPTH + (Var("x"),)),)),
+    "re.++": ("(assert (str.in_re x " + "(re.++ re.allchar " * CHAIN_DEPTH + "re.all"
+              + ")" * CHAIN_DEPTH + "))",
+              (Membership("x", rx.Concat((rx.AnyChar(),) * CHAIN_DEPTH
+                                         + (rx.Star(rx.AnyChar()),))),)),
+}
+
+
+@pytest.mark.parametrize("op", CHAINS)
+def test_chains_nested_in_the_last_argument_flatten_in_linear_time(op):
+    # copying each operand's items at every level took 15 s for 20 000
+    # levels of re.++; CPU time, as a shared machine slows the wall clock
+    src, flat = CHAINS[op]
+    start = time.process_time()
+    script = parse_smt(DECL + src)
+    assert time.process_time() - start < 1.0
+    assert script.assertions == flat
+
+
+# Literals that are one \u{...} escape, read by a token of their own, and
+# their neighbours, read by the general literal: a "" after the escape, 6 or
+# more digits, and malformed escapes.
+ONE_ESCAPE_LITERALS = ['"\\u{41}"""', '"\\u{0}"', '"\\u{FFFFF}"', '"\\u{10FFFF}"',
+                       '"\\u{0000041}"', '"\\u{110000}"', '"\\u{}"', '"\\u{41"', '"\\u{4g}"',
+                       '"\\u0041"']
+
+
+def _same_as_scanner_and_reference(src):
+    """The outcome of `parse_smt`: the reference reader's, and the character
+    scanner's error where it finds one."""
+    got = _outcome(parse_smt, src)
+    assert got == _outcome(parse_smt_reference, src)
+    try:
+        read_all_scan(src)
+    except StrSolveError as err:
+        assert got == (type(err), str(err), err.pos)
+    return got
+
+
+@pytest.mark.parametrize("literal", ONE_ESCAPE_LITERALS)
+def test_one_escape_literals_read_as_the_scanner_reads_them(literal):
+    got = _same_as_scanner_and_reference(DECL + f"(assert (= x {literal}))")
+    try:
+        (node,) = read_all_scan(literal)
+    except StrSolveError:
+        assert isinstance(got, tuple)
+    else:
+        assert got.assertions == (Equation(Var("x"), (Lit(node.val.text),)),)
+
+
+def test_one_escape_literal_as_a_stray_atom_and_as_a_sort():
+    at = len(DECL)
+    for src in (DECL + '"\\u{41}"', DECL + ' "\\u{41}"(check-sat)'):
+        got = _same_as_scanner_and_reference(src)
+        assert got == (SyntaxParseError, f"expected a command (at offset {at + (src[at] == ' ')})",
+                       at + (src[at] == " "))
+    # the reference names a sort that is not a symbol by a Python repr
+    src = '(declare-fun x ()  "\\u{53}")'
+    assert _outcome(parse_smt_reference, src)[::2] == (UnsupportedError, 0)
+    assert _outcome(parse_smt, src) == (UnsupportedError,
+                                        'unsupported: sort "\\u{53}" (at offset 0)', 0)
+
+
+def test_union_of_ranges_with_one_escape_bounds():
+    # 60 ranges: bounds of one character in order, reversed and equal, and
+    # bounds of two or no characters
+    def literal(*cps):
+        return '"' + "".join(f"\\u{{{cp:x}}}" for cp in cps) + '"'
+
+    rng = random.Random(12)
+    ranges = []
+    for i in range(60):
+        lo, hi = sorted(rng.randrange(0xA0, 0x30000) for _ in range(2))
+        bounds = [(literal(lo), literal(hi)), (literal(hi), literal(lo)),
+                  (literal(lo), literal(lo)), (literal(lo, 0x41), literal(hi)),
+                  (literal(lo), literal())][i % 5]
+        ranges.append("(re.range {} {})".format(*bounds))
+    in_order = [r for i, r in enumerate(ranges) if i % 5 in (0, 2)]  # one-character bounds, lo <= hi
+    src = DECL + "".join(f"(assert (str.in_re x (re.union {' '.join(rs)})))"
+                         for rs in (ranges, in_order))
+    mixed, chars = _same_as_scanner_and_reference(src).assertions
+    # a range of no characters is re.none, and keeps the union a Union
+    assert len(mixed.regex.items) == 60 and rx.Never() in mixed.regex.items
+    assert isinstance(chars.regex, rx.CharClass)
+
+
 def test_parse_checks_the_budget_every_stride_of_tokens():
     budget = CountingBudget()
     parse_smt("(check-sat)" * 1000, budget)  # 3000 tokens
     assert budget.checked == [0, 0, 0]
+    budget = CountingBudget()
+    parse_smt("(set-info :k" + ' "\\u{41}"' * 2996 + ")", budget)  # 3000 tokens
+    assert budget.checked == [0, 0, 0]
+    # the match of what trails the last token is one more: a stride of
+    # tokens ends the text, or it starts a second stride
+    for literals, checks in ((BUDGET_STRIDE - 5, [0]), (BUDGET_STRIDE - 4, [0, 0])):
+        budget = CountingBudget()
+        parse_smt("(set-info :k" + ' "\\u{41}"' * literals + ")", budget)
+        assert budget.checked == checks
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         parse_smt("(check-sat)", Budget(deadline=time.monotonic() - 1))
 
