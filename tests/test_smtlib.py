@@ -380,13 +380,12 @@ def test_one_escape_literals_read_as_the_scanner_reads_them(literal):
 
 
 def test_one_escape_literal_as_a_stray_atom_and_as_a_sort():
-    at = len(DECL)
-    for src in (DECL + '"\\u{41}"', DECL + ' "\\u{41}"(check-sat)'):
-        got = _same_as_scanner_and_reference(src)
-        assert got == (SyntaxParseError, f"expected a command (at offset {at + (src[at] == ' ')})",
-                       at + (src[at] == " "))
+    for src, at in ((DECL + '"\\u{41}"', len(DECL)),
+                    (DECL + ' "\\u{41}"(check-sat)', len(DECL) + 1)):
+        assert _same_as_scanner_and_reference(src) == (
+            SyntaxParseError, f"expected a command (at offset {at})", at)
     # the reference names a sort that is not a symbol by a Python repr
-    src = '(declare-fun x ()  "\\u{53}")'
+    src = '(declare-fun x () "\\u{53}")'
     assert _outcome(parse_smt_reference, src)[::2] == (UnsupportedError, 0)
     assert _outcome(parse_smt, src) == (UnsupportedError,
                                         'unsupported: sort "\\u{53}" (at offset 0)', 0)
@@ -406,7 +405,7 @@ def test_union_of_ranges_with_one_escape_bounds():
                   (literal(lo), literal(lo)), (literal(lo, 0x41), literal(hi)),
                   (literal(lo), literal())][i % 5]
         ranges.append("(re.range {} {})".format(*bounds))
-    in_order = [r for i, r in enumerate(ranges) if i % 5 in (0, 2)]  # one-character bounds, lo <= hi
+    in_order = [r for i, r in enumerate(ranges) if i % 5 in (0, 2)]  # one character, lo <= hi
     src = DECL + "".join(f"(assert (str.in_re x (re.union {' '.join(rs)})))"
                          for rs in (ranges, in_order))
     mixed, chars = _same_as_scanner_and_reference(src).assertions
