@@ -353,7 +353,7 @@ def _in_re(head: str, args: list, pos: int, declared: dict[str, str]) -> Members
     return Membership(_variable(args[0], declared), _regex(args[1]))
 
 
-def _constraints(t: tuple):
+def _constraints(t: tuple) -> SurfaceConstraint | list:
     """A term in assert position: a constraint, or the nested list of an `and`."""
     kind, val, pos, _ = t
     if kind != _LIST or val[0] is None:
