@@ -13,30 +13,23 @@ from .constraints import (Assignment, CyclicDependencyError, Equation, Length, L
                           sat_str)
 from .errors import (ResourceLimitError, StrSolveError, SyntaxParseError,
                      UnsupportedError)
-from .intervals import (FULL, MAX_CODEPOINT, Interval, IntervalSet, intersection,
-                        mem, nonempty)
-from .oracle import Bound, oracle_lang, oracle_sat
-from .regex import (compile_pattern, length_automaton, parse_regex, sigma_star,
-                    word_automaton)
-from .smtlib import SmtScript, parse_smt, print_smt
+from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
+from .regex import length_automaton, parse_regex, sigma_star, word_automaton
+from .smtlib import SmtScript, parse_smt
 from .snfa import (Budget, SNfa, Transition, accepts, concat, dump, is_empty,
-                   product, remove_unreachable, snfa, some_word, split_word, to_dot)
+                   product, snfa, some_word, split_word, to_dot)
 from .solver import (RefinedReg, SolveStats, Verdict, classify, extract_model,
-                     forward_prop, solve, var_lang)
+                     forward_prop, solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "Bound", "Budget", "CyclicDependencyError", "Equation", "FULL",
-    "Interval", "IntervalSet", "Length", "Lit", "MAX_CODEPOINT", "Membership",
-    "Or", "Problem", "RefinedReg", "ResourceLimitError", "SNfa", "SmtScript",
-    "SolveStats", "StrSolveError", "SurfaceConstraint",
-    "SyntaxParseError", "Transition", "UnsupportedError", "Var", "VarId",
-    "Verdict", "accepts", "check_tree", "classify", "compile_pattern", "concat",
-    "desugar", "dump", "extract_model", "forward_prop", "intersection",
-    "is_empty", "layering", "length_automaton", "make_problem", "mem",
-    "nonempty", "oracle_lang", "oracle_sat", "parse_regex", "parse_smt",
-    "print_smt", "problem_dump", "product", "remove_unreachable",
-    "sat_str", "sigma_star", "snfa", "solve", "some_word", "split_word",
-    "to_dot", "var_lang", "word_automaton",
+    "Assignment", "Budget", "CyclicDependencyError", "Equation", "FULL", "Interval",
+    "IntervalSet", "Length", "Lit", "MAX_CODEPOINT", "Membership", "Or", "Problem",
+    "RefinedReg", "ResourceLimitError", "SNfa", "SmtScript", "SolveStats", "StrSolveError",
+    "SurfaceConstraint", "SyntaxParseError", "Transition", "UnsupportedError", "Var",
+    "VarId", "Verdict", "accepts", "check_tree", "classify", "concat", "desugar", "dump",
+    "extract_model", "forward_prop", "is_empty", "layering", "length_automaton",
+    "make_problem", "parse_regex", "parse_smt", "problem_dump", "product", "sat_str",
+    "sigma_star", "snfa", "solve", "some_word", "split_word", "to_dot", "word_automaton",
 ]

@@ -202,7 +202,7 @@ class _Desugarer:
             if not i % BUDGET_STRIDE:
                 self.budget.check(0)
             if isinstance(c, Membership):
-                self.langs[self.note(c.var)].append(rx.compile(c.regex))
+                self.langs[self.note(c.var)].append(rx.compile(c.regex, self.budget))
             elif isinstance(c, Length):
                 self.langs[self.note(c.var)].append(rx.length_automaton(c.op, c.bound))
             elif isinstance(c, Equation):
@@ -227,10 +227,10 @@ def desugar(cs: Sequence[SurfaceConstraint], base_vars: Iterable[VarId] = (),
     n-ary equations fold left through fresh variables, literals become fresh
     variables with singleton languages, length bounds become regular
     constraints, and several memberships on one variable are intersected
-    into a single automaton under `budget`, which is also checked before
-    every BUDGET_STRIDE-th constraint of a disjunct, starting with the
-    first. `base_vars` forces declared-but-unused variables into every
-    Problem.
+    into a single automaton under `budget`, which also bounds each regex
+    compile and is checked before every BUDGET_STRIDE-th constraint of a
+    disjunct, starting with the first. `base_vars` forces
+    declared-but-unused variables into every Problem.
     """
     return [_Desugarer(base_vars, budget).run(conj) for conj in _expand_or(cs)]
 
@@ -254,31 +254,33 @@ def sat_str(p: Problem, m: Mapping[VarId, str]) -> bool:
     return True
 
 
-def dependencies(p: Problem, v: VarId) -> set[VarId]:
-    deps: set[VarId] = set()
-    for v1, v2 in p.concat.get(v, ()):
-        deps.add(v1)
-        deps.add(v2)
-    return deps
-
-
 def layering(p: Problem) -> list[set[VarId]]:
     """Arrange variables into dependence layers, most dependent first.
 
     Each variable's dependencies lie strictly in later layers; such a list
     exists exactly when the dependence graph is acyclic. On a cycle, raises
-    CyclicDependencyError carrying the stuck variables.
+    CyclicDependencyError carrying the variables on or above it.
+
+    Kahn's algorithm, in O(V + E): a variable is placed once all its
+    dependencies are, at level 1 + the highest of theirs (0 without any).
     """
-    deps = {v: dependencies(p, v) for v in p.variables}
-    level: dict[VarId, int] = {}
-    remaining = set(p.variables)
-    while remaining:
-        ready = [v for v in remaining if deps[v] <= level.keys()]
-        if not ready:
-            raise CyclicDependencyError(frozenset(remaining))
-        for v in ready:
-            level[v] = 1 + max((level[d] for d in deps[v]), default=-1)
-        remaining.difference_update(ready)
+    waiting: dict[VarId, int] = {}  # unplaced dependencies per variable
+    users: dict[VarId, list[VarId]] = {}
+    for v, pairs in p.concat.items():
+        deps = {d for pair in pairs for d in pair}
+        waiting[v] = len(deps)
+        for d in deps:
+            users.setdefault(d, []).append(v)
+    level = {v: 0 for v in p.variables if not waiting.get(v)}
+    placed = list(level)
+    for v in placed:  # `placed` grows while it is walked
+        for u in users.get(v, ()):
+            waiting[u] -= 1
+            if not waiting[u]:
+                level[u] = 1 + max(level[d] for pair in p.concat[u] for d in pair)
+                placed.append(u)
+    if len(level) < len(p.variables):
+        raise CyclicDependencyError(frozenset(v for v in p.variables if v not in level))
     layers: dict[int, set[VarId]] = {}
     for v, lv in level.items():
         layers.setdefault(lv, set()).add(v)

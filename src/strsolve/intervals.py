@@ -39,18 +39,6 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
 FULL = Interval(0, MAX_CODEPOINT)
 
 
-def nonempty(a: Interval) -> bool:
-    return a.lo <= a.hi
-
-
-def mem(e: int, a: Interval) -> bool:
-    return a.lo <= e <= a.hi
-
-
-def intersection(a: Interval, b: Interval) -> Interval:
-    return Interval(max(a.lo, b.lo), min(a.hi, b.hi))
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     """Sorted, disjoint, non-adjacent, non-empty intervals.

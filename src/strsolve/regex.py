@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
-from .snfa import SNfa, snfa
+from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, PAIR_STRIDE, Budget, SNfa, snfa
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def parse_regex(src: str) -> Regex:
     return _Parser(src).parse()
 
 
-def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
+def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 - mirrors re.compile
     """Position-construction compile; the result is epsilon-free and trim.
 
     A subterm that denotes no word (`Never`, an empty `CharClass`, a `Plus`
@@ -279,24 +279,46 @@ def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
     one among its items) makes no positions: a `Union` skips it, `Star` and
     `Opt` of it denote the empty word, and at the top it leaves only the
     initial state, which does not accept. So no position is unreachable.
+
+    `budget.check` runs before every BUDGET_STRIDE-th position, after more
+    than PAIR_STRIDE follow-set entries offered or transitions built, and as
+    soon as the links held or the transitions built pass the cap. A held
+    link is at least one transition of the result unless a subterm that
+    denotes no word drops it, so only such a subterm's links can stop a
+    compile whose automaton fits under the cap.
     """
     labels: list[IntervalSet] = []       # label of position p at labels[p-1]
     follow: list[set[int]] = []          # follow set of position p at follow[p-1]
+    cap = budget.max_transitions
+    made = links = work = 0  # positions made, links held, work since the last check
 
     def new_pos(chars: IntervalSet) -> int:
+        nonlocal made
+        made += 1
+        if not made % BUDGET_STRIDE:
+            budget.check(links)
         labels.append(chars)
         follow.append(set())
         return len(labels)
 
     def link(lasts: tuple[int, ...], firsts: tuple[int, ...]) -> None:
+        nonlocal links, work
         for p in lasts:
-            follow[p - 1].update(firsts)
+            f = follow[p - 1]
+            held = len(f)
+            f.update(firsts)
+            links += len(f) - held
+            work += len(firsts)
+            if work > PAIR_STRIDE or links > cap:
+                budget.check(links)
+                work = 0
 
     # (nullable, first positions, last positions), or None for a subterm that
     # denotes no word. Every position a call returns or links was made during
     # that call, so a call that returns None leaves labels and follow as it
     # found them: a Concat that meets such an item deletes what it made.
     def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]] | None:
+        nonlocal links
         if isinstance(node, Literal):
             p = new_pos(IntervalSet((Interval(node.cp, node.cp),)))
             return False, (p,), (p,)
@@ -318,6 +340,7 @@ def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
             for item in node.items:
                 part = lin(item)
                 if part is None:
+                    links -= sum(map(len, follow[mark:]))
                     del labels[mark:], follow[mark:]
                     return None
                 n2, f2, l2 = part
@@ -353,16 +376,18 @@ def compile(ast: Regex) -> SNfa:  # noqa: A001 - mirrors re.compile
     nullable, first, last = lin(ast) or (False, (), ())
     # state 0 is the initial state and state p is position p
     rows = [[(part.lo, part.hi, p) for p in first for part in labels[p - 1].parts]]
-    rows += [[(part.lo, part.hi, q) for q in follow[p - 1] for part in labels[q - 1].parts]
-             for p in range(1, len(labels) + 1)]
+    emitted = len(rows[0])
+    for f in follow:
+        rows.append([(part.lo, part.hi, q) for q in f for part in labels[q - 1].parts])
+        emitted += len(rows[-1])
+        work += len(rows[-1])
+        if work > PAIR_STRIDE or emitted > cap:
+            budget.check(emitted)
+            work = 0
     accepting = set(last)
     if nullable:
         accepting.add(0)
     return snfa(rows, {0}, accepting, trim=True)
-
-
-def compile_pattern(src: str) -> SNfa:
-    return compile(parse_regex(src))
 
 
 _SIGMA_STAR = None

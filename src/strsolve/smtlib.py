@@ -1,10 +1,10 @@
-"""SMT-LIB 2.6 string-fragment parsing and printing.
+"""SMT-LIB 2.6 string-fragment parsing, and the string-literal encoding
+that models print with.
 
 Supported commands and operators are listed in docs/smtlib-subset.md.
 Legacy spellings from older string benchmarks (str.in.re, str.to.re) are
 accepted and normalized. Parsing produces a SmtScript of surface
-constraints; print_smt renders one back so that parse(print(parse(s)))
-equals parse(s), which the round-trip tests rely on.
+constraints.
 
 `parse_smt` makes one pass over the tokens on one explicit stack, so any
 nesting depth parses. Each list is reduced when its `)` arrives, from
@@ -457,75 +457,3 @@ _REDUCERS = {"str.to_re": _to_re, "str.to.re": _to_re, "re.++": _re_concat,
              "str.++": _str_concat, "and": _and, "or": _or, "str.in_re": _in_re,
              "str.in.re": _in_re, **dict.fromkeys(_FLIP, _comparison)}
 
-
-# ---------------------------------------------------------------------------
-# Printing
-
-def print_smt(script: SmtScript) -> str:
-    lines = [f"(declare-fun {name} () {sort})" for name, sort in script.declarations]
-    for c in script.assertions:
-        lines.append(f"(assert {_print_constraint(c)})")
-    if script.has_check_sat:
-        lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-def _print_constraint(c: SurfaceConstraint) -> str:
-    if isinstance(c, Membership):
-        return f"(str.in_re {c.var} {_print_regex(c.regex)})"
-    if isinstance(c, Length):
-        return f"({c.op} (str.len {c.var}) {c.bound})"
-    if isinstance(c, Equation):
-        lhs = c.lhs.name if isinstance(c.lhs, Var) else f'"{encode_string(c.lhs.word)}"'
-        parts = [t.name if isinstance(t, Var) else f'"{encode_string(t.word)}"' for t in c.rhs]
-        rhs = parts[0] if len(parts) == 1 else "(str.++ " + " ".join(parts) + ")"
-        return f"(= {lhs} {rhs})"
-    if isinstance(c, Or):
-        branches = []
-        for branch in c.branches:
-            printed = [_print_constraint(x) for x in branch]
-            branches.append(printed[0] if len(printed) == 1 else "(and " + " ".join(printed) + ")")
-        return "(or " + " ".join(branches) + ")"
-    raise TypeError(f"not a constraint: {c!r}")
-
-
-def _print_regex(r: rx.Regex) -> str:
-    if isinstance(r, rx.Epsilon):
-        return '(str.to_re "")'
-    if isinstance(r, rx.Never):
-        return "re.none"
-    if isinstance(r, rx.AnyChar):
-        return "re.allchar"
-    if isinstance(r, rx.Literal):
-        return f'(str.to_re "{encode_string(chr(r.cp))}")'
-    if isinstance(r, rx.CharClass):
-        ranges = [f'(re.range "{encode_string(chr(p.lo))}" "{encode_string(chr(p.hi))}")'
-                  for p in r.chars.parts]
-        return ranges[0] if len(ranges) == 1 else "(re.union " + " ".join(ranges) + ")"
-    if isinstance(r, rx.Concat):
-        parts: list[str] = []
-        run: list[int] = []
-
-        def flush():
-            if run:
-                text = "".join(chr(cp) for cp in run)
-                parts.append(f'(str.to_re "{encode_string(text)}")')
-                run.clear()
-
-        for item in r.items:
-            if isinstance(item, rx.Literal):
-                run.append(item.cp)
-            else:
-                flush()
-                parts.append(_print_regex(item))
-        flush()
-        return parts[0] if len(parts) == 1 else "(re.++ " + " ".join(parts) + ")"
-    if isinstance(r, rx.Union):
-        return "(re.union " + " ".join(_print_regex(x) for x in r.items) + ")"
-    if isinstance(r, rx.Star):
-        return f"(re.* {_print_regex(r.item)})"
-    if isinstance(r, rx.Plus):
-        return f"(re.+ {_print_regex(r.item)})"
-    if isinstance(r, rx.Opt):
-        return f"(re.opt {_print_regex(r.item)})"
-    raise TypeError(f"not a regex node: {r!r}")

@@ -10,16 +10,15 @@ Each state also has a printed name `id:tag`, stored as the one integer
 `4*id + tag` (tag 0..2), so integer order is (id, tag) order. The tag
 realizes the injective renaming that keeps the two operands of a
 concatenation disjoint: `concat` names the states it keeps from its first
-operand `i:1` and those from its second `j:2`, after their numbers there;
-`remove_unreachable` keeps the names of the states it keeps, and every
-other construction names state q `q:0`. `SNfa.names` stores the names only
-where they differ from `q:0`, and `SNfa.name` decodes one for printing.
-Every construction numbers its states in the order of their names, so
-`dump` and `to_dot` print states sorted by (id, tag) and transitions sorted
-by (src, label, dst) straight from the rows, without a global sort:
-`product` numbers pair states in breadth-first discovery order, `concat`
-sorts the names of the states it reached, and `regex` numbers positions in
-order.
+operand `i:1` and those from its second `j:2`, after their numbers there,
+and every other construction names state q `q:0`. `SNfa.names` stores the
+names only where they differ from `q:0`, and `SNfa.name` decodes one for
+printing. Every construction numbers its states in the order of their
+names, so `dump` and `to_dot` print states sorted by (id, tag) and
+transitions sorted by (src, label, dst) straight from the rows, without a
+global sort: `product` numbers pair states in breadth-first discovery
+order, `concat` sorts the names of the states it reached, and `regex`
+numbers positions in order.
 
 Identical inputs always rebuild identical automata, and concatenation and
 product emit only states reachable from the initial set (trim), which
@@ -28,8 +27,8 @@ its states by exploring pairs; `concat` takes them from each operand's
 reachable states, which a trim flag gives for free (see `concat`).
 `_reachable_states` is the one reachability pass. The module also owns
 the per-solve `Budget`. `product` and `concat` check it as they start and
-while they build (see `product`); the only other check is desugaring's,
-once per BUDGET_STRIDE surface constraints.
+while they build (see `product`), and so do the SMT reader, desugaring
+and `regex.compile` (see `BUDGET_STRIDE`).
 
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
@@ -60,7 +59,8 @@ Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per stat
 DEFAULT_MAX_TRANSITIONS = 5_000_000
 # The budget is consulted once per this many states built by `product` and
 # `concat`, in addition to the transition cap, which is checked per state,
-# and once per this many surface constraints desugared.
+# and once per this many tokens read, surface constraints desugared and
+# regex positions made.
 BUDGET_STRIDE = 1024
 # `product` also consults it before scanning more than this many row pairs
 # since its last check: one pair state of two wide character classes scans
@@ -69,8 +69,8 @@ PAIR_STRIDE = 1 << 15
 
 
 class Budget:
-    """Cooperative per-solve limits, checked by `product` and `concat` while
-    they build and by desugaring between constraints."""
+    """Cooperative per-solve limits, checked as the SMT reader, desugaring,
+    `regex.compile`, `product` and `concat` work."""
 
     def __init__(self, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
                  deadline: Optional[float] = None):
@@ -415,18 +415,6 @@ def _in_strides(rows: tuple[Row, ...], step: int, budget: Budget, emitted: int) 
     for i in range(0, len(rows), step):
         budget.check(emitted)
         yield from rows[i:i + step]
-
-
-def remove_unreachable(a: SNfa) -> SNfa:
-    """Language-preserving trim: drop states unreachable from the initial set.
-    The kept states keep their names and their order."""
-    kept = sorted(_reachable_states(a))
-    new = {q: k for k, q in enumerate(kept)}
-    rows = tuple(tuple((lo, hi, new[d]) for lo, hi, d in a.rows[q]) for q in kept)
-    names = range(0, 4 * len(a.rows), 4) if a.names is None else a.names
-    return SNfa(rows, frozenset(new[q] for q in a.initial),
-                frozenset(new[q] for q in a.accepting if q in new),
-                tuple(map(names.__getitem__, kept)), trim=True)
 
 
 def is_empty(a: SNfa) -> bool:

@@ -60,41 +60,32 @@ def _is_sigma_star(a: SNfa) -> bool:
     return a.rows == sigma_star().rows and a.initial == a.accepting == {0}
 
 
-def var_lang(c: set[VarId], p: Problem, reg: Mapping[VarId, SNfa],
-             budget: Budget = DEFAULT_BUDGET, optimize: bool = False) -> RefinedReg:
-    """Refine every variable in c against its concatenation constraints.
-
-    With `optimize`, products with the canonical all-words automaton and
-    concatenations of two of them are rewritten away instead of built.
-    """
-    out = dict(reg)
-    for v in sorted(c):
-        a = out[v]
-        for v1, v2 in sorted(p.concat.get(v, frozenset())):
-            r1, r2 = out[v1], out[v2]
-            if optimize and _is_sigma_star(r1) and _is_sigma_star(r2):
-                part = sigma_star()
-            else:
-                part = concat(r1, r2, budget)
-            if optimize and _is_sigma_star(a):
-                a = part
-            elif optimize and _is_sigma_star(part):
-                pass
-            else:
-                a = product(a, part, budget)
-        out[v] = a
-    return out
-
-
 def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
                  optimize: bool = False, stats: Optional[SolveStats] = None) -> RefinedReg:
-    """Refine all regular constraints, one round per dependence layer;
-    raises CyclicDependencyError before any automaton is built when the
-    dependence graph has a cycle."""
+    """Refine all regular constraints, one round per dependence layer and
+    one variable at a time in name order, in one map: a variable's pairs
+    lie in earlier rounds. Raises CyclicDependencyError before any automaton
+    is built when the dependence graph has a cycle. With `optimize`,
+    products with the canonical all-words automaton and concatenations of
+    two of them are rewritten away instead of built."""
     layers = layering(p)
     reg: RefinedReg = dict(p.reg)
     for layer in reversed(layers):
-        reg = var_lang(layer, p, reg, budget, optimize)
+        for v in sorted(layer):
+            a = reg[v]
+            for v1, v2 in sorted(p.concat.get(v, ())):
+                r1, r2 = reg[v1], reg[v2]
+                if optimize and _is_sigma_star(r1) and _is_sigma_star(r2):
+                    part = sigma_star()
+                else:
+                    part = concat(r1, r2, budget)
+                if optimize and _is_sigma_star(a):
+                    a = part
+                elif optimize and _is_sigma_star(part):
+                    pass
+                else:
+                    a = product(a, part, budget)
+            reg[v] = a
     if stats is not None:
         stats.iterations = len(layers)
     return reg

@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random generators, reference matchers,
 interval enumeration, the reference word split, the reference SMT-LIB
-readers, the reference `concat`, `product` and regex compile, renaming and
-automaton isomorphism.
+readers, the SMT-LIB printer, the reference `concat`, `product`, regex
+compile and `layering`, the trim audit, renaming and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -18,19 +18,44 @@ from operator import eq
 from typing import Iterator
 
 from strsolve import regex as rx
-from strsolve.constraints import (Equation, Length, Lit, Membership, Or, Problem,
-                                  SurfaceConstraint, Var, make_problem)
+from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit, Membership,
+                                  Or, Problem, SurfaceConstraint, Var, VarId, make_problem)
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import ENUM_CAP, FULL, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
                             Regex, Star, Union)
-from strsolve.smtlib import _FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript
+from strsolve.smtlib import (_FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript,
+                             encode_string)
 from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, Transition,
-                           accepts, remove_unreachable, snfa)
+                           accepts, snfa)
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
 LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
 DEFAULT_ISO_CAP = 12
+
+
+def compile_pattern(src: str) -> SNfa:
+    return rx.compile(rx.parse_regex(src))
+
+
+def remove_unreachable(a: SNfa) -> SNfa:
+    """Language-preserving trim: drop states unreachable from the initial set.
+    The kept states keep their names and their order. The tests audit
+    production trimming with it, so it searches on its own."""
+    seen = set(a.initial)
+    queue = deque(a.initial)
+    while queue:
+        for _, _, d in a.rows[queue.popleft()]:
+            if d not in seen:
+                seen.add(d)
+                queue.append(d)
+    kept = sorted(seen)
+    new = {q: k for k, q in enumerate(kept)}
+    rows = tuple(tuple((lo, hi, new[d]) for lo, hi, d in a.rows[q]) for q in kept)
+    names = range(0, 4 * len(a.rows), 4) if a.names is None else a.names
+    return SNfa(rows, frozenset(new[q] for q in a.initial),
+                frozenset(new[q] for q in a.accepting if q in new),
+                tuple(map(names.__getitem__, kept)), trim=True)
 
 
 def words_upto(alphabet: tuple[int, int], max_len: int) -> list[str]:
@@ -271,6 +296,41 @@ def sem(a: Interval, cap: int = ENUM_CAP) -> frozenset[int]:
     if n > cap:
         raise ResourceLimitError(f"refusing to enumerate {n} code points (cap {cap})")
     return frozenset(range(a.lo, a.hi + 1))
+
+
+# `constraints.layering` as it was before Kahn's algorithm: it rescans the
+# remaining variables once per layer. The new one must give the same layers,
+# or raise with the same variables.
+
+def dependencies(p: Problem, v: VarId) -> set[VarId]:
+    deps: set[VarId] = set()
+    for v1, v2 in p.concat.get(v, ()):
+        deps.add(v1)
+        deps.add(v2)
+    return deps
+
+
+def layering_reference(p: Problem) -> list[set[VarId]]:
+    """Arrange variables into dependence layers, most dependent first.
+
+    Each variable's dependencies lie strictly in later layers; such a list
+    exists exactly when the dependence graph is acyclic. On a cycle, raises
+    CyclicDependencyError carrying the stuck variables.
+    """
+    deps = {v: dependencies(p, v) for v in p.variables}
+    level: dict[VarId, int] = {}
+    remaining = set(p.variables)
+    while remaining:
+        ready = [v for v in remaining if deps[v] <= level.keys()]
+        if not ready:
+            raise CyclicDependencyError(frozenset(remaining))
+        for v in ready:
+            level[v] = 1 + max((level[d] for d in deps[v]), default=-1)
+        remaining.difference_update(ready)
+    layers: dict[int, set[VarId]] = {}
+    for v, lv in level.items():
+        layers.setdefault(lv, set()).add(v)
+    return [layers[lv] for lv in sorted(layers, reverse=True)]
 
 
 def split_word_scan(a1: SNfa, a2: SNfa, w: str) -> tuple[str, str] | None:
@@ -696,6 +756,79 @@ def read_all_scan(src: str) -> list[SNode]:
     if stack:
         raise SyntaxParseError("unbalanced (", stack[-1][1])
     return top
+
+
+# The SMT-LIB printer: `parse_smt(print_smt(s))` must equal `s` for a
+# parsed script `s`, which the round-trip tests check.
+
+def print_smt(script: SmtScript) -> str:
+    lines = [f"(declare-fun {name} () {sort})" for name, sort in script.declarations]
+    for c in script.assertions:
+        lines.append(f"(assert {_print_constraint(c)})")
+    if script.has_check_sat:
+        lines.append("(check-sat)")
+    return "\n".join(lines) + "\n"
+
+
+def _print_constraint(c: SurfaceConstraint) -> str:
+    if isinstance(c, Membership):
+        return f"(str.in_re {c.var} {_print_regex(c.regex)})"
+    if isinstance(c, Length):
+        return f"({c.op} (str.len {c.var}) {c.bound})"
+    if isinstance(c, Equation):
+        lhs = c.lhs.name if isinstance(c.lhs, Var) else f'"{encode_string(c.lhs.word)}"'
+        parts = [t.name if isinstance(t, Var) else f'"{encode_string(t.word)}"' for t in c.rhs]
+        rhs = parts[0] if len(parts) == 1 else "(str.++ " + " ".join(parts) + ")"
+        return f"(= {lhs} {rhs})"
+    if isinstance(c, Or):
+        branches = []
+        for branch in c.branches:
+            printed = [_print_constraint(x) for x in branch]
+            branches.append(printed[0] if len(printed) == 1 else "(and " + " ".join(printed) + ")")
+        return "(or " + " ".join(branches) + ")"
+    raise TypeError(f"not a constraint: {c!r}")
+
+
+def _print_regex(r: rx.Regex) -> str:
+    if isinstance(r, rx.Epsilon):
+        return '(str.to_re "")'
+    if isinstance(r, rx.Never):
+        return "re.none"
+    if isinstance(r, rx.AnyChar):
+        return "re.allchar"
+    if isinstance(r, rx.Literal):
+        return f'(str.to_re "{encode_string(chr(r.cp))}")'
+    if isinstance(r, rx.CharClass):
+        ranges = [f'(re.range "{encode_string(chr(p.lo))}" "{encode_string(chr(p.hi))}")'
+                  for p in r.chars.parts]
+        return ranges[0] if len(ranges) == 1 else "(re.union " + " ".join(ranges) + ")"
+    if isinstance(r, rx.Concat):
+        parts: list[str] = []
+        run: list[int] = []
+
+        def flush():
+            if run:
+                text = "".join(chr(cp) for cp in run)
+                parts.append(f'(str.to_re "{encode_string(text)}")')
+                run.clear()
+
+        for item in r.items:
+            if isinstance(item, rx.Literal):
+                run.append(item.cp)
+            else:
+                flush()
+                parts.append(_print_regex(item))
+        flush()
+        return parts[0] if len(parts) == 1 else "(re.++ " + " ".join(parts) + ")"
+    if isinstance(r, rx.Union):
+        return "(re.union " + " ".join(_print_regex(x) for x in r.items) + ")"
+    if isinstance(r, rx.Star):
+        return f"(re.* {_print_regex(r.item)})"
+    if isinstance(r, rx.Plus):
+        return f"(re.+ {_print_regex(r.item)})"
+    if isinstance(r, rx.Opt):
+        return f"(re.opt {_print_regex(r.item)})"
+    raise TypeError(f"not a regex node: {r!r}")
 
 
 # The `concat` and `product` kernels as they were before pair states of two

@@ -3,7 +3,9 @@
 This module is the executable cross-check for the property suites. Word
 membership here is decided by naive path enumeration over the stored
 transition rows, sharing no code with the production simulation in
-`snfa.accepts`; that independence is the point. Results are only
+`snfa.accepts`, and the variables are ordered by a scan of their own, not
+by `constraints.layering`; that independence is the point, and a test
+pins the few names imported from the package. Results are only
 meaningful within the given bound: exhausting the space proves nothing
 beyond it.
 """
@@ -14,10 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .constraints import CyclicDependencyError, Problem, VarId, layering
-from .errors import ResourceLimitError
-from .intervals import IntervalSet
-from .snfa import SNfa
+from strsolve.constraints import Problem, VarId
+from strsolve.errors import ResourceLimitError
+from strsolve.intervals import IntervalSet
+from strsolve.snfa import SNfa
 
 MAX_ORACLE_LEN = 8
 MAX_ORACLE_ALPHABET = 8
@@ -88,6 +90,23 @@ def oracle_lang(a: SNfa, bound: Bound, cap: int = DEFAULT_SPACE_CAP) -> set[str]
     return found
 
 
+def _derivation_order(p: Problem, base: list[VarId]) -> Optional[list[VarId]]:
+    """The variables with equations, each after the variables of its pairs,
+    by scanning the rest in name order until no scan places one; None when
+    some are left, which means a cycle."""
+    placed = set(base)
+    order: list[VarId] = []
+    rest = sorted(v for v in p.variables if v not in placed)
+    while rest:
+        ready = [v for v in rest if all(a in placed and b in placed for a, b in p.concat[v])]
+        if not ready:
+            return None
+        order += ready
+        placed.update(ready)
+        rest = [v for v in rest if v not in placed]
+    return order
+
+
 def oracle_sat(p: Problem, bound: Bound, cap: int = DEFAULT_SPACE_CAP) -> Optional[dict[VarId, str]]:
     """First in-bound satisfying assignment, or None when the bounded space
     holds none (which is not an unsatisfiability proof).
@@ -98,17 +117,10 @@ def oracle_sat(p: Problem, bound: Bound, cap: int = DEFAULT_SPACE_CAP) -> Option
     that could satisfy the problem. The space cap applies to the number of
     enumerated base assignments.
     """
-    try:
-        order = [v for layer in reversed(layering(p)) for v in sorted(layer)]
-    except CyclicDependencyError:
-        order = None
-
-    if order is None:
-        base = sorted(p.variables)
-        derived: list[VarId] = []
-    else:
-        base = [v for v in order if not p.concat.get(v)]
-        derived = [v for v in order if p.concat.get(v)]
+    base = sorted(v for v in p.variables if not p.concat.get(v))
+    derived = _derivation_order(p, base)
+    if derived is None:
+        base, derived = sorted(p.variables), []
 
     candidates: dict[VarId, list[str]] = {}
     for v in base:

@@ -16,12 +16,12 @@ from pathlib import Path
 import pytest
 
 from helpers import random_problem, random_snfa, words_upto
+from oracle import Bound, oracle_lang, oracle_sat
 from strsolve import regex as rx
 from strsolve.cli import bench, solve_path, stats_record
 from strsolve.constraints import make_problem, sat_str
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
-from strsolve.oracle import Bound, oracle_lang, oracle_sat
 from strsolve.smtlib import parse_smt
 from strsolve.snfa import accepts, concat, dump, product, set_validation
 from strsolve.solver import forward_prop, solve

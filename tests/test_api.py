@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import inspect
 
 import strsolve
@@ -18,9 +19,20 @@ def test_removed_duplicates_stay_removed():
                               ("snfa", "_out"), ("smtlib", "_tokenize"),
                               ("snfa", "StateId"), ("snfa", "_reached_keys"),
                               ("regex", "_without_never"), ("constraints", "validate_problem"),
-                              ("smtlib", "SNode"), ("smtlib", "SStr"), ("smtlib", "_read_all")):
+                              ("smtlib", "SNode"), ("smtlib", "SStr"), ("smtlib", "_read_all"),
+                              ("constraints", "dependencies"), ("solver", "var_lang"),
+                              # only the tests call these; tests/helpers.py holds them
+                              ("smtlib", "print_smt"), ("smtlib", "_print_constraint"),
+                              ("smtlib", "_print_regex"), ("snfa", "remove_unreachable"),
+                              # wrappers or helpers nothing called
+                              ("regex", "compile_pattern"), ("intervals", "nonempty"),
+                              ("intervals", "mem"), ("intervals", "intersection")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
+        assert not hasattr(strsolve, name), name
+    # the brute-force oracle is tests/oracle.py, apart from the code it checks
+    assert importlib.util.find_spec("strsolve.oracle") is None
+    for name in ("oracle_sat", "oracle_lang", "Bound", "word_in"):
         assert not hasattr(strsolve, name), name
     assert not hasattr(strsolve.SNfa, "_out")  # the rows are the one adjacency form
     assert not hasattr(strsolve.Budget, "charge")  # product and concat check as they build

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from strsolve import cli, solver
-from strsolve.cli import bench, main, solve_path, stats_record
+from strsolve.cli import EXIT_RESOURCE, bench, main, solve_path, stats_record
 from strsolve.constraints import desugar
 from strsolve.errors import ResourceLimitError, UnsupportedError
 from strsolve.smtlib import parse_smt
@@ -395,6 +395,34 @@ def test_parse_stops_at_the_deadline(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "desugar", None)
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         solve_path(f, timeout_ms=200)
+
+
+def test_long_concatenation_stops_near_the_deadline(tmp_path):
+    # desugaring folds this str.++ into a chain 6000 layers deep; ordering
+    # the layers by rescanning the variables once per layer ran 7-10 s past
+    # the deadline
+    f = tmp_path / "long_concat.smt2"
+    names = [f"v{i}" for i in range(6000)]
+    f.write_text("(declare-const x String)" + "".join(f"(declare-const {v} String)" for v in names)
+                 + f"(assert (= x (str.++ {' '.join(names)})))(check-sat)")
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="time budget exhausted"):
+        solve_path(f, timeout_ms=500)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_compile_stops_at_the_transition_cap(tmp_path, capsys):
+    # re.* over three nested re.union per level, 900 levels: the position
+    # construction alone built 453 605 transitions, past the cap, and the
+    # solve answered sat
+    wrappers = ['(re.union (str.to_re "a") {})'] * 3 + ["(re.* {})"]
+    levels = [wrappers[i % 4].split("{}") for i in range(900)]
+    term = ("".join(pre for pre, _ in levels) + '(str.to_re "a")'
+            + "".join(post for _, post in reversed(levels)))
+    f = tmp_path / "deep_union.smt2"
+    f.write_text(f"(declare-const x String)(assert (str.in_re x {term}))(check-sat)")
+    assert main(["solve", str(f), "--max-transitions", "20000"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == "resource: automaton grew past 20000 transitions\n"
 
 
 def test_timeout_counts_the_parse(monkeypatch):

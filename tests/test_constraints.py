@@ -3,7 +3,11 @@ import time
 
 import pytest
 
-from helpers import TEST_ALPHABET, CountingBudget, random_problem, ref_regex_match, words_upto
+from helpers import (TEST_ALPHABET, CountingBudget, compile_pattern, layering_reference,
+                     random_problem, ref_regex_match, words_upto)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import Bound, oracle_sat
 from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
                                   Membership, Or, Problem, Var, check_tree,
@@ -11,7 +15,6 @@ from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
                                   sat_str)
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
-from strsolve.oracle import Bound, oracle_sat
 from strsolve.snfa import accepts, is_empty, set_validation
 
 
@@ -153,7 +156,7 @@ def test_sat_str_url_example():
 
 def test_sat_str_equation_clause_fails():
     p = make_problem(["x", "y"], {"y": {("x", "x")}},
-                     {"y": rx.word_automaton("ab"), "x": rx.compile_pattern("a|b")})
+                     {"y": rx.word_automaton("ab"), "x": compile_pattern("a|b")})
     assert not sat_str(p, {"y": "ab", "x": "a"})
     assert sat_str(make_problem([]), {})  # vacuous
 
@@ -179,16 +182,40 @@ def test_layering_cycle():
 
 
 def test_layering_of_a_long_chain():
-    # x_i = x_{i-1} ++ c_i for 1000 links, the shape of a deep str.++: 1000
-    # layers. A subset test against the dict of levels copied it into a set
-    # for every candidate, which took seconds here.
-    n = 1000
+    # x_i = x_{i-1} ++ c_i for 20 000 links, the shape of a deep str.++:
+    # 20 000 layers. Rescanning the remaining variables once per layer took
+    # about 15 s at 8000 links; Kahn's algorithm is linear.
+    n = 20_000
     p = make_problem([f"x{i}" for i in range(n + 1)] + [f"c{i}" for i in range(1, n + 1)],
                      {f"x{i}": {(f"x{i - 1}", f"c{i}")} for i in range(1, n + 1)})
     start = time.perf_counter()
     layers = layering(p)
     assert time.perf_counter() - start < 1.0
     assert layers[0] == {f"x{n}"} and len(layers) == n + 1
+
+
+problem_graph = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just([f"v{i}" for i in range(n)]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=2 * n)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(problem_graph)
+def test_layering_matches_the_rescanning_reference(graph):
+    names, eqs = graph
+    pairs = {}
+    for lhs, a, b in eqs:
+        pairs.setdefault(names[lhs], set()).add((names[a], names[b]))
+    p = make_problem(names, pairs)
+    try:
+        expected = layering_reference(p)
+    except CyclicDependencyError as err:
+        with pytest.raises(CyclicDependencyError) as got:
+            layering(p)
+        assert got.value.variables == err.variables
+    else:
+        assert layering(p) == expected
 
 
 def test_layering_no_equations():

@@ -4,12 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import sem
 from strsolve.errors import ResourceLimitError
-from strsolve.intervals import (FULL, MAX_CODEPOINT, Interval, IntervalSet,
-                                intersection, mem, nonempty)
-
-cp = st.integers(min_value=0, max_value=MAX_CODEPOINT)
-iv = st.builds(Interval, cp, cp)
-
+from strsolve.intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
 
 def test_sem_examples():
     assert sem(Interval(97, 99)) == {97, 98, 99}
@@ -23,41 +18,10 @@ def test_sem_refuses_large_enumeration():
     assert len(sem(Interval(0, 2 ** 16 - 1))) == 2 ** 16  # exactly at the cap
 
 
-def test_intersection_examples():
-    assert intersection(Interval(5, 10), Interval(8, 20)) == Interval(8, 10)
-    assert not nonempty(intersection(Interval(1, 3), Interval(5, 9)))
-    assert intersection(FULL, Interval(7, 7)) == Interval(7, 7)
-
-
-def test_nonempty_examples():
-    assert nonempty(Interval(3, 3))
-    assert not nonempty(Interval(5, 2))
-    assert nonempty(FULL)
-
-
-def test_mem_examples():
-    assert mem(99, Interval(97, 122))
-    assert not mem(96, Interval(97, 122))
-    assert mem(97, Interval(97, 97))
-
-
 def test_empty_canonical_form():
     assert Interval(5, 2) == Interval(9, 0) == Interval(1, 0)
     assert repr(Interval(5, 2)) == "[1,0]"
     assert repr(Interval(97, 122)) == "[97,122]"
-
-
-@given(iv, iv, cp)
-def test_intersection_is_conjunction_of_membership(a, b, e):
-    assert mem(e, intersection(a, b)) == (mem(e, a) and mem(e, b))
-
-
-@given(iv)
-def test_nonempty_iff_inhabited(a):
-    if nonempty(a):
-        assert mem(a.lo, a) and mem(a.hi, a)
-    else:
-        assert not mem(a.lo, a) and not mem(a.hi, a)
 
 
 # IntervalSet against brute-force sets on a byte-sized alphabet

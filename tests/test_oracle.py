@@ -1,13 +1,15 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import random_snfa
+from helpers import compile_pattern, random_snfa
+from oracle import Bound, oracle_lang, oracle_sat, word_in
 from strsolve import regex as rx
 from strsolve.constraints import make_problem
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
-from strsolve.oracle import Bound, oracle_lang, oracle_sat, word_in
 from strsolve.snfa import concat, product
 
 AB = IntervalSet.from_pairs((97, 98))
@@ -23,15 +25,15 @@ def test_bound_invariants():
 
 
 def test_oracle_sat_examples():
-    just_a = make_problem(["x"], reg={"x": rx.compile_pattern("a")})
+    just_a = make_problem(["x"], reg={"x": compile_pattern("a")})
     assert oracle_sat(just_a, Bound(2, AB)) == {"x": "a"}
 
-    clash = make_problem(["x"], reg={"x": product(rx.compile_pattern("a"),
-                                                  rx.compile_pattern("b"))})
+    clash = make_problem(["x"], reg={"x": product(compile_pattern("a"),
+                                                  compile_pattern("b"))})
     assert oracle_sat(clash, Bound(2, AB)) is None
 
     doubled = make_problem(["x", "y"], {"y": {("x", "x")}},
-                           {"y": rx.word_automaton("ab"), "x": rx.compile_pattern("a|b")})
+                           {"y": rx.word_automaton("ab"), "x": compile_pattern("a|b")})
     assert oracle_sat(doubled, Bound(2, AB)) is None
 
 
@@ -54,12 +56,12 @@ def test_oracle_lang_examples():
     assert oracle_lang(rx.sigma_star(), Bound(2, IntervalSet.from_pairs((97, 97)))) == \
         {"", "a", "aa"}
     assert oracle_lang(rx.word_automaton("ab"), Bound(3, AB)) == {"ab"}
-    assert oracle_lang(concat(rx.compile_pattern("a"), rx.compile_pattern("b")),
+    assert oracle_lang(concat(compile_pattern("a"), compile_pattern("b")),
                        Bound(2, AB)) == {"ab"}
 
 
 def test_word_in_is_a_matcher():
-    a = rx.compile_pattern("a(b|c)*")
+    a = compile_pattern("a(b|c)*")
     for w in ("a", "ab", "acb", "", "b", "abx"):
         assert word_in(a, w) == __import__("strsolve").accepts(a, w)
 
@@ -73,3 +75,15 @@ def test_concat_product_language_identities():
         expected_concat = {w1 + w2 for w1 in l1 for w2 in l2 if len(w1 + w2) <= 6}
         assert oracle_lang(concat(a1, a2), bound) == expected_concat
         assert oracle_lang(product(a1, a2), bound) == l1 & l2
+
+
+def test_oracle_imports_only_data_types_from_the_package():
+    # what it checks must not be what it runs: no layering, no simulation
+    tree = ast.parse(Path(__file__).with_name("oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "strsolve":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "strsolve" for a in node.names)
+    assert imported == {"SNfa", "Problem", "VarId", "IntervalSet", "ResourceLimitError"}

@@ -1,14 +1,16 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TEST_ALPHABET, compile_reference, random_regex, ref_regex_match, words_upto
+from helpers import (TEST_ALPHABET, CountingBudget, compile_reference, random_regex,
+                     ref_regex_match, remove_unreachable, words_upto)
 from strsolve import regex as rx
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, Interval, IntervalSet, MAX_CODEPOINT
-from strsolve.snfa import Transition, accepts, dump, remove_unreachable, validate
+from strsolve.snfa import Budget, Transition, accepts, dump, validate
 
 
 def test_parse_class_plus():
@@ -114,7 +116,7 @@ def test_compile_never_and_embedded_never():
     assert accepts(rx.compile(dropped), "a")
 
 
-A, B = rx.Literal(97), rx.Literal(98)
+A, B, C = rx.Literal(97), rx.Literal(98), rx.Literal(99)
 NO_CHARS = rx.CharClass(IntervalSet(()))
 # leaves over a..c, with the two subterms that denote no word: Never and an
 # empty class
@@ -142,6 +144,61 @@ def test_compile_matches_the_two_pass_reference(ast):
     a, ref = rx.compile(ast), compile_reference(ast)
     assert dump(a) == dump(ref)
     assert a.trim == ref.trim
+
+
+# the same leaves without the two that denote no word, as the regex parser
+# makes them
+word_ast = st.recursive(
+    st.one_of(st.builds(rx.Literal, st.integers(97, 99)),
+              st.tuples(st.integers(97, 99), st.integers(0, 2)).map(
+                  lambda t: rx.CharClass(IntervalSet.from_pairs((t[0], t[0] + t[1])))),
+              st.sampled_from([rx.AnyChar(), rx.Epsilon()])),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Concat(tuple(xs))),
+        st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Union(tuple(xs))),
+        st.builds(rx.Star, inner), st.builds(rx.Plus, inner), st.builds(rx.Opt, inner)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(word_ast)
+@example(rx.Star(rx.Union((A, B, rx.Star(rx.Union((A, B)))))))
+# a dropped subterm's links stop counting when it is dropped
+@example(rx.Union((rx.Concat((rx.Star(rx.Union((A, B, C))), rx.Never())),
+                   rx.Star(rx.Union((A, B, C))))))
+def test_compile_stops_for_the_cap_only_past_it(ast):
+    a = rx.compile(ast)
+    n = len(a.transitions)
+    assert dump(rx.compile(ast, Budget(max_transitions=n))) == dump(a)
+    if n:
+        with pytest.raises(ResourceLimitError, match=f"grew past {n - 1} transitions"):
+            rx.compile(ast, Budget(max_transitions=n - 1))
+
+
+def test_compile_checks_the_budget_every_stride():
+    # a chain of 3000 literals: before positions 1024 and 2048, with the
+    # follow links held then
+    budget = CountingBudget()
+    chain = rx.compile(rx.parse_regex("a" * 3000), budget)
+    assert budget.checked == [1022, 2046]
+    assert len(chain.transitions) == 3000
+    # (c0|...|c399)*: 400 positions, each followed by all 400. Linking offers
+    # 400 entries per position, so a check follows every 82nd position's
+    # (past PAIR_STRIDE entries), and building the rows checks every 82 rows
+    star = rx.Star(rx.Union(tuple(rx.Literal(0x100 + i) for i in range(400))))
+    budget = CountingBudget()
+    loop = rx.compile(star, budget)
+    assert len(loop.transitions) == 400 + 400 * 400
+    assert budget.checked == [32_800, 65_600, 98_400, 131_200,
+                              400 + 400 * 10, 400 + 400 * 92, 400 + 400 * 174, 400 + 400 * 256,
+                              400 + 400 * 338]
+    # linking stops at the first position whose follow set takes it past the cap
+    budget = CountingBudget(max_transitions=1000)
+    with pytest.raises(ResourceLimitError, match="grew past 1000 transitions"):
+        rx.compile(star, budget)
+    assert budget.checked == [1200]
+    with pytest.raises(ResourceLimitError, match="time budget exhausted"):
+        rx.compile(star, CountingBudget(deadline=time.monotonic() - 1))
 
 
 def test_sigma_star_canonical_form():

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from helpers import CountingBudget, parse_smt_reference, read_all_scan
+from helpers import CountingBudget, parse_smt_reference, print_smt, read_all_scan
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +10,7 @@ from strsolve import regex as rx
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
-from strsolve.smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt, print_smt
+from strsolve.smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt
 from strsolve.snfa import BUDGET_STRIDE, Budget
 
 

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (LEMMA_ALPHABET, concat_reference, isomorphic, product_reference,
-                     random_regex, random_snfa, rename, split_word_scan, words_upto)
+from helpers import (LEMMA_ALPHABET, compile_pattern, concat_reference, isomorphic,
+                     product_reference, random_regex, random_snfa, remove_unreachable, rename,
+                     split_word_scan, words_upto)
+from oracle import Bound, word_in
 from strsolve.errors import ResourceLimitError
-from strsolve.oracle import Bound, word_in
-from strsolve.regex import (compile, compile_pattern, length_automaton, sigma_star,
-                            word_automaton)
-from strsolve.snfa import (SNfa, accepts, concat, dump,
-                           is_empty, product, remove_unreachable, snfa,
+from strsolve.regex import compile, length_automaton, sigma_star, word_automaton
+from strsolve.snfa import (SNfa, accepts, concat, dump, is_empty, product, snfa,
                            some_word, split_word, to_dot, validate)
 from strsolve.solver import Budget
 

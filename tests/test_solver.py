@@ -4,16 +4,15 @@ import time
 import pytest
 
 from helpers import TEST_ALPHABET, CountingBudget, random_problem, words_upto
+from oracle import Bound, oracle_sat
 from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Lit, Membership,
                                   Var, check_tree, desugar, layering, make_problem,
                                   sat_str)
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
-from strsolve.oracle import Bound, oracle_sat
 from strsolve.snfa import PAIR_STRIDE, SNfa, accepts, concat, dump, is_empty, product
-from strsolve.solver import (Budget, SolveStats, classify, extract_model,
-                             forward_prop, solve, var_lang)
+from strsolve.solver import Budget, SolveStats, classify, extract_model, forward_prop, solve
 
 URL_CONSTRAINTS = [
     Membership("domain", rx.parse_regex("[a-zA-Z.]+")),
@@ -69,7 +68,7 @@ def test_var_lang_refines_path():
     assert not accepts(path, "bc") and not accepts(path, "/c") and not accepts(path, "b/")
     # a variable with no equations keeps its automaton untouched
     no_eq = make_problem(["x"], reg={"x": rx.word_automaton("q")})
-    assert var_lang({"x"}, no_eq, no_eq.reg)["x"] is no_eq.reg["x"]
+    assert forward_prop(no_eq)["x"] is no_eq.reg["x"]
 
 
 def test_forward_prop_url_cases():
