@@ -8,7 +8,9 @@ timeout). `bench` solves every .smt2 file under a directory with
 timeout (the authoritative one; the child also gets the cooperative
 deadline), writes one JSON record per file, and prints a summary table
 with the columns
-total/sat/unknown/unsat/solved%/avg-time/timeout.
+total/sat/unknown/unsat/solved%/avg-time/solve-time/timeout: `avg-time` is
+a file's wall time in the harness and `solve-time` the solver's own time,
+its record's `millis`, so the difference is the harness's overhead.
 """
 
 from __future__ import annotations
@@ -165,16 +167,24 @@ class GroupRow:
     unsat: int = 0
     timeout: int = 0
     time_sum_s: float = 0.0
+    solve_sum_s: float = 0.0
 
     @property
     def solved_pct(self) -> float:
         return 100.0 * (self.sat + self.unsat) / self.total if self.total else 0.0
 
+    # averages over the files that produced a verdict: of the wall time
+    # in the harness, and of the solver's own time
+
     @property
     def avg_time_s(self) -> float:
-        # average over files that produced a verdict
         verdicts = self.sat + self.unknown + self.unsat
         return self.time_sum_s / verdicts if verdicts else 0.0
+
+    @property
+    def solve_time_s(self) -> float:
+        verdicts = self.sat + self.unknown + self.unsat
+        return self.solve_sum_s / verdicts if verdicts else 0.0
 
 
 @dataclass
@@ -251,6 +261,7 @@ def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
         if outcome in ("sat", "unsat", "unknown"):
             setattr(row, outcome, getattr(row, outcome) + 1)
             row.time_sum_s += wall
+            row.solve_sum_s += record["millis"] / 1000.0
         elif outcome == "timeout":
             row.timeout += 1
         elif outcome == "unsupported":
@@ -289,7 +300,7 @@ def _bench_one(conn, path: Path, options: dict) -> None:
 
 def format_table(report: BenchReport) -> str:
     header = (f"{'group':<16}{'total':>7}{'sat':>6}{'unknown':>9}{'unsat':>7}"
-              f"{'solved%':>9}{'avg-time':>10}{'timeout':>9}")
+              f"{'solved%':>9}{'avg-time':>10}{'solve-time':>12}{'timeout':>9}")
     lines = [header, "-" * len(header)]
     total = GroupRow("total")
     for row in report.rows:
@@ -297,7 +308,8 @@ def format_table(report: BenchReport) -> str:
             setattr(total, counter.name, getattr(total, counter.name) + getattr(row, counter.name))
     for row in report.rows if len(report.rows) == 1 else [*report.rows, total]:
         lines.append(f"{row.group:<16}{row.total:>7}{row.sat:>6}{row.unknown:>9}{row.unsat:>7}"
-                     f"{row.solved_pct:>8.1f}%{row.avg_time_s:>9.2f}s{row.timeout:>9}")
+                     f"{row.solved_pct:>8.1f}%{row.avg_time_s:>9.4f}s{row.solve_time_s:>11.4f}s"
+                     f"{row.timeout:>9}")
     lines.extend(report.notes)
     if report.unsupported:
         lines.append(f"unsupported files: {report.unsupported}")

@@ -30,7 +30,7 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
     def __new__(cls, lo: int, hi: int):
         if lo > hi:
             lo, hi = 1, 0
-        return super().__new__(cls, lo, hi)
+        return tuple.__new__(cls, (lo, hi))  # what the namedtuple's __new__ does, without its call
 
     def __repr__(self) -> str:
         return f"[{self.lo},{self.hi}]"

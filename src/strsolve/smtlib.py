@@ -19,7 +19,12 @@ Reading is the largest front-end cost of a benchmark of many small
 scripts, so the loop makes few calls per token. A literal that is one
 \\u{...} escape is a token of its own, decoded without `_decode_string`:
 such literals are the characters of wide-Unicode classes, 32 832 of the
-45 921 literals of the smt_mix benchmark.
+45 921 literals of the smt_mix benchmark. A whole `(re.range L L)` whose
+bounds are such literals, or literals of one other character, is one token
+too, and the loop appends the list's value as the general path would
+reduce it: the 21 637 `re.range` lists of that benchmark were 108 185 of
+its 196 895 tokens. A `re.union` of only character ranges gathers their
+intervals into one `IntervalSet`.
 """
 
 from __future__ import annotations
@@ -97,6 +102,12 @@ def encode_string(w: str) -> str:
 # One token per match, with the whitespace and comments before it, told
 # apart by `lastindex`: the groups below, or None for what trails the last
 # token. Whitespace is exactly space, tab, CR and LF (docs/smtlib-subset.md).
+# The first alternative reads `(re.range L L)` as one token instead of five
+# (most tokens of the smt_mix benchmark were of such lists; see the module
+# docstring): each L is a literal of one character other than " or of one
+# \u{...} escape of 1-5 hex digits, and only whitespace, not a comment,
+# separates the parts. No " can follow an L, since whitespace or ) must.
+# Any other `re.range` list is read by the general tokens.
 # A literal that is exactly one \u{...} escape of 1-5 hex digits (at most
 # 0xFFFFF, a valid code point) is a token of its own, decoded in the loop
 # without `_decode_string`: each character of a wide-Unicode class is
@@ -108,7 +119,10 @@ def encode_string(w: str) -> str:
 # A lone " or | that starts no complete token falls through to the catch-all.
 _TOKEN = re.compile(r"""
     (?:[ \t\r\n]+ | ;[^\n]*)*+
-    (?: (\()
+    (?: (\(re\.range[ \t\r\n]+
+            "(?:\\u\{([0-9A-Fa-f]{1,5})\}|([^"]))"[ \t\r\n]+
+            "(?:\\u\{([0-9A-Fa-f]{1,5})\}|([^"]))"[ \t\r\n]*\))
+      | (\()
       | (\))
       | "\\u\{([0-9A-Fa-f]{1,5})\}"(?!")
       | "((?:[^"]*+"")*+[^"]*+)"
@@ -118,7 +132,8 @@ _TOKEN = re.compile(r"""
       | (.)
       | \Z)
 """, re.VERBOSE | re.DOTALL)
-_OPEN, _CLOSE, _CHAR, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(1, 9)
+_RANGE = 1  # groups 2-5: each bound's hex digits or its character
+_OPEN, _CLOSE, _CHAR, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(6, 14)
 # A numeral of more digits is a syntax error, before `int()` meets Python's
 # limit on converting long digit strings (4300 by default). Any length
 # bound of this many digits is far past every length cap anyway.
@@ -184,6 +199,16 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
                 except StrSolveError as err:
                     held = err
             terms = parent
+        elif kind == _RANGE:  # the list the general path reduces, or its command error
+            pos = m.start(kind)
+            lo_hex, lo, hi_hex, hi = m.group(2, 3, 4, 5)
+            regex = _range(int(lo_hex, 16) if lo_hex else ord(lo),
+                           int(hi_hex, 16) if hi_hex else ord(hi))
+            if stack:
+                terms.append((_LIST, ("re.range", regex), pos, m.end()))
+            elif held is None:
+                held = (SyntaxParseError("expected a command", terms[0][2]) if terms
+                        else UnsupportedError("command re.range", pos))
         elif kind == _WORD:
             text = m[kind]
             end = m.end()
@@ -298,6 +323,14 @@ def _re_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> lis
 
 
 def _re_union(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:
+    ranges = []  # the one interval of each operand, while all are ranges of characters
+    for kind, val, _, _ in args:
+        if kind != _LIST or val[0] != "re.range" or type(val[1]) is not rx.CharClass:
+            break
+        ranges.append(val[1].chars.parts[0])
+    else:
+        if ranges:
+            return rx.CharClass(IntervalSet.normalize(ranges))
     items = [x for t in args for x in _items(_regex(t), rx.Union)]
     if not items:
         raise SyntaxParseError("empty re.union", pos)
@@ -326,9 +359,16 @@ def _re_range(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.R
     if len(args) != 2 or args[0][0] != _STR or args[1][0] != _STR:
         raise SyntaxParseError("re.range takes two string literals", pos)
     lo, hi = args[0][1], args[1][1]
-    if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
-        return rx.Never()  # standard semantics: such a range denotes no characters
-    return rx.CharClass(IntervalSet((Interval(ord(lo), ord(hi)),)))  # one range is normal
+    if len(lo) != 1 or len(hi) != 1:
+        return rx.Never()  # standard semantics: such a range denotes no characters,
+    return _range(ord(lo), ord(hi))  # and so does a reversed one
+
+
+def _range(lo: int, hi: int) -> rx.Regex:
+    """The regex of `re.range` with one-character bounds `lo` and `hi`."""
+    if lo > hi:
+        return rx.Never()
+    return rx.CharClass(IntervalSet((Interval(lo, hi),)))  # one range is normal
 
 
 def _str_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> list:

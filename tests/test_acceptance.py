@@ -309,7 +309,8 @@ def test_criterion_10_bench_mini_corpus():
             del expected["millis"]
             assert record == expected
     table = __import__("strsolve.cli", fromlist=["format_table"]).format_table(report)
-    for column in ("total", "sat", "unknown", "unsat", "solved%", "avg-time", "timeout"):
+    for column in ("total", "sat", "unknown", "unsat", "solved%", "avg-time", "solve-time",
+                   "timeout"):
         assert column in table
     _passed(10, "mini corpus tabulates 4 sat / 4 unsat / 3 unknown / 1 timeout")
 

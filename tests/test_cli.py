@@ -232,6 +232,22 @@ def test_bench_groups_by_subdirectory(tmp_path):
     assert report.rows[0].sat == 1 and report.rows[1].unsat == 1
 
 
+def test_bench_solve_time_is_the_mean_millis_of_the_verdicts(tmp_path):
+    # the unsupported file's record holds its wall time in the harness,
+    # which solve-time leaves out, as avg-time leaves the file out
+    for name, src in (("a", SAT_SRC), ("b", UNSAT_SRC), ("c", "(declare-const x Int)")):
+        (tmp_path / f"{name}.smt2").write_text(src)
+    report = bench(tmp_path, timeout_ms=30_000, jobs=2, quiet=True)
+    (row,) = report.rows
+    millis = [r["millis"] for r in report.records if r["verdict"] in ("sat", "unsat")]
+    assert len(millis) == 2 and row.solve_time_s == pytest.approx(sum(millis) / 2 / 1000)
+    assert 0 < row.solve_time_s < row.avg_time_s
+    header, _, line, unsupported = cli.format_table(report).splitlines()
+    assert unsupported == "unsupported files: 1"
+    assert header.split()[6:8] == ["avg-time", "solve-time"]
+    assert line.split()[6:8] == [f"{row.avg_time_s:.4f}s", f"{row.solve_time_s:.4f}s"]
+
+
 def test_bench_outcome_comes_from_the_exception(tmp_path):
     # an undeclared variable named `unsupported` is an error, as in `solve`,
     # however the message reads

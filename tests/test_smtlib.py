@@ -243,7 +243,8 @@ LEAVES = {"c": ["(str.in_re y re.all)", "(= x y)", '(= "a" "a")'],
           "w": ["x", "y", "|x|", '"a"', '""', '"q""q"'],
           "l": ["(str.len x)"],
           "v": ["x", "y", "|x|", "x", "y", "z"],
-          "s": ['""', '"a"', '"ab"', '"\\u{62}"', '"\\u0063d"'],
+          "s": ['""', '"a"', '"ab"', '"\\u{62}"', '"\\u0063d"', '"\\"', '"\\u{fffff}"',
+                '"\\u{10ffff}"', '"\\u0041"'],
           "n": ["0", "3", "-2", "007"]}
 LEAVES["any"] = [leaf for leaves in LEAVES.values() for leaf in leaves] + ["()", "String", "y ()"]
 # the heads of each sort, with their argument sorts; the last one repeats
@@ -259,6 +260,11 @@ _LEAF = {sort: st.sampled_from(leaves) for sort, leaves in LEAVES.items()}
 _OPERATOR = {sort: st.sampled_from(ops) for sort, ops in OPERATORS.items()}
 _HEAD = st.sampled_from(HEADS)
 _ARG_SORT = {sort: st.sampled_from([sort] * 25 + [*OPERATORS, "any"]) for sort in LEAVES}
+# What a `re.range` list puts before each argument and before its `)`: a
+# run of whitespace, which the one-token range takes, or else a comment or
+# no whitespace, which leave the list to the general tokens.
+RANGE_GAPS = st.sampled_from([" "] * 4 + ["\t", "\n", "   ", " ; comment\n", ""])
+RANGE_ENDS = st.sampled_from([""] * 4 + [" ", "\t\n", " ; comment\n"])
 
 
 @st.composite
@@ -274,6 +280,8 @@ def smt_term(draw, sort="c", depth=5):
     elif head in VARIADIC:
         sorts = sorts * (1 + roll // 200 % 3)
     args = [draw(smt_term(draw(_ARG_SORT[arg]), depth - 1)) for arg in sorts]
+    if head == "re.range":
+        return "(" + head + "".join(draw(RANGE_GAPS) + arg for arg in args) + draw(RANGE_ENDS) + ")"
     return "(" + " ".join([head, *args]) + ")"
 
 
@@ -414,6 +422,47 @@ def test_union_of_ranges_with_one_escape_bounds():
     assert isinstance(chars.regex, rx.CharClass)
 
 
+RANGE_AB = rx.CharClass(IntervalSet.from_pairs((97, 98)))
+
+
+@pytest.mark.parametrize("src,want", [
+    # at depth 0 a range is a command, alone, after a stray atom, or after
+    # a command error, which is held first
+    ('(re.range "a" "b")', (UnsupportedError, "unsupported: command re.range (at offset 0)", 0)),
+    ('x (re.range "a" "b")(check-sat)', (SyntaxParseError, "expected a command (at offset 0)", 0)),
+    ('(push 1)(re.range "a" "b")', (UnsupportedError, "unsupported: command push (at offset 0)", 0)),
+    ('(re.range "a" "b")"', (SyntaxParseError, "unterminated string literal (at offset 18)", 18)),
+    # no whitespace between the bounds: one literal a"b, so one argument
+    (DECL + '(assert (str.in_re x (re.range "a""b")))',
+     (SyntaxParseError, "re.range takes two string literals (at offset 45)", 45)),
+    (DECL + '(assert (str.in_re x (re.range "a" "b" )))', (Membership("x", RANGE_AB),)),
+    (DECL + '(assert (str.in_re x (re.range\t"a"\n  "b"\r\n)))', (Membership("x", RANGE_AB),)),
+    (DECL + '(assert (str.in_re x (re.range "b" "a")))', (Membership("x", rx.Never()),)),
+    (DECL + '(assert (str.in_re x (re.range "\\u{fffff}" "\\u{41}")))', (Membership("x", rx.Never()),)),
+    (DECL + '(assert (str.in_re x (re.union (re.range "\\" "\\") (re.range "b" "a"))))',
+     (Membership("x", rx.Union((rx.CharClass(IntervalSet.from_pairs((92, 92))), rx.Never()))),)),
+    # a class of several intervals is not a range
+    (DECL + '(assert (str.in_re x (re.union (re.range "x" "z") (re.union (re.range "a" "b")'
+            ' (re.range "d" "e")))))',
+     (Membership("x", rx.CharClass(IntervalSet.from_pairs((97, 98), (100, 101), (120, 122)))),)),
+])
+def test_one_token_ranges_read_as_the_general_tokens_read_them(src, want):
+    got = _same_as_scanner_and_reference(src)
+    assert got == want if isinstance(got, tuple) else got.assertions == want
+
+
+@pytest.mark.parametrize("src,message", [
+    ('((re.range "a" "b") x)', 'unsupported: command (re.range "a" "b") (at offset 0)'),
+    (DECL + '(assert ((re.range "\\u{41}"\t"b") x))',
+     'unsupported: operator (re.range "\\u{41}"\t"b") (at offset 32)'),
+])
+def test_one_token_range_as_the_head_of_a_list(src, message):
+    # named by its source text; the reference names it by a Python repr
+    at = int(message.split()[-1][:-1])
+    assert _outcome(parse_smt_reference, src)[::2] == (UnsupportedError, at)
+    assert _outcome(parse_smt, src) == (UnsupportedError, message, at)
+
+
 def test_parse_checks_the_budget_every_stride_of_tokens():
     budget = CountingBudget()
     parse_smt("(check-sat)" * 1000, budget)  # 3000 tokens
@@ -421,6 +470,13 @@ def test_parse_checks_the_budget_every_stride_of_tokens():
     budget = CountingBudget()
     parse_smt("(set-info :k" + ' "\\u{41}"' * 2996 + ")", budget)  # 3000 tokens
     assert budget.checked == [0, 0, 0]
+    # a range with one-character bounds is one token: 5 + 7 + 3000 + 3 tokens
+    budget = CountingBudget()
+    ranges = "".join(f' (re.range "{chr(c)}" "\\u{{{c:x}}}")' for c in range(0x100, 0x100 + 3000))
+    script = parse_smt(DECL + "(assert (str.in_re x (re.union" + ranges + ")))", budget)
+    assert budget.checked == [0, 0, 0]
+    chars = rx.CharClass(IntervalSet.from_pairs((0x100, 0x100 + 2999)))
+    assert script.assertions == (Membership("x", chars),)
     # the match of what trails the last token is one more: a stride of
     # tokens ends the text, or it starts a second stride
     for literals, checks in ((BUDGET_STRIDE - 5, [0]), (BUDGET_STRIDE - 4, [0, 0])):
