@@ -16,8 +16,8 @@ from .errors import (ResourceLimitError, StrSolveError, SyntaxParseError,
 from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
 from .regex import length_automaton, parse_regex, sigma_star, word_automaton
 from .smtlib import SmtScript, parse_smt
-from .snfa import (Budget, SNfa, Transition, accepts, concat, dump, is_empty,
-                   product, snfa, some_word, split_word, to_dot)
+from .snfa import (Budget, SNfa, accepts, concat, dump, is_empty, product, snfa,
+                   some_word, split_word, to_dot)
 from .solver import (RefinedReg, SolveStats, Verdict, classify, extract_model,
                      forward_prop, solve)
 
@@ -27,7 +27,7 @@ __all__ = [
     "Assignment", "Budget", "CyclicDependencyError", "Equation", "FULL", "Interval",
     "IntervalSet", "Length", "Lit", "MAX_CODEPOINT", "Membership", "Or", "Problem",
     "RefinedReg", "ResourceLimitError", "SNfa", "SmtScript", "SolveStats", "StrSolveError",
-    "SurfaceConstraint", "SyntaxParseError", "Transition", "UnsupportedError", "Var",
+    "SurfaceConstraint", "SyntaxParseError", "UnsupportedError", "Var",
     "VarId", "Verdict", "accepts", "check_tree", "classify", "concat", "desugar", "dump",
     "extract_model", "forward_prop", "is_empty", "layering", "length_automaton",
     "make_problem", "parse_regex", "parse_smt", "problem_dump", "product", "sat_str",

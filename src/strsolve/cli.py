@@ -3,14 +3,16 @@
 `solve` prints exactly one of sat/unsat/unknown as its first stdout line
 and exits 0 for any verdict, 1 on parse/unsupported input or a malformed
 command line, 2 on resource exhaustion (including the cooperative
-timeout). `bench` solves every .smt2 file under a directory with
+timeout). `bench()` solves every .smt2 file under a directory with
 `solve_path` in a child process per file, with a per-file wall-clock
 timeout (the authoritative one; the child also gets the cooperative
-deadline), writes one JSON record per file, and prints a summary table
-with the columns
-total/sat/unknown/unsat/solved%/avg-time/solve-time/timeout: `avg-time` is
-a file's wall time in the harness and `solve-time` the solver's own time,
-its record's `millis`, so the difference is the harness's overhead.
+deadline), and returns one JSON record per file with the table rows. The
+`bench` command prints the summary table, with the columns
+total/sat/unknown/unsat/solved%/avg-time/solve-time/timeout, and appends
+the records to its `--stats` file: `avg-time` is a file's wall time in the
+harness and `solve-time` the solver's own time, its record's `millis`, so
+the difference is the harness's overhead. A file without a verdict
+finished no solve, and its record's `millis` is 0.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def _dump_dots(directory: Path, stem: str, idx: int, refined: Optional[RefinedRe
         return
     for var in sorted(refined):
         out = directory / f"{stem}.d{idx}.{_file_part(var)}.dot"
-        out.write_text(to_dot(refined[var], name="snfa"), encoding="utf-8")
+        out.write_text(to_dot(refined[var]), encoding="utf-8")
 
 
 _FILE_SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
@@ -126,6 +128,12 @@ def stats_record(path: str | Path, verdict: Verdict, stats: SolveStats,
     }
 
 
+def _append_records(path: str | Path, records: list[dict]) -> None:
+    """Append `records` to the JSON-lines file `path`, one per line."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         verdict, stats, nvars = solve_path(args.file, optimize=args.optimize,
@@ -150,8 +158,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         for name in sorted(verdict.model):
             print(f'(define-fun {name} () String "{encode_string(verdict.model[name])}")')
     if args.stats:
-        with open(args.stats, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(stats_record(args.file, verdict, stats, nvars)) + "\n")
+        _append_records(args.stats, [stats_record(args.file, verdict, stats, nvars)])
     return EXIT_VERDICT
 
 
@@ -197,8 +204,7 @@ class BenchReport:
 
 
 def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
-          optimize: bool = False, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
-          stats_path: Optional[str | Path] = None, quiet: bool = False) -> BenchReport:
+          optimize: bool = False, max_transitions: int = DEFAULT_MAX_TRANSITIONS) -> BenchReport:
     """Run every .smt2 file under `directory` and tabulate verdicts per group.
 
     A file's group is its immediate subdirectory ("." for toplevel files).
@@ -269,18 +275,11 @@ def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
         else:
             report.errors += 1
             report.notes.append(f"skipped unreadable/failing file: {path}")
-        if record is None:  # an empty solve's record, with the outcome and the wall time
-            record = stats_record(path, Verdict("unknown"), SolveStats(millis=wall * 1000.0), 0)
-            record["verdict"] = outcome
+        if record is None:  # no solve finished: an empty solve's record, with the outcome
+            record = stats_record(path, Verdict(outcome), SolveStats(), 0)
         report.records.append(record)
 
     report.rows = [rows[g] for g in sorted(rows)]
-    if stats_path is not None:
-        with open(stats_path, "a", encoding="utf-8") as fh:
-            for record in report.records:
-                fh.write(json.dumps(record) + "\n")
-    if not quiet:
-        print(format_table(report))
     return report
 
 
@@ -318,8 +317,10 @@ def format_table(report: BenchReport) -> str:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     report = bench(args.dir, timeout_ms=args.timeout, jobs=args.jobs,
-                   optimize=args.optimize, max_transitions=args.max_transitions,
-                   stats_path=args.stats)
+                   optimize=args.optimize, max_transitions=args.max_transitions)
+    if args.stats:
+        _append_records(args.stats, report.records)
+    print(format_table(report))
     return EXIT_VERDICT if not report.errors else EXIT_PARSE
 
 

@@ -11,15 +11,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-from .errors import ResourceLimitError
+from typing import Iterable
 
 MAX_CODEPOINT = 0x10FFFF
-
-# Enumerating the members of a large label is almost always a bug, so
-# IntervalSet.code_points refuses it above this cap.
-ENUM_CAP = 1 << 16
 
 
 class Interval(namedtuple("Interval", ["lo", "hi"])):
@@ -66,13 +60,6 @@ class IntervalSet:
     def from_pairs(*pairs: tuple[int, int]) -> "IntervalSet":
         return IntervalSet.normalize(Interval(lo, hi) for lo, hi in pairs)
 
-    @staticmethod
-    def full() -> "IntervalSet":
-        return IntervalSet((FULL,))
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.normalize(self.parts + other.parts)
-
     def complement(self) -> "IntervalSet":
         """Complement relative to [0, MAX_CODEPOINT]."""
         gaps: list[Interval] = []
@@ -85,26 +72,8 @@ class IntervalSet:
             gaps.append(Interval(next_free, MAX_CODEPOINT))
         return IntervalSet(tuple(gaps))
 
-    def contains(self, cp: int) -> bool:
-        for p in self.parts:
-            if cp < p.lo:
-                return False
-            if cp <= p.hi:
-                return True
-        return False
-
     def is_empty(self) -> bool:
         return not self.parts
-
-    def count(self) -> int:
-        return sum(p.hi - p.lo + 1 for p in self.parts)
-
-    def code_points(self) -> Iterator[int]:
-        """Enumerate members in increasing order; refused above ENUM_CAP elements."""
-        if self.count() > ENUM_CAP:
-            raise ResourceLimitError(f"refusing to enumerate {self.count()} code points (cap {ENUM_CAP})")
-        for p in self.parts:
-            yield from range(p.lo, p.hi + 1)
 
     def __repr__(self) -> str:
         return "{" + ",".join(repr(p) for p in self.parts) + "}"

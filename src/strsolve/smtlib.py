@@ -16,15 +16,13 @@ operands' values, and the operator or command that uses a chain of them
 flattens it once, so a chain of any depth costs linear time.
 
 Reading is the largest front-end cost of a benchmark of many small
-scripts, so the loop makes few calls per token. A literal that is one
-\\u{...} escape is a token of its own, decoded without `_decode_string`:
-such literals are the characters of wide-Unicode classes, 32 832 of the
-45 921 literals of the smt_mix benchmark. A whole `(re.range L L)` whose
-bounds are such literals, or literals of one other character, is one token
-too, and the loop appends the list's value as the general path would
-reduce it: the 21 637 `re.range` lists of that benchmark were 108 185 of
-its 196 895 tokens. A `re.union` of only character ranges gathers their
-intervals into one `IntervalSet`.
+scripts, so the loop makes few calls per token. A whole `(re.range L L)`
+whose bounds are literals of one character, or of one \\u{...} escape, is
+one token, and the loop appends the list's value as the general path would
+reduce it: the 21 637 `re.range` lists of the smt_mix benchmark were
+108 185 of its 196 895 tokens, and every escaped literal of that
+benchmark is a bound of one. A `re.union` of only character ranges
+gathers their intervals into one `IntervalSet`.
 """
 
 from __future__ import annotations
@@ -102,18 +100,14 @@ def encode_string(w: str) -> str:
 # One token per match, with the whitespace and comments before it, told
 # apart by `lastindex`: the groups below, or None for what trails the last
 # token. Whitespace is exactly space, tab, CR and LF (docs/smtlib-subset.md).
-# The first alternative reads `(re.range L L)` as one token instead of five
-# (most tokens of the smt_mix benchmark were of such lists; see the module
-# docstring): each L is a literal of one character other than " or of one
-# \u{...} escape of 1-5 hex digits, and only whitespace, not a comment,
-# separates the parts. No " can follow an L, since whitespace or ) must.
-# Any other `re.range` list is read by the general tokens.
-# A literal that is exactly one \u{...} escape of 1-5 hex digits (at most
-# 0xFFFFF, a valid code point) is a token of its own, decoded in the loop
-# without `_decode_string`: each character of a wide-Unicode class is
-# written so, and such literals are 32 832 of the 45 921 literals of the
-# smt_mix benchmark. Its (?!") leaves `"\u{41}"""` to the general literal,
-# which reads the "" pair as a quote. The general body is unrolled and
+# The first alternative, the one fused form, reads `(re.range L L)` as one
+# token instead of five (most tokens of the smt_mix benchmark were of such
+# lists; see the module docstring): each L is a literal of one character
+# other than " or of one \u{...} escape of 1-5 hex digits (at most 0xFFFFF,
+# a valid code point), and only whitespace, not a comment, separates the
+# parts. No " can follow an L, since whitespace or ) must. Any other
+# `re.range` list is read by the general tokens. Every other literal is the
+# general one, decoded by `_decode_string`. Its body is unrolled and
 # possessive: it takes "" pairs from the left, as a character scanner does,
 # and does not backtrack to end an unterminated literal at a doubled quote.
 # A lone " or | that starts no complete token falls through to the catch-all.
@@ -124,7 +118,6 @@ _TOKEN = re.compile(r"""
             "(?:\\u\{([0-9A-Fa-f]{1,5})\}|([^"]))"[ \t\r\n]*\))
       | (\()
       | (\))
-      | "\\u\{([0-9A-Fa-f]{1,5})\}"(?!")
       | "((?:[^"]*+"")*+[^"]*+)"
       | \|([^|]*)\|
       | (-?[0-9]++)(?![^ \t\r\n();"|])
@@ -133,7 +126,7 @@ _TOKEN = re.compile(r"""
       | \Z)
 """, re.VERBOSE | re.DOTALL)
 _RANGE = 1  # groups 2-5: each bound's hex digits or its character
-_OPEN, _CLOSE, _CHAR, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(6, 14)
+_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(6, 13)
 # A numeral of more digits is a syntax error, before `int()` meets Python's
 # limit on converting long digit strings (4300 by default). Any length
 # bound of this many digits is far past every length cap anyway.
@@ -213,10 +206,6 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
             text = m[kind]
             end = m.end()
             terms.append((_SYM, text, end - len(text), end))
-        elif kind == _CHAR:
-            digits = m[kind]
-            end = m.end()
-            terms.append((_STR, chr(int(digits, 16)), end - len(digits) - 6, end))
         elif kind == _STRING:
             raw = m[kind]
             end = m.end()

@@ -43,7 +43,7 @@ have no accepting run.
 from __future__ import annotations
 
 import time
-from collections import deque, namedtuple
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -51,7 +51,7 @@ from operator import eq
 from typing import Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
-from .intervals import MAX_CODEPOINT, Interval
+from .intervals import MAX_CODEPOINT
 
 Row = tuple[int, int, int]           # (lo, hi, dst)
 Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per state
@@ -91,8 +91,6 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-Transition = namedtuple("Transition", ["src", "label", "dst"])
-
 # Debug-mode validation: when enabled, every constructed automaton is checked
 # for well-formedness (and for honesty of its trim flag). Too costly for big
 # products to leave on unconditionally.
@@ -107,23 +105,16 @@ def set_validation(enabled: bool) -> bool:
 
 
 class _Transitions:
-    """Read-only view of an automaton's transitions as `Transition`s with
-    integer endpoints, in (src, label, dst) order, made on demand from the
-    rows; its length is counted once."""
+    """The number of an automaton's transitions, counted once from the rows,
+    as `len(a.transitions)`; walk `a.rows` for the transitions themselves."""
 
-    __slots__ = ("_rows", "_len")
+    __slots__ = ("_len",)
 
     def __init__(self, rows: Rows):
-        self._rows = rows
         self._len = sum(map(len, rows))
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self) -> Iterator[Transition]:
-        for src, row in enumerate(self._rows):
-            for lo, hi, dst in row:
-                yield Transition(src, Interval(lo, hi), dst)
 
 
 @dataclass(frozen=True)
@@ -506,10 +497,10 @@ def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
     return None
 
 
-def to_dot(a: SNfa, name: str = "snfa") -> str:
-    """GraphViz export with "lo-hi" edge labels."""
+def to_dot(a: SNfa) -> str:
+    """GraphViz export, the graph named `snfa`, with "lo-hi" edge labels."""
     names = list(map(a.name, a.states))
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph snfa {", "  rankdir=LR;"]
     for i, q in enumerate(sorted(a.initial)):
         lines.append(f'  __start{i} [shape=point];')
         lines.append(f'  __start{i} -> "{names[q]}";')

@@ -123,14 +123,14 @@ def extract_model(p: Problem, reg1: Mapping[VarId, SNfa]) -> Assignment:
     return mu
 
 
-def classify(p: Problem, reg1: RefinedReg, stats: Optional[SolveStats] = None) -> Verdict:
+def classify(p: Problem, reg1: RefinedReg, stats: SolveStats) -> Verdict:
     """Turn refined constraints into a verdict.
 
     unsat needs only one empty language (sound unconditionally); sat
     additionally needs the tree property and is backed by an extracted,
-    checked model; everything else is unknown.
+    checked model; everything else is unknown. Records the refined sizes
+    in `stats`.
     """
-    stats = stats or SolveStats()
     stats.var_sizes = {v: (len(reg1[v].states), len(reg1[v].transitions))
                        for v in sorted(reg1)}
     for v in sorted(reg1):

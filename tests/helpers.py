@@ -21,13 +21,12 @@ from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit, Membership,
                                   Or, Problem, SurfaceConstraint, Var, VarId, make_problem)
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
-from strsolve.intervals import ENUM_CAP, FULL, MAX_CODEPOINT, Interval, IntervalSet
+from strsolve.intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
                             Regex, Star, Union)
 from strsolve.smtlib import (_FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript,
                              encode_string)
-from strsolve.snfa import (BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, Transition,
-                           accepts, snfa)
+from strsolve.snfa import BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, accepts, snfa
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
 LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
@@ -129,7 +128,7 @@ def ref_regex_match(node: rx.Regex, w: str) -> bool:
     if isinstance(node, rx.Literal):
         return w == chr(node.cp)
     if isinstance(node, rx.CharClass):
-        return len(w) == 1 and node.chars.contains(ord(w))
+        return len(w) == 1 and any(p.lo <= ord(w) <= p.hi for p in node.chars.parts)
     if isinstance(node, rx.AnyChar):
         return len(w) == 1
     if isinstance(node, rx.Epsilon):
@@ -290,7 +289,12 @@ def compile_reference(ast: Regex) -> SNfa:
     return snfa(rows, {0}, accepting, trim=True)
 
 
-def sem(a: Interval, cap: int = ENUM_CAP) -> frozenset[int]:
+# Enumerating the members of a large label is almost always a bug, so
+# `sem` refuses it above this cap.
+SEM_CAP = 1 << 16
+
+
+def sem(a: Interval, cap: int = SEM_CAP) -> frozenset[int]:
     """The set {n | lo <= n <= hi}, materialized. Refused above `cap` elements."""
     n = a.hi - a.lo + 1 if a.lo <= a.hi else 0
     if n > cap:
@@ -1017,39 +1021,42 @@ def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:
             or len(a1.initial) != len(a2.initial) or len(a1.accepting) != len(a2.accepting)):
         return False
 
-    def signature(a: SNfa, q: int) -> tuple:
-        out_labels = sorted(t.label for t in a.transitions if t.src == q)
-        in_labels = sorted(t.label for t in a.transitions if t.dst == q)
+    # each transition as (src, (lo, hi), dst), read from the rows
+    trans1 = [(src, (lo, hi), dst) for src, row in enumerate(a1.rows) for lo, hi, dst in row]
+    trans2 = {(src, (lo, hi), dst) for src, row in enumerate(a2.rows) for lo, hi, dst in row}
+
+    def signature(trans, a: SNfa, q: int) -> tuple:
+        out_labels = sorted(label for src, label, _ in trans if src == q)
+        in_labels = sorted(label for _, label, dst in trans if dst == q)
         return (q in a.initial, q in a.accepting, tuple(out_labels), tuple(in_labels))
 
     sig2: dict[tuple, list[int]] = defaultdict(list)
     for q in sorted(a2.states):
-        sig2[signature(a2, q)].append(q)
+        sig2[signature(trans2, a2, q)].append(q)
 
     order = sorted(a1.states)
-    trans2 = set(a2.transitions)
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
     def consistent(q1: int, q2: int) -> bool:
-        for t in a1.transitions:
-            if t.src == q1 and t.dst in mapping:
-                if Transition(q2, t.label, mapping[t.dst]) not in trans2:
+        for src, label, dst in trans1:
+            if src == q1 and dst in mapping:
+                if (q2, label, mapping[dst]) not in trans2:
                     return False
-            if t.dst == q1 and t.src in mapping:
-                if Transition(mapping[t.src], t.label, q2) not in trans2:
+            if dst == q1 and src in mapping:
+                if (mapping[src], label, q2) not in trans2:
                     return False
-            if t.src == q1 and t.dst == q1:
-                if Transition(q2, t.label, q2) not in trans2:
+            if src == q1 and dst == q1:
+                if (q2, label, q2) not in trans2:
                     return False
         return True
 
     def assign(i: int) -> bool:
         if i == len(order):
-            mapped = {Transition(mapping[t.src], t.label, mapping[t.dst]) for t in a1.transitions}
+            mapped = {(mapping[src], label, mapping[dst]) for src, label, dst in trans1}
             return mapped == trans2
         q1 = order[i]
-        for q2 in sig2.get(signature(a1, q1), ()):
+        for q2 in sig2.get(signature(trans1, a1, q1), ()):
             if q2 in used or not consistent(q1, q2):
                 continue
             mapping[q1] = q2

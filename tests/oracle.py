@@ -3,9 +3,10 @@
 This module is the executable cross-check for the property suites. Word
 membership here is decided by naive path enumeration over the stored
 transition rows, sharing no code with the production simulation in
-`snfa.accepts`, and the variables are ordered by a scan of their own, not
-by `constraints.layering`; that independence is the point, and a test
-pins the few names imported from the package. Results are only
+`snfa.accepts`, the alphabet is enumerated from its intervals here, and
+the variables are ordered by a scan of their own, not by
+`constraints.layering`; that independence is the point, and a test pins
+the few names imported from the package, data types only. Results are only
 meaningful within the given bound: exhausting the space proves nothing
 beyond it.
 """
@@ -36,11 +37,12 @@ class Bound:
     def __post_init__(self):
         if self.max_len > MAX_ORACLE_LEN:
             raise ValueError(f"oracle bound too deep: {self.max_len} > {MAX_ORACLE_LEN}")
-        if self.alphabet.count() > MAX_ORACLE_ALPHABET:
-            raise ValueError(f"oracle alphabet too wide: {self.alphabet.count()} > {MAX_ORACLE_ALPHABET}")
+        width = sum(p.hi - p.lo + 1 for p in self.alphabet.parts)
+        if width > MAX_ORACLE_ALPHABET:
+            raise ValueError(f"oracle alphabet too wide: {width} > {MAX_ORACLE_ALPHABET}")
 
     def chars(self) -> list[str]:
-        return [chr(cp) for cp in self.alphabet.code_points()]
+        return [chr(cp) for p in self.alphabet.parts for cp in range(p.lo, p.hi + 1)]
 
     def words(self) -> list[str]:
         """All words over the alphabet up to max_len, in length-lexicographic order."""

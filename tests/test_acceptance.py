@@ -286,7 +286,7 @@ def test_criterion_9_termination_and_determinism():
 
 
 def test_criterion_10_bench_mini_corpus():
-    report = bench(MINI, timeout_ms=2000, jobs=4, quiet=True)
+    report = bench(MINI, timeout_ms=2000, jobs=4)
     (row,) = report.rows
     assert (row.total, row.sat, row.unsat, row.unknown, row.timeout) == (12, 4, 4, 3, 1)
     assert report.unsupported == 0 and report.errors == 0
@@ -295,11 +295,13 @@ def test_criterion_10_bench_mini_corpus():
         assert list(record) == ["file", "verdict", "vars", "max_states",
                                 "max_transitions", "iterations", "millis"]
     # in sorted file order, each the in-process record but for the time;
-    # the budget stop is the timeout file's, and its record holds zeros
+    # the budget stop is the timeout file's, and its record holds zeros,
+    # its time too, since no solve finished
     assert [r["file"] for r in report.records] == [str(f) for f in sorted(MINI.glob("*.smt2"))]
     for record in report.records:
-        del record["millis"]
+        millis = record.pop("millis")
         if record["verdict"] == "timeout":
+            assert millis == 0
             with pytest.raises(ResourceLimitError):
                 solve_path(record["file"], timeout_ms=2000)
             assert record == {"file": record["file"], "verdict": "timeout", "vars": 0,

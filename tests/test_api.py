@@ -26,7 +26,10 @@ def test_removed_duplicates_stay_removed():
                               ("smtlib", "_print_regex"), ("snfa", "remove_unreachable"),
                               # wrappers or helpers nothing called
                               ("regex", "compile_pattern"), ("intervals", "nonempty"),
-                              ("intervals", "mem"), ("intervals", "intersection")):
+                              ("intervals", "mem"), ("intervals", "intersection"),
+                              # paths no solve and no benchmark workload reached
+                              ("smtlib", "_CHAR"), ("snfa", "Transition"),
+                              ("intervals", "ENUM_CAP")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name
@@ -36,6 +39,13 @@ def test_removed_duplicates_stay_removed():
         assert not hasattr(strsolve, name), name
     assert not hasattr(strsolve.SNfa, "_out")  # the rows are the one adjacency form
     assert not hasattr(strsolve.Budget, "charge")  # product and concat check as they build
+    for method in ("union", "full", "contains", "count", "code_points"):
+        assert not hasattr(strsolve.IntervalSet, method), method
+    # switches with one value in use: `bench` returns its report, and the
+    # command prints it and writes the records; every DOT graph is `snfa`
+    bench = importlib.import_module("strsolve.cli").bench
+    assert not {"quiet", "stats_path"} & set(inspect.signature(bench).parameters)
+    assert "name" not in inspect.signature(strsolve.to_dot).parameters
 
 
 def test_benchmark_hooks_keep_their_names_and_signatures():

@@ -167,7 +167,7 @@ def test_dump_dot_reuses_the_solve(tmp_path, monkeypatch):
     script = parse_smt((MINI / "sat_url.smt2").read_text())
     (problem,) = desugar(list(script.assertions), base_vars=[n for n, _ in script.declarations])
     for var, a in propagate(problem).items():
-        assert (dots / f"sat_url.d0.{var}.dot").read_text() == to_dot(a, name="snfa")
+        assert (dots / f"sat_url.d0.{var}.dot").read_text() == to_dot(a)
     # ... and as the dump that ran its own propagation after the solve
     digest = hashlib.sha256()
     for f in sorted(dots.glob("sat_url.*.dot")):
@@ -205,7 +205,7 @@ def test_disjunction_solved_per_branch(tmp_path):
     assert verdict.model == {"x": "ok"}
 
 
-def test_bench_mini_corpus_smoke(tmp_path):
+def test_bench_mini_corpus_smoke(tmp_path, monkeypatch, capsys):
     # a 3-file subset keeps this quick; the full corpus runs in acceptance
     sub = tmp_path / "sub"
     sub.mkdir()
@@ -213,7 +213,12 @@ def test_bench_mini_corpus_smoke(tmp_path):
     (sub / "two_unsat.smt2").write_text(UNSAT_SRC)
     (sub / "three_bad.smt2").write_text('(declare-const x Int)(check-sat)')
     out = tmp_path / "bench.jsonl"
-    report = bench(sub, timeout_ms=30_000, jobs=2, stats_path=out, quiet=True)
+    reports = []  # the report the command printed and wrote
+    monkeypatch.setattr(cli, "bench", lambda *args, **kw: reports.append(bench(*args, **kw))
+                        or reports[-1])
+    assert main(["bench", str(sub), "--timeout", "30000", "--jobs", "2", "--stats", str(out)]) == 0
+    (report,) = reports
+    assert capsys.readouterr().out == cli.format_table(report) + "\n"
     (row,) = report.rows
     assert (row.total, row.sat, row.unsat, row.unknown, row.timeout) == (3, 1, 1, 0, 0)
     assert report.unsupported == 1
@@ -227,17 +232,17 @@ def test_bench_groups_by_subdirectory(tmp_path):
     (tmp_path / "g2").mkdir()
     (tmp_path / "g1" / "a.smt2").write_text(SAT_SRC)
     (tmp_path / "g2" / "b.smt2").write_text(UNSAT_SRC)
-    report = bench(tmp_path, timeout_ms=30_000, jobs=2, quiet=True)
+    report = bench(tmp_path, timeout_ms=30_000, jobs=2)
     assert [r.group for r in report.rows] == ["g1", "g2"]
     assert report.rows[0].sat == 1 and report.rows[1].unsat == 1
 
 
 def test_bench_solve_time_is_the_mean_millis_of_the_verdicts(tmp_path):
-    # the unsupported file's record holds its wall time in the harness,
-    # which solve-time leaves out, as avg-time leaves the file out
+    # the unsupported file finished no solve, and solve-time leaves its
+    # record out, as avg-time leaves the file out
     for name, src in (("a", SAT_SRC), ("b", UNSAT_SRC), ("c", "(declare-const x Int)")):
         (tmp_path / f"{name}.smt2").write_text(src)
-    report = bench(tmp_path, timeout_ms=30_000, jobs=2, quiet=True)
+    report = bench(tmp_path, timeout_ms=30_000, jobs=2)
     (row,) = report.rows
     millis = [r["millis"] for r in report.records if r["verdict"] in ("sat", "unsat")]
     assert len(millis) == 2 and row.solve_time_s == pytest.approx(sum(millis) / 2 / 1000)
@@ -254,10 +259,21 @@ def test_bench_outcome_comes_from_the_exception(tmp_path):
     f = tmp_path / "undeclared.smt2"
     f.write_text('(assert (str.in_re unsupported (str.to_re "a")))(check-sat)')
     assert main(["solve", str(f)]) == 1
-    report = bench(tmp_path, timeout_ms=30_000, quiet=True)
+    report = bench(tmp_path, timeout_ms=30_000)
     assert (report.unsupported, report.errors) == (0, 1)
     assert [r["verdict"] for r in report.records] == ["error"]
     assert report.notes == [f"skipped unreadable/failing file: {f}"]
+
+
+def test_bench_record_without_a_verdict_has_zero_millis(tmp_path):
+    # no solve finished, so no solver time: not the harness's wall time
+    (tmp_path / "a_unsupported.smt2").write_text("(declare-const x Int)(check-sat)")
+    (tmp_path / "b_error.smt2").write_text('(assert (str.in_re y (str.to_re "a")))(check-sat)')
+    report = bench(tmp_path, timeout_ms=30_000)
+    assert report.records == [
+        {"file": str(tmp_path / name), "verdict": verdict, "vars": 0, "max_states": 0,
+         "max_transitions": 0, "iterations": 0, "millis": 0.0}
+        for name, verdict in (("a_unsupported.smt2", "unsupported"), ("b_error.smt2", "error"))]
 
 
 def test_bench_kills_a_parse_at_the_timeout(tmp_path):
@@ -266,7 +282,7 @@ def test_bench_kills_a_parse_at_the_timeout(tmp_path):
     (tmp_path / "slow.smt2").write_text(
         "(declare-const x String)" + '(assert (str.in_re x (str.to_re "ab")))' * 100_000)
     start = time.monotonic()
-    report = bench(tmp_path, timeout_ms=200, quiet=True)
+    report = bench(tmp_path, timeout_ms=200)
     assert time.monotonic() - start < 1.0
     assert report.rows[0].timeout == 1 and report.errors == 0
     assert [r["verdict"] for r in report.records] == ["timeout"]
@@ -285,7 +301,7 @@ def test_bench_child_dying_without_a_result_fails_only_its_file(tmp_path, monkey
         return real(path, **options)
 
     monkeypatch.setattr(cli, "solve_path", dying_on_b)
-    report = bench(tmp_path, timeout_ms=30_000, jobs=2, quiet=True)
+    report = bench(tmp_path, timeout_ms=30_000, jobs=2)
     assert [r["verdict"] for r in report.records] == ["sat", "error", "unsat", "sat"]
     assert (report.rows[0].sat, report.rows[0].unsat, report.errors) == (2, 1, 1)
     assert report.notes == [f"skipped unreadable/failing file: {tmp_path / 'b.smt2'}"]
@@ -326,7 +342,7 @@ def test_bench_records_equal_the_in_process_records(tmp_path):
         word = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
         (group / f"f{i:02d}.smt2").write_text(rng.choice(shapes)(word) + "(check-sat)")
     files = sorted(tmp_path.rglob("*.smt2"))
-    report = bench(tmp_path, timeout_ms=30_000, jobs=3, quiet=True)
+    report = bench(tmp_path, timeout_ms=30_000, jobs=3)
     for record in report.records:
         del record["millis"]
         if record["verdict"] in ("unsupported", "error"):
@@ -359,7 +375,7 @@ def test_api_rejects_a_timeout_outside_the_cli_range(timeout_ms, monkeypatch):
     with pytest.raises(ValueError, match="timeout_ms must be between 1 and 2147483647"):
         solve_path(MINI / "sat_url.smt2", timeout_ms=timeout_ms)
     with pytest.raises(ValueError, match="timeout_ms must be between 1 and 2147483647"):
-        bench(MINI, timeout_ms=timeout_ms, quiet=True)
+        bench(MINI, timeout_ms=timeout_ms)
 
 
 @pytest.mark.parametrize("argv, message", [

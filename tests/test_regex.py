@@ -9,8 +9,8 @@ from helpers import (TEST_ALPHABET, CountingBudget, compile_reference, random_re
                      ref_regex_match, remove_unreachable, words_upto)
 from strsolve import regex as rx
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
-from strsolve.intervals import FULL, Interval, IntervalSet, MAX_CODEPOINT
-from strsolve.snfa import Budget, Transition, accepts, dump, validate
+from strsolve.intervals import FULL, IntervalSet, MAX_CODEPOINT
+from strsolve.snfa import Budget, accepts, dump, validate
 
 
 def test_parse_class_plus():
@@ -104,7 +104,7 @@ def test_compile_examples():
     assert lang == {"", "ab", "abab"}
 
     cls = rx.compile(rx.parse_regex("[a-c]"))
-    assert {t.label for t in cls.transitions} == {Interval(97, 99)}
+    assert {(lo, hi) for row in cls.rows for lo, hi, _ in row} == {(97, 99)}
 
 
 def test_compile_never_and_embedded_never():
@@ -205,7 +205,7 @@ def test_sigma_star_canonical_form():
     ss = rx.sigma_star()
     assert len(ss.states) == 1 and len(ss.transitions) == 1
     assert ss.initial == ss.accepting == set(ss.states)
-    assert list(ss.transitions) == [Transition(0, FULL, 0)]
+    assert ss.rows == (((FULL.lo, FULL.hi, 0),),)
     assert accepts(ss, "")
     assert accepts(ss, "any word at all é\U0001d11e")
 
@@ -223,7 +223,7 @@ def test_word_automaton():
 def test_length_automaton():
     le6 = rx.length_automaton("<=", 6)
     assert len(le6.states) == 7 and le6.accepting == set(le6.states)
-    assert all(t.label == FULL for t in le6.transitions)
+    assert all((lo, hi) == FULL for row in le6.rows for lo, hi, _ in row)
     assert accepts(le6, "x" * 6) and not accepts(le6, "x" * 7)
 
     eq0 = rx.length_automaton("=", 0)
@@ -268,4 +268,4 @@ def test_negated_class_complement_is_exact():
         for cp in (0, a - 1, a, (a + b) // 2, b, b + 1, 300, MAX_CODEPOINT):
             if cp < 0:
                 continue
-            assert accepts(auto, chr(cp)) == (not chars.contains(cp))
+            assert accepts(auto, chr(cp)) == (not any(p.lo <= cp <= p.hi for p in chars.parts))

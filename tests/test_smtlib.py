@@ -356,9 +356,10 @@ def test_chains_nested_in_the_last_argument_flatten_in_linear_time(op):
     assert script.assertions == flat
 
 
-# Literals that are one \u{...} escape, read by a token of their own, and
-# their neighbours, read by the general literal: a "" after the escape, 6 or
-# more digits, and malformed escapes.
+# Literals that are one \u{...} escape, outside a `re.range`, and their
+# neighbours: a "" after the escape, 6 or more digits, and malformed
+# escapes. The general literal reads them all, and must read them as the
+# reference reader and the character scanner do.
 ONE_ESCAPE_LITERALS = ['"\\u{41}"""', '"\\u{0}"', '"\\u{FFFFF}"', '"\\u{10FFFF}"',
                        '"\\u{0000041}"', '"\\u{110000}"', '"\\u{}"', '"\\u{41"', '"\\u{4g}"',
                        '"\\u0041"']

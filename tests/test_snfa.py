@@ -253,7 +253,7 @@ def test_ops_never_store_empty_labels_and_stay_trim():
     for _ in range(40):
         a1, a2 = random_snfa(rng), random_snfa(rng)
         for result in (concat(a1, a2), product(a1, a2)):
-            assert all(t.label.lo <= t.label.hi for t in result.transitions)
+            assert all(lo <= hi for row in result.rows for lo, hi, _ in row)
             audit = remove_unreachable(result)
             assert audit.states == result.states  # BFS audit: already trim
 
