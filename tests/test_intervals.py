@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import sem
+from oracle import Bound
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
 
@@ -42,6 +43,15 @@ def test_normalize_matches_brute_force(pairs):
         assert a.hi + 1 < b.lo  # sorted, disjoint, non-adjacent
 
 
+# A union of character sets is normalize over the parts of both, as
+# `re.union` and the pattern reader build it.
+@given(small, small)
+def test_union_matches_brute_force(p1, p2):
+    x = IntervalSet.from_pairs(*p1)
+    y = IntervalSet.from_pairs(*p2)
+    assert brute(IntervalSet.normalize(x.parts + y.parts)) == brute(x) | brute(y)
+
+
 @given(small)
 def test_complement_matches_brute_force(pairs):
     x = IntervalSet.from_pairs(*pairs)
@@ -55,3 +65,11 @@ def test_normalize_examples():
     full_minus_letters = IntervalSet.from_pairs((0, 96), (123, MAX_CODEPOINT))
     assert full_minus_letters.complement().parts == (Interval(97, 122),)
     assert IntervalSet.from_pairs((1, 2), (4, 5)).parts == (Interval(1, 2), Interval(4, 5))
+
+
+# The oracle enumerates an alphabet from its parts, in ascending order
+# across the gaps, and refuses one too wide to enumerate.
+def test_code_points_enumeration():
+    assert Bound(1, IntervalSet.from_pairs((120, 120), (97, 98))).chars() == ["a", "b", "x"]
+    with pytest.raises(ValueError):
+        Bound(1, IntervalSet((FULL,))).chars()
