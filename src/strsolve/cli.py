@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NoReturn, Optional
 
@@ -165,16 +164,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Benchmark harness
 
-@dataclass
+# the counters of a GroupRow, which the total row sums
+_COUNTERS = ("total", "sat", "unknown", "unsat", "timeout", "time_sum_s", "solve_sum_s")
+
+
 class GroupRow:
-    group: str
-    total: int = 0
-    sat: int = 0
-    unknown: int = 0
-    unsat: int = 0
-    timeout: int = 0
-    time_sum_s: float = 0.0
-    solve_sum_s: float = 0.0
+    def __init__(self, group: str):
+        self.group = group
+        self.total = self.sat = self.unknown = self.unsat = self.timeout = 0
+        self.time_sum_s = self.solve_sum_s = 0.0
 
     @property
     def solved_pct(self) -> float:
@@ -194,13 +192,14 @@ class GroupRow:
         return self.solve_sum_s / verdicts if verdicts else 0.0
 
 
-@dataclass
 class BenchReport:
-    rows: list[GroupRow]
-    records: list[dict]
-    unsupported: int = 0
-    errors: int = 0
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, rows: list[GroupRow], records: list[dict], unsupported: int = 0,
+                 errors: int = 0, notes: Optional[list[str]] = None):
+        self.rows = rows
+        self.records = records
+        self.unsupported = unsupported
+        self.errors = errors
+        self.notes = [] if notes is None else notes
 
 
 def bench(directory: str | Path, timeout_ms: int = 60_000, jobs: int = 1,
@@ -303,8 +302,8 @@ def format_table(report: BenchReport) -> str:
     lines = [header, "-" * len(header)]
     total = GroupRow("total")
     for row in report.rows:
-        for counter in fields(GroupRow)[1:]:  # every field after the group name
-            setattr(total, counter.name, getattr(total, counter.name) + getattr(row, counter.name))
+        for counter in _COUNTERS:
+            setattr(total, counter, getattr(total, counter) + getattr(row, counter))
     for row in report.rows if len(report.rows) == 1 else [*report.rows, total]:
         lines.append(f"{row.group:<16}{row.total:>7}{row.sat:>6}{row.unknown:>9}{row.unsat:>7}"
                      f"{row.solved_pct:>8.1f}%{row.avg_time_s:>9.4f}s{row.solve_time_s:>11.4f}s"

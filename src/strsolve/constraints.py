@@ -13,11 +13,12 @@ in input order; surface variables must not use the prefix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, Sequence
 
 from . import regex as rx
 from .errors import ResourceLimitError, StrSolveError
+from .intervals import Value
 from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, Budget, SNfa, accepts, product
 
 VarId = str
@@ -38,45 +39,36 @@ class CyclicDependencyError(StrSolveError):
 # ---------------------------------------------------------------------------
 # Surface constraints
 
-@dataclass(frozen=True)
-class Var:
-    name: VarId
+class Var(Value, namedtuple("Var", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lit:
-    word: str
+class Lit(Value, namedtuple("Lit", "word")):
+    __slots__ = ()
 
 
 EqTerm = Var | Lit
 
 
-@dataclass(frozen=True)
-class Membership:
-    var: VarId
-    regex: rx.Regex
+class Membership(Value, namedtuple("Membership", "var regex")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Equation:
-    lhs: EqTerm
-    rhs: tuple[EqTerm, ...]  # length >= 1
+class Equation(Value, namedtuple("Equation", "lhs rhs")):
+    __slots__ = ()  # rhs: a tuple of EqTerm, of length >= 1
 
-    def __post_init__(self):
-        if not self.rhs:
+    def __new__(cls, lhs: EqTerm, rhs: tuple[EqTerm, ...]):
+        if not rhs:
             raise ValueError("equation right-hand side must be non-empty")
+        return tuple.__new__(cls, (lhs, rhs))
 
 
-@dataclass(frozen=True)
-class Length:
-    var: VarId
-    op: str  # <, <=, =, >=, >
-    bound: int
+class Length(Value, namedtuple("Length", "var op bound")):
+    __slots__ = ()  # op: <, <=, =, >=, >
 
 
-@dataclass(frozen=True)
-class Or:
-    branches: tuple[tuple["SurfaceConstraint", ...], ...]  # disjunction of conjunctions
+class Or(Value, namedtuple("Or", "branches")):
+    __slots__ = ()  # branches: a disjunction of conjunctions of SurfaceConstraint
 
 
 SurfaceConstraint = Membership | Equation | Length | Or
@@ -85,26 +77,26 @@ SurfaceConstraint = Membership | Equation | Length | Or
 # ---------------------------------------------------------------------------
 # Core problem form
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Value, namedtuple("Problem", "variables concat reg")):
     """Well-formed core constraint: reg is total on variables, concat maps a
     subset of variables to pair sets whose components are variables.
     Construction raises ValueError otherwise."""
 
-    variables: frozenset[VarId]
-    concat: Mapping[VarId, frozenset[tuple[VarId, VarId]]]
-    reg: Mapping[VarId, SNfa]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in self.concat:
-            if v not in self.variables:
+    def __new__(cls, variables: frozenset[VarId],
+                concat: Mapping[VarId, frozenset[tuple[VarId, VarId]]],
+                reg: Mapping[VarId, SNfa]):
+        for v in concat:
+            if v not in variables:
                 raise ValueError(f"equation variable {v!r} not in the variable set")
-            for v1, v2 in self.concat[v]:
-                if v1 not in self.variables or v2 not in self.variables:
+            for v1, v2 in concat[v]:
+                if v1 not in variables or v2 not in variables:
                     raise ValueError(f"pair ({v1!r},{v2!r}) mentions unknown variables")
-        if set(self.reg) != set(self.variables):
-            missing = set(self.variables) ^ set(self.reg)
+        if set(reg) != set(variables):
+            missing = set(variables) ^ set(reg)
             raise ValueError(f"regular-constraint map must be total on variables; mismatch {sorted(missing)}")
+        return tuple.__new__(cls, (variables, concat, reg))
 
 
 Assignment = dict[VarId, str]

@@ -5,15 +5,35 @@ A transition label is a single closed interval; an interval with lo > hi is
 empty and canonicalizes to [1,0] so that equal sets compare equal.
 IntervalSet is the normalized union-of-intervals form used by the regex
 compiler for character classes; automata never store one directly.
+
+`Value` is the mixin of the package's immutable value classes, which are
+namedtuple subclasses: cheap to define at import, which every start of
+the command line pays for.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterable
 
 MAX_CODEPOINT = 0x10FFFF
+
+
+class Value:
+    """Equality of a namedtuple value class: instances are equal only within
+    one class (plain tuples would make Star(a) equal to Plus(a)); the hash is
+    that of the fields as a tuple. A subclass lists the mixin first and sets
+    `__slots__ = ()`, which keeps its instances immutable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class Interval(namedtuple("Interval", ["lo", "hi"])):
@@ -33,15 +53,29 @@ class Interval(namedtuple("Interval", ["lo", "hi"])):
 FULL = Interval(0, MAX_CODEPOINT)
 
 
-@dataclass(frozen=True)
 class IntervalSet:
-    """Sorted, disjoint, non-adjacent, non-empty intervals.
+    """Sorted, disjoint, non-adjacent, non-empty intervals; immutable.
 
     Build through normalize()/from_pairs(); direct construction trusts the
-    caller to hand over parts already in normal form.
+    caller to hand over parts already in normal form. Not a tuple, whose
+    `count` and `index` would read as operations on the set.
     """
 
-    parts: tuple[Interval, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Interval, ...]):
+        _set_parts(self, parts)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"IntervalSet is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @staticmethod
     def normalize(raw: Iterable[Interval]) -> "IntervalSet":
@@ -77,3 +111,6 @@ class IntervalSet:
 
     def __repr__(self) -> str:
         return "{" + ",".join(repr(p) for p in self.parts) + "}"
+
+
+_set_parts = IntervalSet.parts.__set__  # the slot's own setter, past __setattr__

@@ -14,62 +14,54 @@ trim automaton directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ResourceLimitError, SyntaxParseError, UnsupportedError
-from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
+from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet, Value
 from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, PAIR_STRIDE, Budget, SNfa, snfa
 
 
-@dataclass(frozen=True)
-class Literal:
-    cp: int
+class Literal(Value, namedtuple("Literal", "cp")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CharClass:
-    chars: IntervalSet  # normalized and non-empty
+class CharClass(Value, namedtuple("CharClass", "chars")):
+    __slots__ = ()  # chars: an IntervalSet, normalized and non-empty
 
 
-@dataclass(frozen=True)
-class AnyChar:
-    pass
+class AnyChar(Value, namedtuple("AnyChar", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    pass
+class Epsilon(Value, namedtuple("Epsilon", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Never:
+class Never(Value, namedtuple("Never", "")):
     """The empty language. Never produced by the parser; it exists so the
     SMT front-end can express `re.none` and empty ranges."""
 
-
-@dataclass(frozen=True)
-class Concat:
-    items: tuple["Regex", ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Union:
-    items: tuple["Regex", ...]
+class Concat(Value, namedtuple("Concat", "items")):
+    __slots__ = ()  # items: a tuple of Regex
 
 
-@dataclass(frozen=True)
-class Star:
-    item: "Regex"
+class Union(Value, namedtuple("Union", "items")):
+    __slots__ = ()  # items: a tuple of Regex
 
 
-@dataclass(frozen=True)
-class Plus:
-    item: "Regex"
+class Star(Value, namedtuple("Star", "item")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Opt:
-    item: "Regex"
+class Plus(Value, namedtuple("Plus", "item")):
+    __slots__ = ()
+
+
+class Opt(Value, namedtuple("Opt", "item")):
+    __slots__ = ()
 
 
 Regex = Literal | CharClass | AnyChar | Epsilon | Never | Concat | Union | Star | Plus | Opt

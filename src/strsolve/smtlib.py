@@ -28,12 +28,12 @@ gathers their intervals into one `IntervalSet`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import regex as rx
 from .constraints import Equation, Length, Lit, Membership, Or, SurfaceConstraint, Var
 from .errors import StrSolveError, SyntaxParseError, UnsupportedError
-from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
+from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet, Value
 from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, Budget
 
 _IGNORED_COMMANDS = {"set-logic", "set-option", "set-info", "exit"}
@@ -44,11 +44,8 @@ _REGEX_HEADS = {"str.to_re", "str.to.re", "re.++", "re.union", "re.range", *_REP
 _RE_SYMBOLS = {"re.allchar": rx.AnyChar(), "re.all": rx.Star(rx.AnyChar()), "re.none": rx.Never()}
 
 
-@dataclass(frozen=True)
-class SmtScript:
-    declarations: tuple[tuple[str, str], ...]  # (name, sort); sort is always "String"
-    assertions: tuple[SurfaceConstraint, ...]
-    has_check_sat: bool
+class SmtScript(Value, namedtuple("SmtScript", "declarations assertions has_check_sat")):
+    __slots__ = ()  # declarations: (name, sort) pairs, sort always "String"
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,14 @@ have no accepting run.
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import islice
 from operator import eq
 from typing import Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
-from .intervals import MAX_CODEPOINT
+from .intervals import MAX_CODEPOINT, Value
 
 Row = tuple[int, int, int]           # (lo, hi, dst)
 Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per state
@@ -117,29 +116,38 @@ class _Transitions:
         return self._len
 
 
-@dataclass(frozen=True)
-class SNfa:
+class SNfa(Value, namedtuple("SNfa", "rows initial accepting names trim")):
     """Immutable symbolic NFA over the states 0..len(rows)-1.
 
     Direct construction trusts the caller to hand over rows that are sorted
     and duplicate-free per state, and names (if any) that are strictly
-    increasing; `snfa()` canonicalizes arbitrary rows. `trim` records
+    increasing; `snfa()` canonicalizes arbitrary rows. `names` holds
+    4*id + tag per state, or None when state q is q:0. `trim` records
     whether every state is known to be reachable from the initial set. The
-    flag is bookkeeping, not part of value equality.
+    flag is bookkeeping, not part of value equality or the hash.
     """
 
-    rows: Rows
-    initial: frozenset[int]
-    accepting: frozenset[int]
-    names: Optional[tuple[int, ...]] = None  # 4*id + tag; None: state q is q:0
-    trim: bool = field(default=False, compare=False)
+    # no __slots__: the instance dict holds the lazy `transitions`
 
-    def __post_init__(self) -> None:
-        if self.names is not None and all(
-                map(eq, self.names, range(0, 4 * len(self.names), 4))):
-            object.__setattr__(self, "names", None)
+    def __new__(cls, rows: Rows, initial: frozenset[int], accepting: frozenset[int],
+                names: Optional[tuple[int, ...]] = None, trim: bool = False):
+        if names is not None and all(map(eq, names, range(0, 4 * len(names), 4))):
+            names = None
+        self = tuple.__new__(cls, (rows, initial, accepting, names, trim))
         if _VALIDATE:
             validate(self)
+        return self
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"SNfa is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self[:4] == other[:4]
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     @property
     def states(self) -> range:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .constraints import (Assignment, CyclicDependencyError, Problem, VarId,
@@ -29,11 +28,19 @@ from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, is_empty, product, some
 RefinedReg = dict[VarId, SNfa]
 
 
-@dataclass
 class SolveStats:
-    iterations: int = 0
-    millis: float = 0.0
-    var_sizes: dict[VarId, tuple[int, int]] = field(default_factory=dict)
+    def __init__(self, iterations: int = 0, millis: float = 0.0,
+                 var_sizes: Optional[dict[VarId, tuple[int, int]]] = None):
+        self.iterations = iterations
+        self.millis = millis
+        self.var_sizes = {} if var_sizes is None else var_sizes
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return (f"SolveStats(iterations={self.iterations!r}, millis={self.millis!r}, "
+                f"var_sizes={self.var_sizes!r})")
 
     @property
     def max_states(self) -> int:
@@ -44,16 +51,28 @@ class SolveStats:
         return max((t for _, t in self.var_sizes.values()), default=0)
 
 
-@dataclass
 class Verdict:
-    kind: str  # "sat" | "unsat" | "unknown"
-    model: Optional[Assignment] = None     # sat only; passes sat_str
-    witness: Optional[VarId] = None        # unsat only; variable with empty language
-    reason: Optional[str] = None           # unknown only; "not-tree" | "cyclic"
-    stats: SolveStats = field(default_factory=SolveStats)
-    # the refined automata the verdict was read from (None when cyclic);
-    # for dumps only, never serialized
-    refined: Optional[RefinedReg] = field(default=None, repr=False, compare=False)
+    def __init__(self, kind: str, model: Optional[Assignment] = None,
+                 witness: Optional[VarId] = None, reason: Optional[str] = None,
+                 stats: Optional[SolveStats] = None, refined: Optional[RefinedReg] = None):
+        self.kind = kind  # "sat" | "unsat" | "unknown"
+        self.model = model  # sat only; passes sat_str
+        self.witness = witness  # unsat only; variable with empty language
+        self.reason = reason  # unknown only; "not-tree" | "cyclic"
+        self.stats = SolveStats() if stats is None else stats
+        # the refined automata the verdict was read from (None when cyclic);
+        # for dumps only, never serialized, compared or printed
+        self.refined = refined
+
+    def _key(self) -> tuple:
+        return self.kind, self.model, self.witness, self.reason, self.stats
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (f"Verdict(kind={self.kind!r}, model={self.model!r}, witness={self.witness!r}, "
+                f"reason={self.reason!r}, stats={self.stats!r})")
 
 
 def _is_sigma_star(a: SNfa) -> bool:
