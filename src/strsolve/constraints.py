@@ -120,23 +120,40 @@ def make_problem(variables: Iterable[VarId],
 
 def _expand_or(cs: Sequence[SurfaceConstraint]) -> list[list[SurfaceConstraint]]:
     """Cartesian expansion of nested disjunctions into flat conjunctions, of
-    at most MAX_DISJUNCTS of them."""
-    alternatives: list[list[list[SurfaceConstraint]]] = []
-    total = 1
-    for c in cs:
-        branches: list[list[SurfaceConstraint]] = [[c]]
-        if isinstance(c, Or):
-            branches = []
-            for branch in c.branches:
-                branches.extend(_expand_or(list(branch)))
-        alternatives.append(branches)
-        total *= len(branches)
-        if total > MAX_DISJUNCTS:
+    at most MAX_DISJUNCTS of them. The nested `or`s are walked on an
+    explicit stack, so no depth of nesting overflows the interpreter's."""
+    # a conjunction's frame: [its constraints left to read, the alternatives
+    # of those read, the product of their counts]; an `or`'s frame: [its
+    # branches left to expand, the conjunctions of those expanded]
+    stack: list[list] = [[iter(cs), [], 1]]
+    while True:
+        frame = stack[-1]
+        if len(frame) == 2:
+            branch = next(frame[0], None)
+            if branch is not None:
+                stack.append([iter(branch), [], 1])
+                continue
+            stack.pop()
+            branches = frame[1]
+        else:
+            c = next(frame[0], None)
+            if c is None:  # the conjunction is read: expand it
+                stack.pop()
+                out = [[c for chunk in combo for c in chunk]
+                       for combo in itertools.product(*frame[1])]
+                if not stack:
+                    return out
+                stack[-1][1].extend(out)
+                continue
+            if isinstance(c, Or):
+                stack.append([iter(c.branches), []])
+                continue
+            branches = [[c]]
+        frame = stack[-1]  # the conjunction that `branches` is one alternative of
+        frame[1].append(branches)
+        frame[2] *= len(branches)
+        if frame[2] > MAX_DISJUNCTS:
             raise ResourceLimitError(f"disjunction expands to more than {MAX_DISJUNCTS} cases")
-    out = []
-    for combo in itertools.product(*alternatives):
-        out.append([c for chunk in combo for c in chunk])
-    return out
 
 
 class _Desugarer:

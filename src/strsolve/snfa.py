@@ -4,7 +4,7 @@ The states of an automaton are the integers 0..n-1, and its one stored
 adjacency form is a tuple of rows `(lo, hi, dst)` per state: `rows[q]`
 holds the transitions leaving q, sorted by (lo, hi, dst) and free of
 duplicates. Labels are single non-empty code-point intervals. Every
-simulation, `product` and `concat` index `rows[q]` directly.
+simulation, `product`, `concat` and `concat_bfs` index `rows[q]` directly.
 
 Each state also has a printed name `id:tag`, stored as the one integer
 `4*id + tag` (tag 0..2), so integer order is (id, tag) order. The tag
@@ -17,18 +17,22 @@ printing. Every construction numbers its states in the order of their
 names, so `dump` and `to_dot` print states sorted by (id, tag) and
 transitions sorted by (src, label, dst) straight from the rows, without a
 global sort: `product` numbers pair states in breadth-first discovery
-order, `concat` sorts the names of the states it reached, and `regex`
-numbers positions in order.
+order, `concat` sorts the names of the states it reached, `concat_bfs`
+numbers the states of a concatenation in breadth-first discovery order, as
+the product of the all-words automaton with it would, and `regex` numbers
+positions in order.
 
 Identical inputs always rebuild identical automata, and concatenation and
 product emit only states reachable from the initial set (trim), which
-makes language emptiness a check on the accepting set. `product` finds
-its states by exploring pairs; `concat` takes them from each operand's
-reachable states, which a trim flag gives for free (see `concat`).
-`_reachable_states` is the one reachability pass. The module also owns
-the per-solve `Budget`. `product` and `concat` check it as they start and
-while they build (see `product`), and so do the SMT reader, desugaring
-and `regex.compile` (see `BUDGET_STRIDE`).
+makes language emptiness a check on the accepting set. `product` and
+`concat_bfs` find their states by exploring; `concat` takes them from each
+operand's reachable states, which a trim flag gives for free (see
+`concat`). `_reachable_states` is the one reachability pass, and
+`_concat_row` the one place that bridges a concatenation's first operand
+into its second. The module also owns the per-solve `Budget`. `product`,
+`concat` and `concat_bfs` check it as they start and while they build (see
+`product`), and so do the SMT reader, desugaring and `regex.compile` (see
+`BUDGET_STRIDE`).
 
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
@@ -47,7 +51,7 @@ from collections import deque, namedtuple
 from functools import cached_property
 from itertools import islice
 from operator import eq
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .intervals import MAX_CODEPOINT, Value
@@ -56,10 +60,10 @@ Row = tuple[int, int, int]           # (lo, hi, dst)
 Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per state
 
 DEFAULT_MAX_TRANSITIONS = 5_000_000
-# The budget is consulted once per this many states built by `product` and
-# `concat`, in addition to the transition cap, which is checked per state,
-# and once per this many tokens read, surface constraints desugared and
-# regex positions made.
+# The budget is consulted once per this many states built by `product`,
+# `concat` and `concat_bfs`, in addition to the transition cap, which is
+# checked per state, and once per this many tokens read, surface constraints
+# desugared and regex positions made.
 BUDGET_STRIDE = 1024
 # `product` also consults it before scanning more than this many row pairs
 # since its last check: one pair state of two wide character classes scans
@@ -69,7 +73,7 @@ PAIR_STRIDE = 1 << 15
 
 class Budget:
     """Cooperative per-solve limits, checked as the SMT reader, desugaring,
-    `regex.compile`, `product` and `concat` work."""
+    `regex.compile`, `product`, `concat` and `concat_bfs` work."""
 
     def __init__(self, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
                  deadline: Optional[float] = None):
@@ -255,6 +259,23 @@ def _sorted_row(row: list[Row]) -> tuple[Row, ...]:
     return tuple(row)
 
 
+def _concat_row(row1: tuple[Row, ...], acc1: frozenset[int], to1: Sequence[int],
+                entry: list[int]) -> tuple[Row, ...]:
+    """The row of an a1 state in the concatenation of a1 and a2: each
+    transition to a1 state d goes to `to1[d]`, and one into an a1-accepting
+    state is also bridged to each of `entry`, a2's initial states there.
+    `to1` is increasing, so only a bridged row needs a sort, which also drops
+    the duplicates of two bridged transitions with the same label."""
+    row = []
+    bridged = False
+    for lo, hi, d in row1:
+        row.append((lo, hi, to1[d]))
+        if d in acc1:
+            bridged = True
+            row.extend([(lo, hi, e) for e in entry])
+    return _sorted_row(row) if bridged else tuple(row)
+
+
 def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     """Concatenation: L(result) = { w1+w2 | w1 in L(a1), w2 in L(a2) }.
 
@@ -302,20 +323,90 @@ def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
         if key & 2:
             rows.append(tuple([(lo, hi, new2[d]) for lo, hi, d in rows2[key >> 2]]))
         else:
-            row = []
-            bridged = False
-            for lo, hi, d in rows1[key >> 2]:
-                row.append((lo, hi, new1[d]))
-                if d in acc1:
-                    bridged = True
-                    row.extend([(lo, hi, e) for e in entry])
-            rows.append(_sorted_row(row) if bridged else tuple(row))
+            row = rows1[key >> 2]
+            if len(row) == 1 and row[0][2] not in acc1:
+                (lo, hi, d), = row  # the common case on chains: not bridged
+                rows.append(((lo, hi, new1[d]),))
+            else:
+                rows.append(_concat_row(row, acc1, new1, entry))
         emitted += len(rows[-1])
         if emitted > cap:
             budget.check(emitted)
     return SNfa(tuple(rows), frozenset(start),
                 frozenset(k for k in map(new2.__getitem__, a2.accepting) if k is not None),
                 tuple(keys), trim=True)
+
+
+def concat_bfs(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
+    """The product of the all-words automaton with `concat(a1, a2)`, built in
+    one pass without the concatenation: the refinement of a variable that
+    has no language of its own.
+
+    The walk is `product`'s, breadth-first from the sorted initial keys, on
+    `concat`'s names: state i of a1 is the key 4i+1 and state j of a2 the key
+    4j+2. The initial keys are a1's initial states, and a2's too when a1
+    accepts the empty word. Each state's concatenation row is read in
+    (lo, hi, key) order (`_concat_row` for a1, which bridges into a2) and
+    its new targets are numbered in that order, so the result is
+    byte-identical to the product's: states `q:0` in discovery order, trim,
+    accepting exactly at a2's accepting states. `budget.check` runs before
+    every BUDGET_STRIDE-th state and as soon as the transitions built pass
+    `budget.max_transitions`, as in `concat`.
+    """
+    rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
+    to1 = range(1, 4 * len(rows1), 4)  # to1[i] == 4i+1
+    entry = [4 * j + 2 for j in sorted(a2.initial)]
+    keys = [4 * i + 1 for i in a1.initial]
+    if not acc1.isdisjoint(a1.initial):
+        keys += entry
+    keys.sort()
+    start = len(keys)
+    ids = {key: k for k, key in enumerate(keys)}
+    get = ids.get
+    shared = {}.setdefault
+    cap = budget.max_transitions
+    rows: list[tuple[Row, ...]] = []
+    emitted = 0
+    for k, key in enumerate(keys):  # `keys` grows while it is walked
+        if not k % BUDGET_STRIDE:
+            budget.check(emitted)
+        tag = key & 3
+        row = rows2[key >> 2] if tag == 2 else rows1[key >> 2]
+        if len(row) == 1 and (tag == 2 or row[0][2] not in acc1):
+            # the common case on chains: one transition, not bridged, so its
+            # target keeps the tag of its source
+            (lo, hi, d), = row
+            d = 4 * d + tag
+            dst = get(d)
+            if dst is None:
+                dst = ids[d] = len(keys)
+                keys.append(d)
+            t = (lo, hi, dst)
+            rows.append((shared(t, t),))
+            emitted += 1
+            if emitted > cap:
+                budget.check(emitted)
+            continue
+        if tag == 2:
+            row = [(lo, hi, 4 * d + 2) for lo, hi, d in row]
+        else:
+            row = _concat_row(row, acc1, to1, entry)
+        out: list[Row] = []
+        for lo, hi, d in row:
+            dst = get(d)
+            if dst is None:
+                dst = ids[d] = len(keys)
+                keys.append(d)
+            t = (lo, hi, dst)
+            out.append(shared(t, t))
+        rows.append(_sorted_row(out))
+        emitted += len(out)
+        if emitted > cap:
+            budget.check(emitted)
+    acc2 = a2.accepting
+    return SNfa(tuple(rows), frozenset(range(start)),
+                frozenset(k for k, key in enumerate(keys) if key & 2 and key >> 2 in acc2),
+                trim=True)
 
 
 def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:

@@ -22,8 +22,8 @@ from typing import Mapping, Optional
 from .constraints import (Assignment, CyclicDependencyError, Problem, VarId,
                           check_tree, layering, sat_str)
 from .regex import sigma_star
-from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, is_empty, product, some_word,
-                   split_word)
+from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, concat_bfs, is_empty, product,
+                   some_word, split_word)
 
 RefinedReg = dict[VarId, SNfa]
 
@@ -84,9 +84,12 @@ def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
     """Refine all regular constraints, one round per dependence layer and
     one variable at a time in name order, in one map: a variable's pairs
     lie in earlier rounds. Raises CyclicDependencyError before any automaton
-    is built when the dependence graph has a cycle. With `optimize`,
-    products with the canonical all-words automaton and concatenations of
-    two of them are rewritten away instead of built."""
+    is built when the dependence graph has a cycle. A variable whose
+    automaton is still the all-words one takes its pair's concatenation
+    through `concat_bfs`, which builds the product with it in one pass and
+    gives the same automaton. With `optimize`, products with the canonical
+    all-words automaton and concatenations of two of them are rewritten away
+    instead of built."""
     layers = layering(p)
     reg: RefinedReg = dict(p.reg)
     for layer in reversed(layers):
@@ -94,15 +97,17 @@ def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
             a = reg[v]
             for v1, v2 in sorted(p.concat.get(v, ())):
                 r1, r2 = reg[v1], reg[v2]
-                if optimize and _is_sigma_star(r1) and _is_sigma_star(r2):
+                if not optimize:
+                    a = (concat_bfs(r1, r2, budget) if _is_sigma_star(a)
+                         else product(a, concat(r1, r2, budget), budget))
+                    continue
+                if _is_sigma_star(r1) and _is_sigma_star(r2):
                     part = sigma_star()
                 else:
                     part = concat(r1, r2, budget)
-                if optimize and _is_sigma_star(a):
+                if _is_sigma_star(a):
                     a = part
-                elif optimize and _is_sigma_star(part):
-                    pass
-                else:
+                elif not _is_sigma_star(part):
                     a = product(a, part, budget)
             reg[v] = a
     if stats is not None:

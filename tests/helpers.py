@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random generators, reference matchers,
 interval enumeration, the reference word split, the reference SMT-LIB
 readers, the SMT-LIB printer, the reference `concat`, `product`, regex
-compile and `layering`, the trim audit, renaming and automaton isomorphism.
+compile, `layering` and `_expand_or`, the trim audit, renaming and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -9,6 +9,7 @@ production code paths they check.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import defaultdict, deque
@@ -18,8 +19,8 @@ from operator import eq
 from typing import Iterator
 
 from strsolve import regex as rx
-from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit, Membership,
-                                  Or, Problem, SurfaceConstraint, Var, VarId, make_problem)
+from strsolve.constraints import (MAX_DISJUNCTS, CyclicDependencyError, Equation, Length,
+                                  Lit, Membership, Or, Problem, SurfaceConstraint, Var, VarId, make_problem)
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
@@ -335,6 +336,31 @@ def layering_reference(p: Problem) -> list[set[VarId]]:
     for v, lv in level.items():
         layers.setdefault(lv, set()).add(v)
     return [layers[lv] for lv in sorted(layers, reverse=True)]
+
+
+# `constraints._expand_or` as it was before its explicit stack: it recurses
+# into the branches of each `or`. The new one must give the same conjunctions
+# in the same order, or raise at the same cap.
+
+def expand_or_reference(cs: list[SurfaceConstraint]) -> list[list[SurfaceConstraint]]:
+    """Cartesian expansion of nested disjunctions into flat conjunctions, of
+    at most MAX_DISJUNCTS of them."""
+    alternatives: list[list[list[SurfaceConstraint]]] = []
+    total = 1
+    for c in cs:
+        branches: list[list[SurfaceConstraint]] = [[c]]
+        if isinstance(c, Or):
+            branches = []
+            for branch in c.branches:
+                branches.extend(expand_or_reference(list(branch)))
+        alternatives.append(branches)
+        total *= len(branches)
+        if total > MAX_DISJUNCTS:
+            raise ResourceLimitError(f"disjunction expands to more than {MAX_DISJUNCTS} cases")
+    out = []
+    for combo in itertools.product(*alternatives):
+        out.append([c for chunk in combo for c in chunk])
+    return out
 
 
 def split_word_scan(a1: SNfa, a2: SNfa, w: str) -> tuple[str, str] | None:

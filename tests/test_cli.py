@@ -13,10 +13,11 @@ import pytest
 
 from strsolve import cli, solver
 from strsolve.cli import EXIT_RESOURCE, bench, main, solve_path, stats_record
-from strsolve.constraints import desugar
+from strsolve.constraints import CyclicDependencyError, desugar
 from strsolve.errors import ResourceLimitError, UnsupportedError
 from strsolve.smtlib import parse_smt
-from strsolve.snfa import to_dot
+from strsolve.regex import sigma_star
+from strsolve.snfa import dump, to_dot
 
 MINI = Path(__file__).resolve().parent.parent / "benchmarks" / "mini"
 
@@ -465,18 +466,99 @@ def test_timeout_counts_the_parse(monkeypatch):
         time.sleep(0.2)
         return script
 
+    # every equation of sat_url has an all-words left side, so its
+    # concatenations are built by `concat_bfs`; count both kernels
     concats = []
 
-    def counted_concat(a1, a2, budget=None):
-        concats.append(budget)
-        return snfa_concat(a1, a2, budget)
+    def counted(kernel):
+        def build(a1, a2, budget=None):
+            concats.append(budget)
+            return kernel(a1, a2, budget)
+        return build
 
-    snfa_concat = solver.concat
     monkeypatch.setattr(cli, "parse_smt", slow_parse)
-    monkeypatch.setattr(solver, "concat", counted_concat)
+    for name in ("concat", "concat_bfs"):
+        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         solve_path(MINI / "sat_url.smt2", timeout_ms=50)
     assert concats == []  # stopped before the first concat
     concats.clear()
     verdict, _, _ = solve_path(MINI / "sat_url.smt2", timeout_ms=60_000)
     assert verdict.kind == "sat" and concats
+
+
+def _template_source(terms: int) -> str:
+    """y = (str.++ t0 "-" t1 "-" ...) over `terms` variables and literals,
+    each variable in a small class of its own."""
+    names = [f"t{i}" for i in range(terms // 2)]
+    items = " ".join(f'{v} "-"' for v in names)
+    return ("(declare-const y String)"
+            + "".join(f"(declare-const {v} String)" for v in names)
+            + "".join(f'(assert (str.in_re {v} (re.+ (re.range "a" "{"abc"[i % 3]}"))))'
+                      for i, v in enumerate(names))
+            + f"(assert (= y (str.++ {items})))(check-sat)")
+
+
+def test_concat_bfs_refines_as_the_product_with_all_words(tmp_path, monkeypatch):
+    # every refined automaton is the one the product of all words with the
+    # concatenation gives, on the files whose all-words left sides take it
+    template = tmp_path / "template.smt2"
+    template.write_text(_template_source(30))
+    paths = [p for p in sorted(MINI.glob("*.smt2")) if "timeout" not in p.name]
+    paths += sorted((MINI.parent.parent / "tests" / "data" / "order").glob("*.smt2"))
+    paths.append(template)
+    kernel = solver.concat_bfs
+
+    def refine_all(optimize: bool = False) -> list[dict]:
+        out = []
+        for path in paths:
+            script = parse_smt(path.read_text(encoding="utf-8"))
+            declared = [n for n, _ in script.declarations]
+            for problem in desugar(list(script.assertions), base_vars=declared):
+                try:
+                    out.append(solver.forward_prop(problem, optimize=optimize))
+                except CyclicDependencyError:
+                    out.append(None)
+        return out
+
+    calls = []
+
+    def counted(a1, a2, budget):
+        calls.append(budget)
+        return kernel(a1, a2, budget)
+
+    monkeypatch.setattr(solver, "concat_bfs", counted)
+    got = refine_all()
+    assert len(calls) > 15  # the template alone has 15 fresh left sides
+    monkeypatch.setattr(solver, "concat_bfs", lambda a1, a2, budget:
+                        solver.product(sigma_star(), solver.concat(a1, a2, budget), budget))
+    want = refine_all()
+    assert len(got) == len(want)
+    for reg, ref in zip(got, want):
+        assert (reg is None) == (ref is None)
+        for v in reg or ():
+            assert dump(reg[v]) == dump(ref[v]), v
+            assert (reg[v].names, reg[v].trim) == (ref[v].names, ref[v].trim), v
+
+    # --optimize rewrites the all-words products away and never fuses
+    monkeypatch.setattr(solver, "concat_bfs", counted)
+    calls.clear()
+    refine_all(optimize=True)
+    assert calls == []
+
+
+@pytest.mark.parametrize("width, code, out, err", [
+    (1, 0, 'sat\n(define-fun x () String "a")\n', ""),
+    (2, 2, "", "resource: disjunction expands to more than 64 cases\n"),
+], ids=["one-branch", "two-branch"])
+def test_deeply_nested_or_ends_in_its_verdict(width, code, out, err, tmp_path):
+    # 100 000 one-branch ors solve, and 3000 nested two-branch ors stop at
+    # the disjunct cap: the expansion used to recurse once per level and end
+    # in "nested too deeply"
+    depth = 100_000 if width == 1 else 3000
+    other = ' (str.in_re x (str.to_re "b"))' * (width - 1)
+    c = "(or " * depth + '(str.in_re x (str.to_re "a"))' + f"{other})" * depth
+    f = tmp_path / f"or_{width}.smt2"
+    f.write_text(f"(declare-const x String)(assert {c})(check-sat)")
+    proc = run_cli("solve", str(f), "--model")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -3,13 +3,13 @@ import time
 
 import pytest
 
-from helpers import (TEST_ALPHABET, CountingBudget, compile_pattern, layering_reference,
-                     random_problem, ref_regex_match, words_upto)
+from helpers import (TEST_ALPHABET, CountingBudget, compile_pattern, expand_or_reference,
+                     layering_reference, random_problem, ref_regex_match, words_upto)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import Bound, oracle_sat
 from strsolve import regex as rx
-from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
+from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit, _expand_or,
                                   Membership, Or, Problem, Var, check_tree,
                                   desugar, layering, make_problem, problem_dump,
                                   sat_str)
@@ -94,6 +94,44 @@ def test_desugar_disjunction_cap():
     with pytest.raises(ResourceLimitError):  # at the 7th: an empty Or after it would make 0
         desugar([two_way] * 7 + [Or(())])
     assert len(desugar([two_way] * 6)) == 64
+
+
+atom = st.sampled_from([Membership(v, rx.parse_regex(r)) for v in "xy" for r in "ab"])
+conjunction = st.recursive(
+    st.lists(atom, max_size=3),
+    lambda inner: st.lists(st.one_of(atom, st.lists(inner, max_size=4).map(
+        lambda branches: Or(tuple(map(tuple, branches))))), max_size=4),
+    max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(conjunction)
+def test_expand_or_matches_the_recursive_reference(cs):
+    try:
+        expected = expand_or_reference(cs)
+    except ResourceLimitError as err:
+        with pytest.raises(ResourceLimitError, match=str(err)):
+            _expand_or(cs)
+    else:
+        assert _expand_or(cs) == expected
+
+
+def test_expand_or_reads_any_depth():
+    def nest(depth: int, width: int) -> Or:
+        c = Membership("x", rx.parse_regex("a"))
+        for i in range(depth):
+            c = Or(((c,),) + ((Membership("x", rx.parse_regex("b")),),) * (width - 1))
+        return c
+
+    assert _expand_or([nest(100_000, 1)]) == [[Membership("x", rx.parse_regex("a"))]]
+    assert len(_expand_or([nest(63, 2)])) == 64
+    with pytest.raises(ResourceLimitError, match="more than 64 cases"):
+        _expand_or([nest(3000, 2)])
+    # the cap holds inside a branch too, before an empty `or` after it would
+    # make the branch's count 0
+    two_way = nest(1, 2)
+    with pytest.raises(ResourceLimitError, match="more than 64 cases"):
+        _expand_or([Or(((two_way,) * 7 + (Or(()),),))])
 
 
 def test_desugar_is_linear_in_the_number_of_constraints():

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (LEMMA_ALPHABET, compile_pattern, concat_reference, isomorphic,
-                     product_reference, random_regex, random_snfa, remove_unreachable, rename,
-                     split_word_scan, words_upto)
+from helpers import (LEMMA_ALPHABET, CountingBudget, compile_pattern, concat_reference,
+                     isomorphic, product_reference, random_regex, random_snfa,
+                     remove_unreachable, rename, split_word_scan, words_upto)
 from oracle import Bound, word_in
 from strsolve.errors import ResourceLimitError
 from strsolve.regex import compile, length_automaton, sigma_star, word_automaton
-from strsolve.snfa import (SNfa, accepts, concat, dump, is_empty, product, snfa,
-                           some_word, split_word, to_dot, validate)
+from strsolve.snfa import (SNfa, accepts, concat, concat_bfs, dump, is_empty, product,
+                           snfa, some_word, split_word, to_dot, validate)
 from strsolve.solver import Budget
 
 WORDS6 = words_upto(LEMMA_ALPHABET, 6)
@@ -351,6 +351,49 @@ def test_concat_and_product_match_the_reference_kernels(a1, a2, budgeted):
 
     _same_automaton(concat(a1, a2, budget()), concat_reference(a1, a2, budget()))
     _same_automaton(product(a1, a2, budget()), product_reference(a1, a2, budget()))
+
+
+# Two a-transitions of state 0 into accepting states: both bridge to a2's
+# initial states on the same label, and the copies must be dropped.
+DUPLICATE_BRIDGE = snfa([[(97, 97, 1), (97, 97, 2), (98, 98, 1)], [(99, 99, 2)], []],
+                        {0}, {1, 2})
+SEVERAL_ENTRIES = snfa([[(97, 97, 1)], [(98, 98, 2)], [(97, 99, 0)]], {0, 1, 2}, {2})
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(operand(), operand())
+@example(DUPLICATE_BRIDGE, SEVERAL_ENTRIES)
+@example(DUPLICATE_BRIDGE, remove_unreachable(CHAIN))
+@example(EPS, SEVERAL_ENTRIES)
+@example(remove_unreachable(EPS), WIDE)
+@example(CHAIN, EPS)
+@example(FAR, CHAIN)
+@example(DEAD_END, ORPHANS)
+@example(ORPHANS, DEAD_END)
+@example(NOTHING, CHAIN)
+@example(CHAIN, NOTHING)
+@example(EPS, NOTHING)
+@example(snfa([[]], {0}, {0}), snfa([[]], {0}, {0}))
+def test_concat_bfs_is_the_product_of_all_words_and_the_concatenation(a1, a2):
+    # DEAD_END and FAR reach no accepting state of their own, NOTHING has
+    # none; EPS accepts the empty word; WIDE, EPS and SEVERAL_ENTRIES have
+    # several initial states; FAR, DEAD_END and ORPHANS are not trimmed
+    got = concat_bfs(a1, a2)
+    _same_automaton(got, product(sigma_star(), concat(a1, a2)))
+    assert got.names is None and got.trim
+
+
+def test_concat_bfs_stops_inside_under_the_budget():
+    a1, a2 = word_automaton("a" * 3000), compile_pattern("(b|c)*d")
+    late = CountingBudget(deadline=time.monotonic() - 1)
+    with pytest.raises(ResourceLimitError, match="time"):
+        concat_bfs(a1, a2, late)
+    assert late.checked == [0]  # stopped before it built any state
+
+    capped = CountingBudget(max_transitions=1000)
+    with pytest.raises(ResourceLimitError, match="automaton grew past 1000 transitions"):
+        concat_bfs(a1, a2, capped)
+    assert capped.checked[-1] == 1001  # stopped at the first state past it
 
 
 def test_concat_of_trim_operands_reads_each_row_once():

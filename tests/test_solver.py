@@ -191,11 +191,12 @@ def doubling(k: int):
 
 
 def test_budget_is_checked_only_inside_operations():
-    # each of the 4 concats and 4 products checks once, at its first state;
-    # nothing between or after the operations consults the budget
+    # the first pair refines the all-words x with one `concat_bfs`, the other
+    # 3 with a concat and a product each: every operation checks once, at
+    # its first state; nothing between or after them consults the budget
     budget = CountingBudget()
     forward_prop(doubling(4), budget=budget)
-    assert budget.checked == [0] * 8
+    assert budget.checked == [0] * 7
 
 
 def test_budget_stops_inside_product_and_concat():
