@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random generators, reference matchers,
 interval enumeration, the reference word split, the reference SMT-LIB
 readers, the SMT-LIB printer, the reference `concat`, `product`, regex
-compile, `layering` and `_expand_or`, the trim audit, renaming and automaton isomorphism.
+compile, `layering` and `_expand_or`, the trim audit, renaming and
+automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -20,7 +21,8 @@ from typing import Iterator
 
 from strsolve import regex as rx
 from strsolve.constraints import (MAX_DISJUNCTS, CyclicDependencyError, Equation, Length,
-                                  Lit, Membership, Or, Problem, SurfaceConstraint, Var, VarId, make_problem)
+                                  Lit, Membership, Or, Problem, SurfaceConstraint, Var, VarId,
+                                  make_problem)
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
 from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import Bound, oracle_sat
 from strsolve import regex as rx
-from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit, _expand_or,
-                                  Membership, Or, Problem, Var, check_tree,
+from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
+                                  Membership, Or, Problem, Var, _expand_or, check_tree,
                                   desugar, layering, make_problem, problem_dump,
                                   sat_str)
 from strsolve.errors import ResourceLimitError
@@ -119,7 +119,7 @@ def test_expand_or_matches_the_recursive_reference(cs):
 def test_expand_or_reads_any_depth():
     def nest(depth: int, width: int) -> Or:
         c = Membership("x", rx.parse_regex("a"))
-        for i in range(depth):
+        for _ in range(depth):
             c = Or(((c,),) + ((Membership("x", rx.parse_regex("b")),),) * (width - 1))
         return c
 
