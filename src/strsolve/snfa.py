@@ -37,11 +37,20 @@ into its second. The module also owns the per-solve `Budget`. `product`,
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
 
-Model extraction splits a word w = w1+w2 across a concatenation with
-`split_word` in O(|w|·|Q|) steps, not one membership test per prefix: one
-forward pass over the first automaton yields the candidate cuts, and runs
-of the second share a memo of the (position, state) pairs already shown to
-have no accepting run.
+Every simulation of a word, in `accepts` and in `split_word`, moves
+through `_advance`. Most automata of string equations are chains of
+one-transition states (length, word and all-words automata and their
+concatenations), so while the state set is one state whose row holds one
+transition, `_advance` walks the chain: one comparison with the label per
+character, and no state set or call. Elsewhere it steps the set with
+`_step`. Model extraction splits a word w = w1+w2 across a concatenation
+with `split_word` in O(|w|·|Q|) steps, not one membership test per prefix:
+the run of the first automaton stops at each cut, each cut is tried as
+soon as it is found by a run of the second, so the scan ends at the
+winning cut, and the runs of the second share a memo of the (position,
+state) pairs already shown to have no accepting run. `some_word`, the
+shortest word of a root variable, follows a chain without its
+breadth-first queue while the queue is empty.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from collections import deque, namedtuple
 from functools import cached_property
 from itertools import islice
 from operator import eq
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import ResourceLimitError
 from .intervals import MAX_CODEPOINT, Value
@@ -235,16 +244,44 @@ def _step(rows: Rows, current: Iterable[int], cp: int) -> set[int]:
     return nxt
 
 
+_NO_STATES: frozenset[int] = frozenset()
+
+
+def _advance(rows: Rows, current: Collection[int], w: str, i: int, end: int,
+             stop: AbstractSet[int]) -> tuple[Collection[int], int]:
+    """One move of the simulation of `rows` on w from the state set
+    `current` at position i < end; returns the states reached and their
+    position.
+
+    While the set is one state whose row holds one transition, the move
+    walks the chain: it compares each code point with the label and moves
+    to the target, building no set and making no call per character, up to
+    `end`, a state in `stop`, or a state with zero or several transitions.
+    Any other set takes one `_step`. Every simulation of a word moves here:
+    `accepts` and both automata of `split_word`.
+    """
+    if len(current) == 1:
+        q, = current
+        row = rows[q]
+        if len(row) == 1:
+            while True:
+                lo, hi, q = row[0]
+                if not lo <= ord(w[i]) <= hi:
+                    return (), i + 1
+                i += 1
+                row = rows[q]
+                if i == end or q in stop or len(row) != 1:
+                    return (q,), i
+    return _step(rows, current, ord(w[i])), i + 1
+
+
 def accepts(a: SNfa, word: str) -> bool:
-    """Membership by forward state-set simulation."""
-    current: Iterable[int] = a.initial
-    if not current:
-        return False
-    rows = a.rows
-    for ch in word:
-        current = _step(rows, current, ord(ch))
-        if not current:
-            return False
+    """Membership by forward simulation (`_advance`): one-transition chains
+    are walked without state sets, every other position is a state-set
+    step."""
+    rows, current, i, n = a.rows, a.initial, 0, len(word)
+    while current and i < n:
+        current, i = _advance(rows, current, word, i, n, _NO_STATES)
     return not a.accepting.isdisjoint(current)
 
 
@@ -374,15 +411,15 @@ def concat_bfs(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
         row = rows2[key >> 2] if tag == 2 else rows1[key >> 2]
         if len(row) == 1 and (tag == 2 or row[0][2] not in acc1):
             # the common case on chains: one transition, not bridged, so its
-            # target keeps the tag of its source
+            # target keeps the tag of its source. Chain targets are nearly
+            # always distinct, so its tuple is not looked up in `shared`
             (lo, hi, d), = row
             d = 4 * d + tag
             dst = get(d)
             if dst is None:
                 dst = ids[d] = len(keys)
                 keys.append(d)
-            t = (lo, hi, dst)
-            rows.append((shared(t, t),))
+            rows.append(((lo, hi, dst),))
             emitted += 1
             if emitted > cap:
                 budget.check(emitted)
@@ -515,48 +552,74 @@ def is_empty(a: SNfa) -> bool:
 
 
 def some_word(a: SNfa) -> Optional[str]:
-    """A shortest accepted word (BFS-first), taking each label's lo; None if empty."""
-    if not a.accepting:
+    """A shortest accepted word (BFS-first), taking each label's lo; None if empty.
+
+    When the queue is empty and the state just popped has one transition to
+    an unseen state, the search would pop that state next, so it follows
+    the chain directly, without the queue, until it meets an accepting
+    state, a seen one, or a state with zero or several transitions.
+    """
+    accepting = a.accepting
+    if not accepting:
         return None
     seeds = sorted(a.initial)
-    for q in seeds:
-        if q in a.accepting:
-            return ""
-    parent: dict[int, tuple[int, int]] = {}
-    seen = set(seeds)
+    if not accepting.isdisjoint(seeds):
+        return ""
+    parent: dict[int, Optional[tuple[int, int]]] = dict.fromkeys(seeds)  # the seen states
     queue = deque(seeds)
     rows = a.rows
     while queue:
         q = queue.popleft()
-        for lo, _, d in rows[q]:
-            if d in seen:
-                continue
-            seen.add(d)
+        row = rows[q]
+        while not queue and len(row) == 1:
+            lo, _, d = row[0]
+            if d in parent:
+                break
             parent[d] = (q, lo)
-            if d in a.accepting:
-                chars: list[int] = []
-                cur = d
-                while cur in parent:
-                    cur, cp = parent[cur]
-                    chars.append(cp)
-                return "".join(map(chr, reversed(chars)))
+            if d in accepting:
+                return _word_to(parent, d)
+            q = d
+            row = rows[q]
+        for lo, _, d in row:
+            if d in parent:
+                continue
+            parent[d] = (q, lo)
+            if d in accepting:
+                return _word_to(parent, d)
             queue.append(d)
     return None
+
+
+def _word_to(parent: dict[int, Optional[tuple[int, int]]], q: int) -> str:
+    """The word that spells the search's path to q, from its parent links."""
+    chars: list[int] = []
+    link = parent[q]
+    while link is not None:
+        q, cp = link
+        chars.append(cp)
+        link = parent[q]
+    return "".join(map(chr, reversed(chars)))
 
 
 def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
     """A split w = w1+w2 with w1 in L(a1) and w2 in L(a2); shortest w1 wins.
 
-    One forward state-set pass of a1 over w records every cut i where the
-    set meets a1's accepting states (it stops once the set is empty). The
-    cuts are tried in ascending order by a state-set run of a2 from its
-    initial states at position i. `dead[j]` holds the a2 states already
-    shown to have no accepting run on w[j:]: they are removed from every
-    later run, and a failed run adds every (position, state) pair it
-    visited, since any of them with an accepting run would have carried the
-    run to an accepting end. Each pair is expanded by at most one failed run
-    and by the winning one, so the cost is O(|w|·|Q|) state expansions, and
-    O(|w|) when the first cut wins with state sets of bounded size.
+    One forward run of a1 over w stops at each cut i where its states meet
+    a1's accepting states, that is where w[:i] is in L(a1), and the cut is
+    tried at once by a run of a2 from its initial states at position i
+    (`_run_from`), so the scan of a1 ends at the winning cut. Both runs
+    walk one-transition chains without state sets (`_advance`).
+
+    `dead[j]` holds the a2 states already shown to have no accepting run on
+    w[j:], and `marked` every state that occurs in `dead`. A run of a2
+    stops to drop the dead states wherever it meets a marked one. A failed
+    run adds every (position, state) pair it visited to `dead`, since any of
+    them with an accepting run would have carried the run to an accepting
+    end; when the run walked past positions it did not stop at, it is first
+    run again, stopping at every position, to list them. Each pair is
+    expanded by at most one failed run (twice, when it is run again) and by
+    the winning one, so the cost is O(|w|·|Q|) state expansions, and O(|w|)
+    when the first cut wins with state sets of bounded size.
 
     Two alternatives were measured and rejected. A backward simulation of
     a2 over reversed edges turns the deterministic chain of a length
@@ -566,34 +629,44 @@ def split_word(a1: SNfa, a2: SNfa, w: str) -> Optional[tuple[str, str]]:
     one entry per start when every start sits on its own chain state: for
     z = a ++ b with |a|, |b| >= 3000 it took 1.9 s, against 0.2 s here.
     """
-    rows1, acc1 = a1.rows, a1.accepting
-    current: Iterable[int] = a1.initial
-    cuts = [0] if not acc1.isdisjoint(current) else []
-    for i, ch in enumerate(w, 1):
-        current = _step(rows1, current, ord(ch))
-        if not current:
-            break
-        if not acc1.isdisjoint(current):
-            cuts.append(i)
-
-    rows2, acc2 = a2.rows, a2.accepting
+    n = len(w)
+    rows1, acc1, acc2 = a1.rows, a1.accepting, a2.accepting
     dead: dict[int, set[int]] = {}
-    for i in cuts:
-        run = a2.initial.difference(dead.get(i, ()))
-        trail = []
-        j = i
-        while run:
-            trail.append((j, run))
-            if j == len(w):
-                if not acc2.isdisjoint(run):
-                    return w[:i], w[i:]
-                break
-            run = _step(rows2, run, ord(w[j]))
-            j += 1
-            run.difference_update(dead.get(j, ()))
-        for j, states in trail:
-            dead.setdefault(j, set()).update(states)
-    return None
+    marked: set[int] = set()
+    current: Collection[int] = a1.initial
+    i = 0
+    while True:
+        if not acc1.isdisjoint(current):
+            stops = _run_from(a2, w, i, n, dead, marked)
+            j, states = stops[-1]
+            if j == n and not acc2.isdisjoint(states):
+                return w[:i], w[i:]
+            if len(stops) <= j - i:
+                stops = _run_from(a2, w, i, 1, dead, marked)
+            for j, states in stops:
+                dead.setdefault(j, set()).update(states)
+                marked.update(states)
+        if not current or i == n:
+            return None
+        current, i = _advance(rows1, current, w, i, n, acc1)
+
+
+def _run_from(a: SNfa, w: str, i: int, stride: int, dead: dict[int, set[int]],
+              marked: AbstractSet[int]) -> list[tuple[int, Collection[int]]]:
+    """The run of `a` on w from its initial states at position i, as the
+    (position, states) where it stopped: after each state-set step, at a
+    state in `marked`, at most `stride` positions apart, at the end of w
+    and where no state is left. At each stop j it drops the states of
+    `dead[j]`."""
+    rows, n = a.rows, len(w)
+    states: Collection[int] = a.initial.difference(dead.get(i, ()))
+    stops = [(i, states)]
+    while states and i < n:
+        states, i = _advance(rows, states, w, i, min(i + stride, n), marked)
+        if i in dead:
+            states = set(states).difference(dead[i])
+        stops.append((i, states))
+    return stops
 
 
 def to_dot(a: SNfa) -> str:

@@ -1,8 +1,8 @@
 """Shared test utilities: seeded random generators, reference matchers,
-interval enumeration, the reference word split, the reference SMT-LIB
-readers, the SMT-LIB printer, the reference `concat`, `product`, regex
-compile, `layering` and `_expand_or`, the trim audit, renaming and
-automaton isomorphism.
+interval enumeration, the reference word split, membership and shortest
+word, the reference SMT-LIB readers, the SMT-LIB printer, the reference
+`concat`, `product`, regex compile, `layering` and `_expand_or`, the trim
+audit, renaming and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -29,7 +29,7 @@ from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never,
                             Regex, Star, Union)
 from strsolve.smtlib import (_FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript,
                              encode_string)
-from strsolve.snfa import BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, accepts, snfa
+from strsolve.snfa import BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, snfa
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
 LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
@@ -369,8 +369,65 @@ def split_word_scan(a1: SNfa, a2: SNfa, w: str) -> tuple[str, str] | None:
     """Reference split: try every prefix, shortest first, with two membership
     tests each. Quadratic in |w|; `snfa.split_word` must return the same."""
     for i in range(len(w) + 1):
-        if accepts(a1, w[:i]) and accepts(a2, w[i:]):
+        if accepts_reference(a1, w[:i]) and accepts_reference(a2, w[i:]):
             return w[:i], w[i:]
+    return None
+
+
+# Membership and the shortest word as `snfa` computed them before it walked
+# one-transition chains: a fresh state set per character, and a plain
+# breadth-first search. `accepts`, `split_word` and `some_word` must agree.
+
+def _step_reference(rows: tuple[tuple[Row, ...], ...], current: set[int] | frozenset[int],
+                    cp: int) -> set[int]:
+    nxt = set()
+    for q in current:
+        for lo, hi, d in rows[q]:
+            if lo <= cp <= hi:
+                nxt.add(d)
+    return nxt
+
+
+def accepts_reference(a: SNfa, word: str) -> bool:
+    """Membership by forward state-set simulation."""
+    current: set[int] | frozenset[int] = a.initial
+    if not current:
+        return False
+    rows = a.rows
+    for ch in word:
+        current = _step_reference(rows, current, ord(ch))
+        if not current:
+            return False
+    return not a.accepting.isdisjoint(current)
+
+
+def some_word_reference(a: SNfa) -> str | None:
+    """A shortest accepted word, the first one breadth-first search from the
+    sorted initial states meets, taking each label's lo; None if empty."""
+    if not a.accepting:
+        return None
+    seeds = sorted(a.initial)
+    for q in seeds:
+        if q in a.accepting:
+            return ""
+    parent: dict[int, tuple[int, int]] = {}
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        q = queue.popleft()
+        for lo, _, d in a.rows[q]:
+            if d in seen:
+                continue
+            seen.add(d)
+            parent[d] = (q, lo)
+            if d in a.accepting:
+                chars: list[int] = []
+                cur = d
+                while cur in parent:
+                    cur, cp = parent[cur]
+                    chars.append(cp)
+                return "".join(map(chr, reversed(chars)))
+            queue.append(d)
     return None
 
 

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -54,6 +55,28 @@ def test_solve_model_output(tmp_path):
     # the model line is itself parseable SMT
     model_script = parse_smt(f'(declare-const x String)(assert (= x {lines[1].split("String ")[1][:-1]}))')
     assert model_script.assertions[0].rhs[0].word
+
+
+def test_long_chain_model_is_the_concatenation(tmp_path):
+    # z = a ++ "." ++ b with |a|, |b| >= 3000: every automaton is a chain of
+    # thousands of states, and the printed model is checked with Python only
+    f = tmp_path / "long.smt2"
+    f.write_text("(declare-const a String)(declare-const b String)(declare-const z String)"
+                 "(assert (>= (str.len a) 3000))(assert (>= (str.len b) 3001))"
+                 '(assert (= z (str.++ a "." b)))(check-sat)')
+    proc = run_cli("solve", str(f), "--model")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "sat"
+    model = {}
+    for line in lines[1:]:
+        name, body = re.fullmatch(r'\(define-fun (\w+) \(\) String "(.*)"\)', line).groups()
+        # a literal's escapes: "" for a quote, \u{hex} for any other character
+        model[name] = re.sub(r'""|\\u\{([0-9a-f]+)\}',
+                             lambda m: chr(int(m[1], 16)) if m[1] else '"', body)
+    assert sorted(model) == ["a", "b", "z"]
+    assert len(model["a"]) >= 3000 and len(model["b"]) >= 3001
+    assert model["z"] == model["a"] + "." + model["b"]
 
 
 def test_solve_parse_error_exit(tmp_path):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (LEMMA_ALPHABET, CountingBudget, compile_pattern, concat_reference,
-                     isomorphic, product_reference, random_regex, random_snfa,
-                     remove_unreachable, rename, split_word_scan, words_upto)
+from helpers import (LEMMA_ALPHABET, CountingBudget, accepts_reference, compile_pattern,
+                     concat_reference, isomorphic, product_reference, random_regex,
+                     random_snfa, remove_unreachable, rename, some_word_reference,
+                     split_word_scan, words_upto)
 from oracle import Bound, word_in
 from strsolve.errors import ResourceLimitError
+from strsolve.intervals import MAX_CODEPOINT
 from strsolve.regex import compile, length_automaton, sigma_star, word_automaton
 from strsolve.snfa import (SNfa, accepts, concat, concat_bfs, dump, is_empty, product,
                            snfa, some_word, split_word, to_dot, validate)
@@ -139,20 +141,34 @@ def test_split_word_matches_prefix_scan():
     assert any(len(a1.initial) > 1 and len(a2.initial) > 1 for a1, a2 in pairs)
 
 
-def test_split_word_memo_skips_failed_runs(monkeypatch):
+class CountedWord(str):
+    """A word that counts the positions read from it: the simulation reads
+    w[i] once per position it simulates, walked or stepped."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            self.reads += 1
+        return str.__getitem__(self, key)
+
+
+def _positions_read(a1: SNfa, a2: SNfa, w: str) -> tuple[object, int]:
+    """split_word(a1, a2, w) and the number of positions of w it read."""
+    counted = CountedWord(w)
+    return split_word(a1, a2, counted), counted.reads
+
+
+def test_split_word_memo_skips_failed_runs():
     # a1 = a* offers a cut at every position of a^n b; a2 = a*c|b fails from
     # each of them until the last, and every failed run after the first is
     # cut short at its first step by the pairs the first one left dead
     n = 400
     w = "a" * n + "b"
     a1, a2 = compile_pattern("a*"), compile_pattern("a*c|b")
-    steps = []
-    step = SNFA_MODULE._step
-    monkeypatch.setattr(SNFA_MODULE, "_step",
-                        lambda out, cur, cp: steps.append(cp) or step(out, cur, cp))
-    assert split_word(a1, a2, w) == ("a" * n, "b")
-    assert len(steps) <= 4 * (n + 1)  # the prefix scan takes about n * n / 2
-    monkeypatch.undo()
+    got, reads = _positions_read(a1, a2, w)
+    assert got == ("a" * n, "b")
+    assert reads <= 4 * (n + 1)  # the prefix scan takes about n * n / 2
     assert split_word(a1, a2, w[:60]) == split_word_scan(a1, a2, w[:60]) is None
 
     # a2 = a{k}b: the cuts before n - k fail after k + 1 steps each
@@ -162,6 +178,101 @@ def test_split_word_memo_skips_failed_runs(monkeypatch):
     for m in range(k + 3):
         v = "a" * m + "b"
         assert split_word(a1, a_k_b, v) == split_word_scan(a1, a_k_b, v)
+
+    # a2 = (ab)+ as one-transition states 0 -a-> 1 -b-> 2 -a-> 1, which runs
+    # walk: every even cut fails at the final c. The scan of a1 reads each
+    # position once, the first failed run twice (once more to list the pairs
+    # it walked) and each later run one, since the first left its pairs
+    # dead; without the memo the runs read about |v| * |v| / 4
+    ab_plus = snfa([[(97, 97, 1)], [(98, 98, 2)], [(97, 97, 1)]], {0}, {2})
+    v = "ab" * n + "c"
+    got, reads = _positions_read(sigma_star(), ab_plus, v)
+    assert got is None and split_word_scan(sigma_star(), ab_plus, v[-9:]) is None
+    assert reads <= 5 * len(v)
+
+
+def test_split_word_tries_each_cut_when_it_is_found():
+    # every position is a cut of the all-words automaton, and the first wins:
+    # the scan of a1 reads no position of w, the run of a2 reads each once
+    w = "xy" * 2500
+    got, reads = _positions_read(sigma_star(), sigma_star(), w)
+    assert got == ("", w)
+    assert reads == len(w)
+    # the first cut of a1 = a^3 Σ* is 3: its scan reads 3 positions, not |w|
+    got, reads = _positions_read(length_automaton(">=", 3), word_automaton(w[3:]), w)
+    assert got == (w[:3], w[3:])
+    assert reads == len(w)
+
+
+# The simulation walks one-transition chains without state sets. It must
+# agree with the set-based reference in helpers on the chains that string
+# equations produce (length, word and all-words automata and their fused
+# concatenations), on chains with a branching state, a dead end or an empty
+# row in the middle, with labels at both ends of the code points, and with
+# no initial state.
+
+EDGE_CPS = (0, 1, 97, 98, MAX_CODEPOINT - 1, MAX_CODEPOINT)
+edge_label = st.tuples(st.sampled_from(EDGE_CPS), st.sampled_from(EDGE_CPS)).map(
+    lambda t: (min(t), max(t)))
+edge_word = st.lists(st.sampled_from(EDGE_CPS), max_size=6).map(lambda cps: "".join(map(chr, cps)))
+
+
+@st.composite
+def equation_automaton(draw) -> SNfa:
+    kind = draw(st.sampled_from(["length", "word", "all"]))
+    if kind == "length":
+        return length_automaton(draw(st.sampled_from(["<", "<=", "=", ">=", ">"])),
+                                draw(st.integers(0, 5)))
+    if kind == "word":
+        return word_automaton(draw(edge_word))
+    return sigma_star()
+
+
+@st.composite
+def broken_chain(draw) -> SNfa:
+    """A chain of n one-transition states whose state k branches to any
+    state, branches into a dead end, or has an empty row."""
+    n = draw(st.integers(1, 7))
+    rows = [[(*draw(edge_label), q + 1)] for q in range(n)] + [[]]
+    k = draw(st.integers(0, n - 1))
+    how = draw(st.sampled_from(["branch", "dead end", "empty row"]))
+    if how == "branch":
+        rows[k].append((*draw(edge_label), draw(st.integers(0, n))))
+    elif how == "dead end":
+        rows[k].append((*draw(edge_label), n + 1))
+        rows.append([])
+    else:
+        rows[k] = []
+    states = st.sets(st.integers(0, len(rows) - 1), max_size=3)
+    return snfa(rows, draw(states), draw(states))  # either set may be empty
+
+
+chain_heavy = st.one_of(
+    equation_automaton(),
+    st.builds(concat_bfs, equation_automaton(), equation_automaton()),
+    broken_chain(),
+    st.builds(concat_bfs, broken_chain(), equation_automaton()))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(chain_heavy, chain_heavy, edge_word, edge_word)
+@example(sigma_star(), word_automaton("\x00\U0010ffff"), "", "\U0010ffff")
+@example(length_automaton(">=", 2), concat_bfs(word_automaton("a"), length_automaton("=", 2)),
+         "\x01", "b")
+@example(snfa([[(0, MAX_CODEPOINT, 1)], [(97, 97, 2)], [(0, 0, 0), (0, 0, 3)], []], (), {3}),
+         sigma_star(), "a", "")
+@example(snfa([[(97, 97, 1)], [(98, 98, 0), (98, 98, 2)], [(0, 0, 2)]], {0}, {0, 2}),
+         snfa([[(97, 97, 1)], [(98, 98, 0)]], {0}, {0}), "ab", "\x00")
+@example(snfa([[(97, 97, 1)], [(97, 97, 2)], [(97, 97, 3)], [(98, 98, 4)], []], {0, 3}, {2, 4}),
+         sigma_star(), "aa", "b")  # BFS reaches 4 from 3 before 2 from 0
+def test_simulation_matches_the_set_based_reference(a1, a2, x, y):
+    for a in (a1, a2):
+        assert some_word(a) == some_word_reference(a), dump(a)
+    u, v = some_word_reference(a1) or "", some_word_reference(a2) or ""
+    for w in {u + v, x + u + v, u + x + v, u + v + y, x + y, u + x + y + v}:
+        for a in (a1, a2):
+            assert accepts(a, w) == accepts_reference(a, w), (dump(a), w)
+        assert split_word(a1, a2, w) == split_word_scan(a1, a2, w), (dump(a1), dump(a2), w)
 
 
 def test_isomorphic_examples():
