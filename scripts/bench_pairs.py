@@ -25,7 +25,9 @@ The summary gives, per workload and end-to-end metric, each side's
 quartiles (`statistics.quantiles(n=4)`, exclusive method), the ratio of
 the medians, the number of pairs in which the change was lower, and the gap
 between the medians in units of the parent's interquartile range
-(positive when the change is lower).
+(positive when the change is lower). For the traced pairs it gives,
+per workload, whether the counts agree and the change/parent ratio of each
+layer time, raw and scaled by each run's calibration (`summarize_traced`).
 """
 
 from __future__ import annotations
@@ -40,9 +42,12 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_PREFIX = "digest sha256 "
+# a traced run prints "traced pass <ms> ms uncalibrated, of which ..."
+TRACED_PREFIX, RAW_MARK = "traced pass ", " ms uncalibrated"
 COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace {trace}"
 
 
@@ -91,22 +96,44 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
 
 def summarize_traced(pairs: list[dict]) -> dict:
     """Per traced workload: whether every count metric agrees in every pair,
-    and the median over pairs of change/parent for each time metric."""
+    and the median over pairs of change/parent for each time metric.
+
+    perfbench reports the layer times of a traced pass raw, so a drift of
+    the machine's speed between the two runs of a pair goes into their
+    ratio. When every run carries its raw traced pass time (`run_side`),
+    `ms_calibrated_change_over_parent` also gives the ratio with each run's
+    layer times scaled by its calibration, trace.wall_s·1000 / raw ms."""
     names = pairs[0]["parent"]["metrics"]
     counts = [n for n, m in names.items() if m["unit"] == "count"]
-    ms = [n for n, m in names.items() if m["unit"] == "ms"]
+    # a layer that reads 0 on the parent has no ratio
+    ms = [n for n, m in names.items()
+          if m["unit"] == "ms" and all(value(p, "parent", n) for p in pairs)]
 
-    def value(p: dict, side: str, n: str) -> float:
-        return p[side]["metrics"][n]["value"]
+    def ratios(scaled: Callable[[dict, str, str], float]) -> dict[str, float]:
+        return {n: round(statistics.median(scaled(p, "change", n) / scaled(p, "parent", n)
+                                           for p in pairs), 3)
+                for n in ms}
 
-    return {
+    summary = {
         "counts_equal": all(value(p, "parent", n) == value(p, "change", n)
                             for p in pairs for n in counts),
-        "ms_change_over_parent": {
-            n: round(statistics.median(value(p, "change", n) / value(p, "parent", n)
-                                       for p in pairs), 3)
-            for n in ms if all(value(p, "parent", n) for p in pairs)},
+        "ms_change_over_parent": ratios(value),
     }
+    if all(p[side].get("raw_traced_ms") for p in pairs for side in ("parent", "change")):
+        summary["ms_calibrated_change_over_parent"] = ratios(calibrated)
+    return summary
+
+
+def value(pair: dict, side: str, name: str) -> float:
+    """The value of metric `name` in the run of `side` in `pair`."""
+    return pair[side]["metrics"][name]["value"]
+
+
+def calibrated(pair: dict, side: str, name: str) -> float:
+    """A layer time of a traced run, scaled as perfbench scales the traced
+    pass: by trace.wall_s (calibrated, s) over the raw traced pass (ms)."""
+    scale = value(pair, side, "trace.wall_s") * 1000.0 / pair[side]["raw_traced_ms"]
+    return value(pair, side, name) * scale
 
 
 def export(rev: str, into: Path) -> Path:
@@ -135,6 +162,8 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     digests = [ln[len(DIGEST_PREFIX):].split()[0] for ln in lines
                if ln.startswith(DIGEST_PREFIX)]
     result["digest"] = digests[0] if digests else None
+    raw = [ln for ln in lines if ln.startswith(TRACED_PREFIX) and RAW_MARK in ln]
+    result["raw_traced_ms"] = float(raw[0].split()[2]) if raw else None
     return result
 
 

@@ -249,12 +249,19 @@ def desugar(cs: Sequence[SurfaceConstraint], base_vars: Iterable[VarId] = (),
 
 def sat_str(p: Problem, m: Mapping[VarId, str]) -> bool:
     """The satisfaction predicate: every variable's word is in its regular
-    language and every equation holds as word concatenation."""
+    language and every equation holds as word concatenation.
+
+    A variable whose language is the all-words automaton
+    (`regex.is_sigma_star`) is not simulated: every `str` is in it, so the
+    test is exact, and it spares the model check the words of every
+    variable without a language of its own. Every other language is
+    checked by `accepts`."""
     missing = set(p.variables) - set(m)
     if missing:
         raise ValueError(f"assignment missing variables: {sorted(missing)}")
     for v in sorted(p.variables):
-        if not accepts(p.reg[v], m[v]):
+        a = p.reg[v]
+        if not rx.is_sigma_star(a) and not accepts(a, m[v]):
             return False
     for v in sorted(p.concat):
         for v1, v2 in sorted(p.concat[v]):

@@ -394,6 +394,13 @@ def sigma_star() -> SNfa:
     return _SIGMA_STAR
 
 
+def is_sigma_star(a: SNfa) -> bool:
+    """Whether `a` is `sigma_star()` in structure (rows, initial and
+    accepting states): it accepts every word, as its one label
+    [0, MAX_CODEPOINT] holds every character a `str` can hold."""
+    return a.rows == sigma_star().rows and a.initial == a.accepting == {0}
+
+
 def word_automaton(w: str) -> SNfa:
     """The singleton-language automaton for w: a chain of |w|+1 states."""
     rows = tuple(((ord(ch), ord(ch), i + 1),) for i, ch in enumerate(w)) + ((),)

@@ -51,6 +51,12 @@ winning cut, and the runs of the second share a memo of the (position,
 state) pairs already shown to have no accepting run. `some_word`, the
 shortest word of a root variable, follows a chain without its
 breadth-first queue while the queue is empty.
+
+A search that can only meet its operands' states keeps its bookkeeping in
+lists indexed by state: `some_word` its search tree, and `concat_bfs` the
+number it gave each operand state (a1 state i at index 2i, a2 state j at
+2j+1, which keeps the order of their names). `product` keeps a dict,
+because its pair space n1·n2 can be far larger than the pairs it reaches.
 """
 
 from __future__ import annotations
@@ -379,11 +385,13 @@ def concat_bfs(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     one pass without the concatenation: the refinement of a variable that
     has no language of its own.
 
-    The walk is `product`'s, breadth-first from the sorted initial keys, on
-    `concat`'s names: state i of a1 is the key 4i+1 and state j of a2 the key
-    4j+2. The initial keys are a1's initial states, and a2's too when a1
-    accepts the empty word. Each state's concatenation row is read in
-    (lo, hi, key) order (`_concat_row` for a1, which bridges into a2) and
+    The walk is `product`'s, breadth-first from the sorted initial indices,
+    on `concat`'s states: state i of a1 is the index 2i and state j of a2
+    the index 2j+1, so index order is the order of `concat`'s names `i:1`
+    and `j:2`. The walk numbers its states through one list, `ids`, indexed
+    by them. The initial indices are a1's initial states, and a2's too when
+    a1 accepts the empty word. Each state's concatenation row is read in
+    (lo, hi, index) order (`_concat_row` for a1, which bridges into a2) and
     its new targets are numbered in that order, so the result is
     byte-identical to the product's: states `q:0` in discovery order, trim,
     accepting exactly at a2's accepting states. `budget.check` runs before
@@ -391,59 +399,59 @@ def concat_bfs(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     `budget.max_transitions`, as in `concat`.
     """
     rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
-    to1 = range(1, 4 * len(rows1), 4)  # to1[i] == 4i+1
-    entry = [4 * j + 2 for j in sorted(a2.initial)]
-    keys = [4 * i + 1 for i in a1.initial]
+    to1 = range(0, 2 * len(rows1), 2)  # to1[i] == 2i
+    entry = [2 * j + 1 for j in sorted(a2.initial)]
+    order = [2 * i for i in a1.initial]
     if not acc1.isdisjoint(a1.initial):
-        keys += entry
-    keys.sort()
-    start = len(keys)
-    ids = {key: k for k, key in enumerate(keys)}
-    get = ids.get
+        order += entry
+    order.sort()
+    start = len(order)
+    ids: list[Optional[int]] = [None] * (2 * max(len(rows1), len(rows2)))
+    for k, x in enumerate(order):
+        ids[x] = k
     shared = {}.setdefault
     cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
     emitted = 0
-    for k, key in enumerate(keys):  # `keys` grows while it is walked
+    for k, x in enumerate(order):  # `order` grows while it is walked
         if not k % BUDGET_STRIDE:
             budget.check(emitted)
-        tag = key & 3
-        row = rows2[key >> 2] if tag == 2 else rows1[key >> 2]
-        if len(row) == 1 and (tag == 2 or row[0][2] not in acc1):
+        tag = x & 1
+        row = rows2[x >> 1] if tag else rows1[x >> 1]
+        if len(row) == 1 and (tag or row[0][2] not in acc1):
             # the common case on chains: one transition, not bridged, so its
             # target keeps the tag of its source. Chain targets are nearly
             # always distinct, so its tuple is not looked up in `shared`
             (lo, hi, d), = row
-            d = 4 * d + tag
-            dst = get(d)
+            d = 2 * d + tag
+            dst = ids[d]
             if dst is None:
-                dst = ids[d] = len(keys)
-                keys.append(d)
+                dst = ids[d] = len(order)
+                order.append(d)
             rows.append(((lo, hi, dst),))
             emitted += 1
             if emitted > cap:
                 budget.check(emitted)
             continue
-        if tag == 2:
-            row = [(lo, hi, 4 * d + 2) for lo, hi, d in row]
+        if tag:
+            row = [(lo, hi, 2 * d + 1) for lo, hi, d in row]
         else:
             row = _concat_row(row, acc1, to1, entry)
         out: list[Row] = []
         for lo, hi, d in row:
-            dst = get(d)
+            dst = ids[d]
             if dst is None:
-                dst = ids[d] = len(keys)
-                keys.append(d)
+                dst = ids[d] = len(order)
+                order.append(d)
             t = (lo, hi, dst)
             out.append(shared(t, t))
         rows.append(_sorted_row(out))
         emitted += len(out)
         if emitted > cap:
             budget.check(emitted)
-    acc2 = a2.accepting
+    accepting = (ids[2 * j + 1] for j in a2.accepting)
     return SNfa(tuple(rows), frozenset(range(start)),
-                frozenset(k for k, key in enumerate(keys) if key & 2 and key >> 2 in acc2),
-                trim=True)
+                frozenset(k for k in accepting if k is not None), trim=True)
 
 
 def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
@@ -551,9 +559,15 @@ def is_empty(a: SNfa) -> bool:
     return a.accepting.isdisjoint(_reachable_states(a))
 
 
+_SEED = -1  # the parent of a seed in `some_word`'s search tree
+
+
 def some_word(a: SNfa) -> Optional[str]:
     """A shortest accepted word (BFS-first), taking each label's lo; None if empty.
 
+    The search tree is two lists indexed by state: `parent[q]` is the state
+    q was first reached from, None while q is unseen and `_SEED` for an
+    initial state, and `label[q]` the lo of the label it was reached on.
     When the queue is empty and the state just popped has one transition to
     an unseen state, the search would pop that state next, so it follows
     the chain directly, without the queue, until it meets an accepting
@@ -565,39 +579,42 @@ def some_word(a: SNfa) -> Optional[str]:
     seeds = sorted(a.initial)
     if not accepting.isdisjoint(seeds):
         return ""
-    parent: dict[int, Optional[tuple[int, int]]] = dict.fromkeys(seeds)  # the seen states
-    queue = deque(seeds)
     rows = a.rows
+    parent: list[Optional[int]] = [None] * len(rows)
+    label = [0] * len(rows)
+    for q in seeds:
+        parent[q] = _SEED
+    queue = deque(seeds)
     while queue:
         q = queue.popleft()
         row = rows[q]
         while not queue and len(row) == 1:
             lo, _, d = row[0]
-            if d in parent:
+            if parent[d] is not None:
                 break
-            parent[d] = (q, lo)
+            parent[d] = q
+            label[d] = lo
             if d in accepting:
-                return _word_to(parent, d)
+                return _word_to(parent, label, d)
             q = d
             row = rows[q]
         for lo, _, d in row:
-            if d in parent:
+            if parent[d] is not None:
                 continue
-            parent[d] = (q, lo)
+            parent[d] = q
+            label[d] = lo
             if d in accepting:
-                return _word_to(parent, d)
+                return _word_to(parent, label, d)
             queue.append(d)
     return None
 
 
-def _word_to(parent: dict[int, Optional[tuple[int, int]]], q: int) -> str:
+def _word_to(parent: list[Optional[int]], label: list[int], q: int) -> str:
     """The word that spells the search's path to q, from its parent links."""
     chars: list[int] = []
-    link = parent[q]
-    while link is not None:
-        q, cp = link
-        chars.append(cp)
-        link = parent[q]
+    while parent[q] != _SEED:
+        chars.append(label[q])
+        q = parent[q]
     return "".join(map(chr, reversed(chars)))
 
 

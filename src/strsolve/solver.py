@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 from .constraints import (Assignment, CyclicDependencyError, Problem, VarId,
                           check_tree, layering, sat_str)
-from .regex import sigma_star
+from .regex import is_sigma_star, sigma_star
 from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, concat_bfs, is_empty, product,
                    some_word, split_word)
 
@@ -75,10 +75,6 @@ class Verdict:
                 f"reason={self.reason!r}, stats={self.stats!r})")
 
 
-def _is_sigma_star(a: SNfa) -> bool:
-    return a.rows == sigma_star().rows and a.initial == a.accepting == {0}
-
-
 def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
                  optimize: bool = False, stats: Optional[SolveStats] = None) -> RefinedReg:
     """Refine all regular constraints, one round per dependence layer and
@@ -98,16 +94,16 @@ def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
             for v1, v2 in sorted(p.concat.get(v, ())):
                 r1, r2 = reg[v1], reg[v2]
                 if not optimize:
-                    a = (concat_bfs(r1, r2, budget) if _is_sigma_star(a)
+                    a = (concat_bfs(r1, r2, budget) if is_sigma_star(a)
                          else product(a, concat(r1, r2, budget), budget))
                     continue
-                if _is_sigma_star(r1) and _is_sigma_star(r2):
+                if is_sigma_star(r1) and is_sigma_star(r2):
                     part = sigma_star()
                 else:
                     part = concat(r1, r2, budget)
-                if _is_sigma_star(a):
+                if is_sigma_star(a):
                     a = part
-                elif not _is_sigma_star(part):
+                elif not is_sigma_star(part):
                     a = product(a, part, budget)
             reg[v] = a
     if stats is not None:

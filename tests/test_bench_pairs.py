@@ -60,6 +60,39 @@ def test_summarize_traced_compares_counts_and_time_ratios():
     assert not bench_pairs.summarize_traced(pairs)["counts_equal"]
 
 
+def test_summarize_traced_scales_each_run_by_its_calibration():
+    def traced(ms: float, wall_s: float, raw_ms: float) -> dict:
+        return {"failed": 0, "correct": True, "raw_traced_ms": raw_ms, "metrics": {
+            "snfa.product.ms": {"value": ms, "unit": "ms"},
+            "trace.wall_s": {"value": wall_s, "unit": "s"}}}
+
+    # pair 1: the parent ran on a machine twice as slow as the calibration
+    # says (scale 0.5 against 1.0), so 100 ms against 60 ms is 50 against 60
+    pairs = [{"parent": traced(100.0, 0.2, 400.0), "change": traced(60.0, 0.2, 200.0)},
+             {"parent": traced(80.0, 0.1, 100.0), "change": traced(40.0, 0.1, 100.0)}]
+    got = bench_pairs.summarize_traced(pairs)
+    assert got["ms_change_over_parent"] == {"snfa.product.ms": 0.55}  # median of 0.6, 0.5
+    assert got["ms_calibrated_change_over_parent"] == {"snfa.product.ms": 0.85}  # of 1.2, 0.5
+    # a run without its raw traced pass time gives no calibrated ratios
+    pairs[1]["change"]["raw_traced_ms"] = None
+    assert "ms_calibrated_change_over_parent" not in bench_pairs.summarize_traced(pairs)
+
+
+def test_run_side_reads_the_raw_traced_pass_time(monkeypatch, tmp_path):
+    stdout = ("digest sha256 abc123\n"
+              "traced pass 131.4 ms uncalibrated, of which 2.0 ms outside every span; "
+              "tracing overhead +0.0100 s calibrated\n"
+              '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}\n')
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kw:
+                        bench_pairs.subprocess.CompletedProcess(args, 0, stdout, ""))
+    got = bench_pairs.run_side(tmp_path, "long_models", 1, 1, trace=1)
+    assert (got["digest"], got["raw_traced_ms"]) == ("abc123", 131.4)
+    untraced = stdout.replace("traced pass", "pass")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kw:
+                        bench_pairs.subprocess.CompletedProcess(args, 0, untraced, ""))
+    assert bench_pairs.run_side(tmp_path, "long_models", 1, 1, trace=0)["raw_traced_ms"] is None
+
+
 def test_benchmark_definition_comes_from_benchmark_json():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds, workloads, end_to_end = bench_pairs.benchmark()

@@ -15,7 +15,7 @@ from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
                                   sat_str)
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import IntervalSet
-from strsolve.snfa import accepts, is_empty, set_validation
+from strsolve.snfa import SNfa, accepts, is_empty, set_validation
 
 
 def pairs_of(p: Problem, v: str):
@@ -197,6 +197,40 @@ def test_sat_str_equation_clause_fails():
                      {"y": rx.word_automaton("ab"), "x": compile_pattern("a|b")})
     assert not sat_str(p, {"y": "ab", "x": "a"})
     assert sat_str(make_problem([]), {})  # vacuous
+
+
+def test_is_sigma_star_is_structural():
+    assert rx.is_sigma_star(rx.sigma_star())
+    copy = SNfa(rx.sigma_star().rows, frozenset({0}), frozenset({0}))
+    assert copy is not rx.sigma_star() and rx.is_sigma_star(copy)
+    assert not rx.is_sigma_star(SNfa(copy.rows, frozenset({0}), frozenset()))
+    assert not rx.is_sigma_star(SNfa((((0, 0x10FFFE, 0),),), frozenset({0}), frozenset({0})))
+    assert not rx.is_sigma_star(rx.length_automaton(">=", 1))
+    # another all-words automaton of another shape is simulated, not skipped
+    assert not rx.is_sigma_star(rx.compile(rx.parse_regex(".*")))
+
+
+def test_sat_str_simulates_only_languages_other_than_all_words(monkeypatch):
+    # the long_models shape: z = a ++ "." ++ b desugars to _t1 = ".",
+    # _t2 = a ++ _t1 and z = _t2 ++ b, where z and _t2 take every word
+    p = desugar([Equation(Var("z"), (Var("a"), Lit("."), Var("b"))),
+                 Length("a", ">=", 174), Length("b", ">=", 180)])[0]
+    assert p.concat == {"_t2": {("a", "_t1")}, "z": {("_t2", "b")}}
+    model = {"a": "a" * 174, "_t1": ".", "b": "b" * 180}
+    model.update(_t2=model["a"] + ".", z=model["a"] + "." + model["b"])
+    simulated = []
+
+    def counting(a, word):
+        simulated.append(word)
+        return accepts(a, word)
+
+    monkeypatch.setattr("strsolve.constraints.accepts", counting)
+    assert sat_str(p, model)
+    assert sorted(simulated) == sorted(model[v] for v in ("a", "b", "_t1"))
+    # the skipped memberships leave the equations and the other languages checked
+    assert not sat_str(p, dict(model, z=model["z"] + "b"))
+    short = "a" * 173
+    assert not sat_str(p, dict(model, a=short, _t2=short + ".", z=short + "." + model["b"]))
 
 
 def test_sat_str_requires_total_assignment():

@@ -265,6 +265,8 @@ chain_heavy = st.one_of(
          snfa([[(97, 97, 1)], [(98, 98, 0)]], {0}, {0}), "ab", "\x00")
 @example(snfa([[(97, 97, 1)], [(97, 97, 2)], [(97, 97, 3)], [(98, 98, 4)], []], {0, 3}, {2, 4}),
          sigma_star(), "aa", "b")  # BFS reaches 4 from 3 before 2 from 0
+@example(snfa([[(97, 97, 1)], [(98, 98, 2)], []], {0, 1}, {2}),
+         sigma_star(), "a", "")  # seed 1 stays a seed when 0 reaches it: "b", not "ab"
 def test_simulation_matches_the_set_based_reference(a1, a2, x, y):
     for a in (a1, a2):
         assert some_word(a) == some_word_reference(a), dump(a)
