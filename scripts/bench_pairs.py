@@ -36,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -183,6 +184,10 @@ def machine() -> dict:
                     "against a reference kernel"}
 
 
+def _exit_on_signal(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -217,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
     def save() -> None:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
 
+    # a SIGTERM unwinds the `with` below, which removes both exports
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         plan = [("trace0", 0, i, i + 1) for i in range(1, args.pairs + 1)]

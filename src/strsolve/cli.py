@@ -356,7 +356,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_solve.add_argument("file")
     p_solve.add_argument("--model", action="store_true", help="print a model on sat")
     p_solve.add_argument("--optimize", action="store_true",
-                         help="enable all-words absorption rewrites")
+                         help="skip equations whose operands both accept every word")
     p_solve.add_argument("--max-transitions", type=_positive_int,
                          default=DEFAULT_MAX_TRANSITIONS)
     p_solve.add_argument("--timeout", type=_timeout_ms, default=None, metavar="MS",

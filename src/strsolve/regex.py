@@ -157,8 +157,6 @@ class _Parser:
             raise self.unsupported("bounded repetition {m,n}", start)
         if ch in "^$":
             raise self.unsupported("anchor", start)
-        if ch == ")":
-            raise self.error("unbalanced )", start)
         if ch == "\\":
             return Literal(self.escape(start))
         return Literal(ord(ch))
@@ -174,7 +172,7 @@ class _Parser:
         if ch == "r":
             return 13
         if ch == "x":
-            return self.hex_digits(2, start)
+            return self.hex_digits(start)
         if ch == "u":
             if self.peek() != "{":
                 raise self.error("expected { after \\u", start)
@@ -200,12 +198,12 @@ class _Parser:
             raise self.unsupported(f"escape \\{ch}", start)
         return ord(ch)  # escaped punctuation stands for itself
 
-    def hex_digits(self, n: int, start: int) -> int:
-        digits = self.src[self.i:self.i + n]
-        cp = hex_value(digits) if len(digits) == n else None
+    def hex_digits(self, start: int) -> int:
+        digits = self.src[self.i:self.i + 2]
+        cp = hex_value(digits) if len(digits) == 2 else None
         if cp is None:
-            raise self.error(f"expected {n} hex digits", start)
-        self.i += n
+            raise self.error("expected 2 hex digits", start)
+        self.i += 2
         return cp
 
     def char_class(self, start: int) -> Regex:

@@ -26,10 +26,10 @@ Identical inputs always rebuild identical automata, and concatenation and
 product emit only states reachable from the initial set (trim), which
 makes language emptiness a check on the accepting set. `product` and
 `concat_bfs` find their states by exploring; `concat` takes them from each
-operand's reachable states, which a trim flag gives for free (see
-`concat`). `_reachable_states` is the one reachability pass, and
-`_concat_row` the one place that bridges a concatenation's first operand
-into its second. The module also owns the per-solve `Budget`. `product`,
+operand's reachable states, found by `_reachable_states`, the one
+reachability pass. `_concat_row` is the one place that bridges a
+concatenation's first operand into its second, for `concat` and
+`concat_bfs` alike. The module also owns the per-solve `Budget`. `product`,
 `concat` and `concat_bfs` check it as they start and while they build (see
 `product`), and so do the SMT reader, desugaring and `regex.compile` (see
 `BUDGET_STRIDE`).
@@ -324,28 +324,23 @@ def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
 
     State i of a1 becomes `i:1` and state j of a2 becomes `j:2`, which keeps
     the operands disjoint. Every a1-transition into an a1-accepting state is
-    bridged to each a2-initial state; the initial set additionally includes
-    a2's when a1 accepts the empty word. Only states reachable from the
-    initial set are kept, so the result is trim by construction; the kept
-    states are numbered in the order of their names. The budget is consulted
-    as in `product`.
-
-    The kept states of each operand are its reachable states: all of it when
-    it is trim, else `_reachable_states` of it. That is exact for a1, whose
-    states are entered only by its own transitions. a2's states are kept
-    exactly when a reached a1 state accepts: that state is initial (a1
-    accepts the empty word) or the target of a bridged transition, and
-    either way every a2-initial state is entered; without one, no a2 state
-    is entered at all.
+    bridged to each a2-initial state (`_concat_row`); the initial set
+    additionally includes a2's when a1 accepts the empty word. Only states
+    reachable from the initial set are kept, so the result is trim by
+    construction; the kept states are numbered in the order of their names.
+    They are a1's reachable states (`_reachable_states`), and a2's when one
+    of those accepts, since that state is initial or the target of a bridged
+    transition and so every a2-initial state is entered. The budget is
+    consulted as in `product`.
     """
     rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
     n1, n2 = len(rows1), len(rows2)
     # state i of a1 is named 4i+1 (i:1) and state j of a2 4j+2 (j:2); the
     # result numbers the states it keeps in the order of these names
-    reached = range(n1) if a1.trim else _reachable_states(a1)
+    reached = _reachable_states(a1)
     keys = [4 * i + 1 for i in reached]
     if not acc1.isdisjoint(reached):
-        keys += [4 * j + 2 for j in (range(n2) if a2.trim else _reachable_states(a2))]
+        keys += [4 * j + 2 for j in _reachable_states(a2)]
     keys.sort()
     new1, new2 = [None] * n1, [None] * n2
     for k, key in enumerate(keys):
@@ -366,12 +361,7 @@ def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
         if key & 2:
             rows.append(tuple([(lo, hi, new2[d]) for lo, hi, d in rows2[key >> 2]]))
         else:
-            row = rows1[key >> 2]
-            if len(row) == 1 and row[0][2] not in acc1:
-                (lo, hi, d), = row  # the common case on chains: not bridged
-                rows.append(((lo, hi, new1[d]),))
-            else:
-                rows.append(_concat_row(row, acc1, new1, entry))
+            rows.append(_concat_row(rows1[key >> 2], acc1, new1, entry))
         emitted += len(rows[-1])
         if emitted > cap:
             budget.check(emitted)

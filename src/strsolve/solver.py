@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 from .constraints import (Assignment, CyclicDependencyError, Problem, VarId,
                           check_tree, layering, sat_str)
-from .regex import is_sigma_star, sigma_star
+from .regex import is_sigma_star
 from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, concat_bfs, is_empty, product,
                    some_word, split_word)
 
@@ -80,12 +80,14 @@ def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
     """Refine all regular constraints, one round per dependence layer and
     one variable at a time in name order, in one map: a variable's pairs
     lie in earlier rounds. Raises CyclicDependencyError before any automaton
-    is built when the dependence graph has a cycle. A variable whose
-    automaton is still the all-words one takes its pair's concatenation
-    through `concat_bfs`, which builds the product with it in one pass and
-    gives the same automaton. With `optimize`, products with the canonical
-    all-words automaton and concatenations of two of them are rewritten away
-    instead of built."""
+    is built when the dependence graph has a cycle.
+
+    Each equation v = v1 ++ v2 replaces v's automaton with its product with
+    the concatenation of v1's and v2's. While v's automaton is still the
+    all-words one, `concat_bfs` builds that product in one pass, without the
+    concatenation, and gives the same automaton. With `optimize`, an
+    equation whose operands both still accept every word is skipped: it
+    constrains nothing."""
     layers = layering(p)
     reg: RefinedReg = dict(p.reg)
     for layer in reversed(layers):
@@ -93,18 +95,10 @@ def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
             a = reg[v]
             for v1, v2 in sorted(p.concat.get(v, ())):
                 r1, r2 = reg[v1], reg[v2]
-                if not optimize:
-                    a = (concat_bfs(r1, r2, budget) if is_sigma_star(a)
-                         else product(a, concat(r1, r2, budget), budget))
+                if optimize and is_sigma_star(r1) and is_sigma_star(r2):
                     continue
-                if is_sigma_star(r1) and is_sigma_star(r2):
-                    part = sigma_star()
-                else:
-                    part = concat(r1, r2, budget)
-                if is_sigma_star(a):
-                    a = part
-                elif not is_sigma_star(part):
-                    a = product(a, part, budget)
+                a = (concat_bfs(r1, r2, budget) if is_sigma_star(a)
+                     else product(a, concat(r1, r2, budget), budget))
             reg[v] = a
     if stats is not None:
         stats.iterations = len(layers)

@@ -1,7 +1,13 @@
-"""The summary arithmetic of scripts/bench_pairs.py, on fixed numbers."""
+"""The summary arithmetic of scripts/bench_pairs.py, on fixed numbers, and
+the cleanup of its temporary exports."""
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,3 +125,31 @@ def test_summarize_reproduces_a_committed_summary(name):
             gap = want[metric].pop("median_gap_over_parent_iqr")
             assert got[metric].pop("median_gap_over_parent_iqr") == pytest.approx(gap, abs=0.011)
             assert got[metric] == want[metric], (workload, metric)
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git repository")
+def test_sigterm_removes_the_exports(tmp_path):
+    # a run stopped by SIGTERM leaves neither source export behind; with
+    # --change HEAD it makes no `git stash create` snapshot
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    code = (
+        "import importlib.util, sys, time\n"
+        "spec = importlib.util.spec_from_file_location('bench_pairs', sys.argv[1])\n"
+        "bench_pairs = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(bench_pairs)\n"
+        "bench_pairs.run_side = lambda *args: time.sleep(60)\n"
+        "bench_pairs.main(['--out', sys.argv[2], '--parent', 'HEAD', '--change', 'HEAD'])\n")
+    child = subprocess.Popen([sys.executable, "-c", code, str(ROOT / "scripts" / "bench_pairs.py"),
+                              str(tmp_path / "out.json")], env=dict(os.environ, TMPDIR=str(tmp)))
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp.glob("bench_pairs-*")):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        child.kill()
+        child.wait()
+    assert list(tmp.iterdir()) == []

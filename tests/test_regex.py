@@ -94,6 +94,14 @@ def test_syntax_error_reports_byte_offset():
     assert err.value.pos == 2
 
 
+@pytest.mark.parametrize("pattern, pos", [("a)", 1), (")", 0), ("(a))", 3)])
+def test_stray_close_paren_is_left_over(pattern, pos):
+    # a sequence stops at ")", so a stray one is what is left after the parse
+    with pytest.raises(SyntaxParseError, match=r"unexpected '\)'") as err:
+        rx.parse_regex(pattern)
+    assert err.value.pos == pos
+
+
 def test_compile_examples():
     eps = rx.compile(rx.Epsilon())
     assert len(eps.states) == 1 and not eps.transitions

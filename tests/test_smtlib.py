@@ -85,6 +85,14 @@ def test_parse_re_range_degenerate():
     assert script.assertions[1].regex == rx.Never()
 
 
+def test_parse_concat_of_empty_words_is_epsilon():
+    # every operand of these re.++ is the empty word, so no item is left
+    script = parse_smt('(declare-const x String)'
+                       '(assert (str.in_re x (re.++ (str.to_re ""))))'
+                       '(assert (str.in_re x (re.++ (str.to_re "") (re.++ (str.to_re "")))))')
+    assert [a.regex for a in script.assertions] == [rx.Epsilon(), rx.Epsilon()]
+
+
 def test_string_escapes():
     script = parse_smt('(declare-const x String)'
                        '(assert (= x "say ""hi"" \\u{61}\\u0062\\n"))')

@@ -267,6 +267,8 @@ chain_heavy = st.one_of(
          sigma_star(), "aa", "b")  # BFS reaches 4 from 3 before 2 from 0
 @example(snfa([[(97, 97, 1)], [(98, 98, 2)], []], {0, 1}, {2}),
          sigma_star(), "a", "")  # seed 1 stays a seed when 0 reaches it: "b", not "ab"
+@example(snfa([[(97, 97, 1)], [(98, 98, 2)], [(99, 99, 1)], []], {0}, {3}),
+         sigma_star(), "abcb", "")  # some_word's chain walk meets 1 again
 def test_simulation_matches_the_set_based_reference(a1, a2, x, y):
     for a in (a1, a2):
         assert some_word(a) == some_word_reference(a), dump(a)
@@ -509,25 +511,16 @@ def test_concat_bfs_stops_inside_under_the_budget():
     assert capped.checked[-1] == 1001  # stopped at the first state past it
 
 
-def test_concat_of_trim_operands_reads_each_row_once():
-    reads: dict[tuple[int, int], int] = {}
+def test_concat_and_concat_bfs_stop_at_the_transition_cap():
+    capped = CountingBudget(max_transitions=1000)
+    with pytest.raises(ResourceLimitError, match="automaton grew past 1000 transitions"):
+        concat(word_automaton("a" * 3000), compile_pattern("(b|c)*d"), capped)
+    assert capped.checked == [0, 1001]  # stopped at the first state past it
 
-    class CountedRows(tuple):
-        side = 0
-
-        def __getitem__(self, q):
-            reads[self.side, q] = reads.get((self.side, q), 0) + 1
-            return tuple.__getitem__(self, q)
-
-    def counted(a: SNfa, side: int) -> SNfa:
-        rows = CountedRows(a.rows)
-        rows.side = side
-        return SNfa(rows, a.initial, a.accepting, a.names, a.trim)
-
-    a1, a2 = word_automaton("ab"), compile_pattern("(c|d)*e")
-    for x, y in ((a1, a2), (compile_pattern("a*"), a2), (a2, a1)):
-        c1, c2 = counted(x, 1), counted(y, 2)
-        reads.clear()
-        got = concat(c1, c2)
-        assert got == concat_reference(x, y)
-        assert reads == {(side, q): 1 for side, a in ((1, x), (2, y)) for q in a.states}
+    # one state whose 1000 loops all enter an accepting state: its row,
+    # bridged into a2, holds 2000 transitions
+    loops = snfa([[(cp, cp, 0) for cp in range(1000)]], {0}, {0})
+    capped = CountingBudget(max_transitions=1000)
+    with pytest.raises(ResourceLimitError, match="automaton grew past 1000 transitions"):
+        concat_bfs(loops, word_automaton("a"), capped)
+    assert capped.checked == [0, 2000]
