@@ -25,8 +25,11 @@ The summary gives, per workload and end-to-end metric, each side's
 quartiles (`statistics.quantiles(n=4)`, exclusive method), the ratio of
 the medians, the number of pairs in which the change was lower, and the gap
 between the medians in units of the parent's interquartile range
-(positive when the change is lower). For the traced pairs it gives,
-per workload, whether the counts agree and the change/parent ratio of each
+(positive when the change is lower), and whether the change's median is
+worse than the parent's by more than the metric's `bound` in
+BENCHMARK.json, as a fraction of the parent's median
+(`worse_beyond_bound`). For the traced pairs it gives, per workload,
+whether the counts agree and the change/parent ratio of each
 layer time, raw and scaled by each run's calibration (`summarize_traced`).
 """
 
@@ -60,27 +63,46 @@ def benchmark() -> tuple[int, list[str], list[str]]:
             [m["name"] for m in spec["end_to_end"]])
 
 
+def bounds() -> dict[str, tuple[float, str]]:
+    """The `bound` and `better` ("lower" or "higher") of each end-to-end
+    metric declared in BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
 def quartiles(values: list[float]) -> list[float]:
     """q1, median and q3, rounded to 4 places."""
     return [round(v, 4) for v in statistics.quantiles(values, n=4)]
 
 
-def compare(parent: list[float], change: list[float]) -> dict:
-    """The summary of one metric over pairs; parent[i] and change[i] share pair i."""
+def compare(parent: list[float], change: list[float],
+            bound: tuple[float, str] | None = None) -> dict:
+    """The summary of one metric over pairs; parent[i] and change[i] share pair i.
+
+    With the metric's (bound, better) from `bounds()`, it also says whether
+    the change's median is worse than the parent's by more than the bound,
+    as a fraction of the parent's median."""
     p1, pm, p3 = statistics.quantiles(parent, n=4)
     cm = statistics.median(change)
     iqr = p3 - p1
-    return {
+    out = {
         "parent_q1_median_q3": quartiles(parent),
         "change_q1_median_q3": quartiles(change),
         "change_over_parent": round(cm / pm, 3),
         "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
         "median_gap_over_parent_iqr": round((pm - cm) / iqr, 2) if iqr else None,
     }
+    if bound is not None:
+        limit, better = bound
+        out["worse_beyond_bound"] = (cm > pm * (1 + limit) if better == "lower"
+                                     else cm < pm * (1 - limit))
+    return out
 
 
-def summarize(pairs: list[dict], metrics: list[str]) -> dict:
-    """The summary of one workload's pairs, each {"parent": run, "change": run}."""
+def summarize(pairs: list[dict], metrics: list[str],
+              metric_bounds: dict[str, tuple[float, str]] | None = None) -> dict:
+    """The summary of one workload's pairs, each {"parent": run, "change": run};
+    `metric_bounds` (from `bounds()`) adds `worse_beyond_bound` to each metric."""
     out: dict = {
         "pairs": len(pairs),
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
@@ -91,7 +113,8 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
     }
     for name in metrics:
         out[name] = compare([p["parent"]["metrics"][name]["value"] for p in pairs],
-                            [p["change"]["metrics"][name]["value"] for p in pairs])
+                            [p["change"]["metrics"][name]["value"] for p in pairs],
+                            (metric_bounds or {}).get(name))
     return out
 
 
@@ -244,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     report["summary"] = {"quartiles": "statistics.quantiles(n=4), exclusive method, "
                                       "over the runs of each side"}
     for workload in workloads:
-        report["summary"][workload] = summarize(report["trace0"][workload], end_to_end)
+        report["summary"][workload] = summarize(report["trace0"][workload], end_to_end,
+                                                bounds())
     if args.trace_pairs:
         report["trace1_summary"] = {w: summarize_traced(report["trace1"][w])
                                     for w in workloads}

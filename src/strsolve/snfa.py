@@ -57,6 +57,9 @@ lists indexed by state: `some_word` its search tree, and `concat_bfs` the
 number it gave each operand state (a1 state i at index 2i, a2 state j at
 2j+1, which keeps the order of their names). `product` keeps a dict,
 because its pair space n1·n2 can be far larger than the pairs it reaches.
+It keeps one more dict per label that a one-label row of a1 meets, from
+each pair key to its one transition on that label, so a transition that
+many pair states build again, as on the doubling family, is one lookup.
 """
 
 from __future__ import annotations
@@ -455,13 +458,26 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     chains such as length and word automata, is built directly: it has at
     most one transition.
 
+    A row of a1 with two or more entries that all carry one label (its
+    first and last entries share (lo, hi), as the row is sorted) meets the
+    a2 row once: the non-empty intersections, without repeats, are its
+    hits. Each entry of a1 pairs with each hit, and the transition comes
+    from the hit label's table, which maps the pair key d1·|Q2| + d2 to the
+    one (lo, hi, dst) built for it. Such a row has no duplicates, since its
+    targets d1 are distinct, so it is only sorted. On the doubling family
+    every row of a1 carries the full range, and 3^k transitions reach 2^k
+    states. Every other row meets the a2 row entry by entry and shares its
+    transitions through one dict of tuples. Both paths discover pairs in
+    the same order, a1 entry by a1 entry and a2 entry by a2 entry.
+
     `budget.check` runs before every BUDGET_STRIDE-th pair state is
     explored, before any run of rows of a1 that would take the row pairs
     scanned since the last check past PAIR_STRIDE (a row of a1 counts as
-    |rows2[q]| pairs; a pair of one-entry rows is not counted, as the state
-    stride already bounds those), and as soon as the number of distinct
-    transitions built passes `budget.max_transitions`, so a run past either
-    limit stops inside the operation.
+    |rows2[q]| pairs, or |hits| on the one-label path; a pair of
+    one-entry rows is not counted, as the state stride already bounds
+    those), and as soon as the number of distinct transitions built passes
+    `budget.max_transitions`, so a run past either limit stops inside the
+    operation.
     """
     rows1, rows2 = a1.rows, a2.rows
     n2 = len(rows2)
@@ -470,10 +486,12 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     get = ids.get
     # many pair states reach the same pair on the same label: one tuple each
     shared = {}.setdefault
+    # per label met by a one-label row of a1: the transition of each pair key
+    table = {}.setdefault
     cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
     emitted = 0
-    scanned = 0  # row pairs scanned since the last check, |r2| per row of a1
+    scanned = 0  # row pairs scanned since the last check, `width` per row of a1
     for src, (p, q) in enumerate(pairs):  # `pairs` grows while it is walked
         if not src % BUDGET_STRIDE:
             budget.check(emitted)
@@ -499,34 +517,70 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
             if emitted > cap:
                 budget.check(emitted)
             continue
-        row: list[Row] = []
-        add = row.append
-        if r2:
-            scanned += len(r1) * len(r2)
+        hits = None
+        if len(r1) > 1 and r1[0][0] == r1[-1][0] and r1[0][1] == r1[-1][1]:
+            # r1 is sorted, so every entry carries one label: meet it with r2
+            # once. Two a2 entries can meet it in the same (lo, hi, d2); the
+            # hits keep one, and each carries its label's table
+            lo1, hi1, _ = r1[0]
+            met = []
+            for lo2, hi2, d2 in r2:
+                if lo2 > hi1:
+                    break  # r2 is sorted by lo: no later row meets [lo1, hi1]
+                lo = lo1 if lo1 >= lo2 else lo2
+                hi = hi1 if hi1 <= hi2 else hi2
+                if lo <= hi:
+                    met.append((lo, hi, d2))
+            hits = [(table((lo, hi), {}), lo, hi, d2) for lo, hi, d2 in dict.fromkeys(met)]
+            width = len(hits)
+        else:
+            width = len(r2)
+        out: tuple[Row, ...] = ()
+        if width:
+            scanned += len(r1) * width
             if scanned > PAIR_STRIDE:
                 # check before each run of `step` rows of a1 in this state
-                width = len(r2)
                 step = PAIR_STRIDE // width or 1
                 scanned = ((len(r1) - 1) % step + 1) * width  # the last run's pairs
                 r1 = _in_strides(r1, step, budget, emitted)
-            for lo1, hi1, d1 in r1:
-                base = d1 * n2
-                for lo2, hi2, d2 in r2:
-                    if lo2 > hi1:
-                        break  # r2 is sorted by lo: no later row meets [lo1, hi1]
-                    lo = lo1 if lo1 >= lo2 else lo2
-                    hi = hi1 if hi1 <= hi2 else hi2
-                    if lo > hi:
-                        continue
-                    key = base + d2
-                    dst = get(key)
-                    if dst is None:
-                        dst = ids[key] = len(pairs)
-                        pairs.append((d1, d2))
-                    t = (lo, hi, dst)
-                    add(shared(t, t))
-        rows.append(_sorted_row(row))
-        emitted += len(rows[-1])
+            row: list[Row] = []
+            add = row.append
+            if hits is not None:
+                for _, _, d1 in r1:
+                    base = d1 * n2
+                    for labelled, lo, hi, d2 in hits:
+                        key = base + d2
+                        t = labelled.get(key)
+                        if t is None:
+                            dst = get(key)
+                            if dst is None:
+                                dst = ids[key] = len(pairs)
+                                pairs.append((d1, d2))
+                            t = labelled[key] = (lo, hi, dst)
+                        add(t)
+                # distinct d1 times distinct hits: the row has no duplicates
+                row.sort()
+                out = tuple(row)
+            else:
+                for lo1, hi1, d1 in r1:
+                    base = d1 * n2
+                    for lo2, hi2, d2 in r2:
+                        if lo2 > hi1:
+                            break  # r2 is sorted by lo: no later row meets [lo1, hi1]
+                        lo = lo1 if lo1 >= lo2 else lo2
+                        hi = hi1 if hi1 <= hi2 else hi2
+                        if lo > hi:
+                            continue
+                        key = base + d2
+                        dst = get(key)
+                        if dst is None:
+                            dst = ids[key] = len(pairs)
+                            pairs.append((d1, d2))
+                        t = (lo, hi, dst)
+                        add(shared(t, t))
+                out = _sorted_row(row)
+        rows.append(out)
+        emitted += len(out)
         if emitted > cap:
             budget.check(emitted)
     acc1, acc2 = a1.accepting, a2.accepting

@@ -37,6 +37,26 @@ def test_compare_by_hand():
     assert bench_pairs.compare([2, 2, 2], [1, 1, 1])["median_gap_over_parent_iqr"] is None
 
 
+def test_compare_flags_a_median_worse_beyond_its_bound():
+    # the parent's median is 3; a bound of 0.15 allows up to 3.45 when lower
+    # is better and down to 2.55 when higher is better
+    parent = [1, 2, 3, 4, 5]
+    for change, better, worse in (([3.3] * 5, "lower", False), ([3.6] * 5, "lower", True),
+                                  ([2.7] * 5, "higher", False), ([2.4] * 5, "higher", True),
+                                  ([9.0] * 5, "higher", False), ([0.1] * 5, "lower", False)):
+        got = bench_pairs.compare(parent, change, (0.15, better))
+        assert got["worse_beyond_bound"] is worse, (change, better)
+    assert "worse_beyond_bound" not in bench_pairs.compare(parent, [3.6] * 5)
+
+
+def test_bounds_come_from_benchmark_json():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    got = bench_pairs.bounds()
+    assert got == {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+    pairs = [{"parent": run(1.0), "change": run(2.0)}] * 3
+    assert bench_pairs.summarize(pairs, ["wall_s"], got)["wall_s"]["worse_beyond_bound"]
+
+
 def test_summarize_counts_failures_and_digests():
     pairs = [{"parent": run(1.0 + i, digest=f"d{i}"),
               "change": run(0.5 + i, failed=int(i == 2), digest=f"d{min(i, 1)}")}

@@ -16,7 +16,9 @@ from strsolve.intervals import MAX_CODEPOINT
 from strsolve.regex import compile, length_automaton, sigma_star, word_automaton
 from strsolve.snfa import (SNfa, accepts, concat, concat_bfs, dump, is_empty, product,
                            snfa, some_word, split_word, to_dot, validate)
-from strsolve.solver import Budget
+from strsolve import solver
+from strsolve.constraints import make_problem
+from strsolve.solver import Budget, forward_prop
 
 WORDS6 = words_upto(LEMMA_ALPHABET, 6)
 SNFA_MODULE = importlib.import_module("strsolve.snfa")  # the package attribute is the constructor
@@ -442,6 +444,14 @@ NOTHING = snfa([[(97, 97, 1)], [(97, 97, 0)]], {0}, ())
 FAR = snfa([[]] + [[(97, 97, 8)]] + [[]] * 7, {1}, ())
 DEAD_END = snfa([[(97, 97, 1)], [(98, 98, 0)], [(99, 99, 2)]], {0}, {2})  # 2 unreachable
 ORPHANS = snfa([[(97, 97, 2)], [(98, 98, 0)], [(99, 99, 2)], [(97, 97, 3)]], {0}, {2, 3})
+# State 0 has a row of several entries on one label, [97, 98], which product
+# meets with each a2 row once. Against OVERLAPPING the first two entries of
+# state 0 both meet it in (97, 98, 1), and the copy must be dropped; against
+# MISSES no entry meets it.
+ONE_LABEL = snfa([[(97, 98, 0), (97, 98, 1), (97, 98, 2)], [(97, 97, 2)], []], {0}, {1, 2})
+OVERLAPPING = snfa([[(97, 98, 1), (97, 99, 1), (98, 100, 0)], [(97, 97, 0)]], {0}, {1})
+MISSES = snfa([[(95, 96, 1), (99, 100, 0)], [(97, 98, 0)]], {0}, {1})
+SEVERAL_ENTRIES = snfa([[(97, 97, 1)], [(98, 98, 2)], [(97, 99, 0)]], {0, 1, 2}, {2})
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -459,6 +469,10 @@ ORPHANS = snfa([[(97, 97, 2)], [(98, 98, 0)], [(99, 99, 2)], [(97, 97, 3)]], {0}
 @example(DEAD_END, ORPHANS, True)
 @example(remove_unreachable(EPS), ORPHANS, False)
 @example(remove_unreachable(CHAIN), ORPHANS, True)
+@example(ONE_LABEL, OVERLAPPING, False)
+@example(ONE_LABEL, OVERLAPPING, True)
+@example(ONE_LABEL, MISSES, True)
+@example(ONE_LABEL, SEVERAL_ENTRIES, True)
 def test_concat_and_product_match_the_reference_kernels(a1, a2, budgeted):
     def budget() -> Budget:
         return Budget(max_transitions=10 ** 9, deadline=time.monotonic() + 3600) \
@@ -468,11 +482,27 @@ def test_concat_and_product_match_the_reference_kernels(a1, a2, budgeted):
     _same_automaton(product(a1, a2, budget()), product_reference(a1, a2, budget()))
 
 
+def test_product_matches_the_reference_kernel_on_every_doubling_step(monkeypatch):
+    # forward propagation of x = xi ++ xi: every product meets rows whose
+    # entries all carry the full range, the benchmark's own shape
+    steps = []
+
+    def checked(a1: SNfa, a2: SNfa, budget: Budget) -> SNfa:
+        got = product(a1, a2, budget)
+        assert dump(got) == dump(product_reference(a1, a2, budget))
+        steps.append(len(got.transitions))
+        return got
+
+    monkeypatch.setattr(solver, "product", checked)
+    names = ["x"] + [f"x{i}" for i in range(1, 9)]
+    forward_prop(make_problem(names, {"x": {(f"x{i}", f"x{i}") for i in range(1, 9)}}))
+    assert steps == [3 ** k for k in range(2, 9)]
+
+
 # Two a-transitions of state 0 into accepting states: both bridge to a2's
 # initial states on the same label, and the copies must be dropped.
 DUPLICATE_BRIDGE = snfa([[(97, 97, 1), (97, 97, 2), (98, 98, 1)], [(99, 99, 2)], []],
                         {0}, {1, 2})
-SEVERAL_ENTRIES = snfa([[(97, 97, 1)], [(98, 98, 2)], [(97, 99, 0)]], {0, 1, 2}, {2})
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)

@@ -250,6 +250,35 @@ def test_budget_bounds_the_row_pairs_product_scans_between_checks():
     assert max(b - a for a, b in zip(marks, marks[1:])) <= PAIR_STRIDE
 
 
+def test_budget_bounds_the_row_pairs_of_a_one_label_row_between_checks():
+    # one pair state: 400 entries of a1 on the one label [0, 399] against
+    # 400 one-character entries of a2, each met once, so every entry of a1
+    # the product pairs with them stands for 400 row pairs
+    width = 400
+    pairs_read = [0]
+
+    class CountedTarget(int):
+        def __mul__(self, n2: int) -> int:  # product keys a1 target d by d * n2
+            pairs_read[0] += width
+            return int(self) * n2
+
+    a1 = SNfa((tuple((0, width - 1, CountedTarget(d)) for d in range(1, width + 1)),)
+              + ((),) * width, frozenset({0}), frozenset(range(1, width + 1)))
+    a2 = SNfa((tuple((c, c, 1) for c in range(width)), ()), frozenset({0}), frozenset({1}))
+    at_check: list[int] = []
+
+    class RecordingBudget(Budget):
+        def check(self, transitions: int) -> None:
+            at_check.append(pairs_read[0])
+            super().check(transitions)
+
+    got = product(a1, a2, RecordingBudget())
+    assert len(got.transitions) == width * width and not is_empty(got)
+    assert pairs_read[0] == width * width
+    marks = [0] + at_check + [pairs_read[0]]
+    assert max(b - a for a, b in zip(marks, marks[1:])) <= PAIR_STRIDE
+
+
 def test_budget_cap_stops_no_solve_that_fits():
     # the largest automaton of doubling k=6 has exactly 3^6 transitions
     assert forward_prop(doubling(6), budget=Budget(max_transitions=3 ** 6))["x"].trim
