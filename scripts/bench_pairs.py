@@ -9,7 +9,9 @@ tree, exported with `git archive` into a temporary directory: the parent
 revision (default HEAD) and the change (default a `git stash create`
 snapshot of the tracked files of the working tree, or HEAD when they hold
 no change; untracked files are not in it, so `git add` new files first).
-Both revisions are recorded as commit ids. A temporary export, unlike a
+Both revisions are recorded as commit ids. No branch holds a snapshot, so
+it is kept reachable as `refs/bench/<stem of --out>`, and `git gc` does
+not prune the commit the output names. A temporary export, unlike a
 `git worktree`, leaves nothing behind in the repository if the run is
 killed.
 
@@ -191,6 +193,22 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     return result
 
 
+def revisions(parent: str, change: str | None, stem: str, cwd: Path = ROOT) -> dict[str, str]:
+    """The commit ids of both sides in the repository at `cwd`. Without
+    `change`, the change side is a `git stash create` snapshot of the
+    working tree, kept reachable as refs/bench/<stem>, or HEAD when the
+    tracked files hold no change."""
+    def git(*command: str) -> str:
+        return subprocess.run(["git", *command], cwd=cwd, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    snapshot = None if change else git("stash", "create")
+    if snapshot:
+        git("update-ref", f"refs/bench/{stem}", snapshot)
+    return {"parent": git("rev-parse", parent),
+            "change": git("rev-parse", change or snapshot or "HEAD")}
+
+
 def machine() -> dict:
     model = ""
     try:
@@ -222,12 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     seconds, workloads, end_to_end = benchmark()
 
-    def git(*command: str) -> str:
-        return subprocess.run(["git", *command], cwd=ROOT, capture_output=True,
-                              text=True, check=True).stdout.strip()
-
-    revs = {"parent": git("rev-parse", args.parent),
-            "change": git("rev-parse", args.change or git("stash", "create") or "HEAD")}
+    revs = revisions(args.parent, args.change, args.out.stem)
     report: dict = {
         "what": "perfbench/run.py on the parent commit and on this change, alternating pairs",
         "parent_commit": revs["parent"],

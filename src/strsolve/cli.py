@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import NoReturn, Optional
 
-from .constraints import desugar
+from .constraints import desugar, expand_or
 from .errors import ResourceLimitError, StrSolveError, UnsupportedError
 from .smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt
 from .snfa import DEFAULT_MAX_TRANSITIONS, Budget, to_dot
@@ -49,27 +49,33 @@ def solve_path(path: str | Path, optimize: bool = False,
                max_transitions: int = DEFAULT_MAX_TRANSITIONS,
                timeout_ms: Optional[int] = None,
                dump_dot_dir: Optional[str | Path] = None) -> tuple[Verdict, SolveStats, int]:
-    """Solve one SMT file. Disjunctions produce several problems, solved in
-    order with sat winning early. The timeout counts from before the file is
-    read. Returns (verdict, file stats, var count)."""
+    """Solve one SMT file. Disjunctions expand into several conjunctions,
+    at most MAX_DISJUNCTS of them, counted before any is desugared. They are
+    desugared and solved one at a time, in order, and the first sat wins:
+    a disjunct is desugared only when every one before it answered unsat
+    or unknown, and its problem is dropped before the next is built. The
+    timeout counts from before the file is read. Returns (verdict, file
+    stats, var count)."""
     deadline = time.monotonic() + _seconds(timeout_ms) if timeout_ms is not None else None
     budget = Budget(max_transitions, deadline)
     src = Path(path).read_text(encoding="utf-8")
     script = parse_smt(src, budget)
     declared = [name for name, _ in script.declarations]
-    # memberships of one variable are intersected here, under the same budget
-    problems = desugar(list(script.assertions), base_vars=declared, budget=budget)
+    conjunctions = expand_or(script.assertions)
 
     total = SolveStats()
     nvars = 0
     verdicts: list[Verdict] = []
-    for idx, problem in enumerate(problems):
+    for idx, conjunction in enumerate(conjunctions):
+        # memberships of one variable are intersected here, under the same budget
+        (problem,) = desugar(conjunction, base_vars=declared, budget=budget)
         verdict = solve(problem, optimize=optimize, budget=budget)
         nvars = max(nvars, len(problem.variables))
+        del problem  # the next disjunct's automata are built without this one's
         total.iterations += verdict.stats.iterations
         total.millis += verdict.stats.millis
         for v, size in verdict.stats.var_sizes.items():
-            key = v if len(problems) == 1 else f"{idx}:{v}"
+            key = v if len(conjunctions) == 1 else f"{idx}:{v}"
             total.var_sizes[key] = size
         if dump_dot_dir is not None:
             _dump_dots(Path(dump_dot_dir), Path(path).stem, idx, verdict.refined)

@@ -118,7 +118,7 @@ def make_problem(variables: Iterable[VarId],
 # ---------------------------------------------------------------------------
 # Desugaring
 
-def _expand_or(cs: Sequence[SurfaceConstraint]) -> list[list[SurfaceConstraint]]:
+def expand_or(cs: Sequence[SurfaceConstraint]) -> list[list[SurfaceConstraint]]:
     """Cartesian expansion of nested disjunctions into flat conjunctions, of
     at most MAX_DISJUNCTS of them. The nested `or`s are walked on an
     explicit stack, so no depth of nesting overflows the interpreter's."""
@@ -241,7 +241,7 @@ def desugar(cs: Sequence[SurfaceConstraint], base_vars: Iterable[VarId] = (),
     disjunct, starting with the first. `base_vars` forces
     declared-but-unused variables into every Problem.
     """
-    return [_Desugarer(base_vars, budget).run(conj) for conj in _expand_or(cs)]
+    return [_Desugarer(base_vars, budget).run(conj) for conj in expand_or(cs)]
 
 
 # ---------------------------------------------------------------------------

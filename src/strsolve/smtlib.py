@@ -21,8 +21,13 @@ whose bounds are literals of one character, or of one \\u{...} escape, is
 one token, and the loop appends the list's value as the general path would
 reduce it: the 21 637 `re.range` lists of the smt_mix benchmark were
 108 185 of its 196 895 tokens, and every escaped literal of that
-benchmark is a bound of one. A `re.union` of only character ranges
-gathers their intervals into one `IntervalSet`.
+benchmark is a bound of one. A `re.union` whose operands are all such
+ranges is one token as well: that benchmark's 2 636 of them hold all its
+21 637 ranges, and reading each as one match takes the reader from
+112 347 matches to 85 438. Its value gathers the ranges' intervals into
+one `IntervalSet` without making a class per range, and it counts toward
+the budget stride as the tokens it stands for. Any other `re.union` of
+only character ranges gathers their intervals the same way.
 """
 
 from __future__ import annotations
@@ -97,22 +102,31 @@ def encode_string(w: str) -> str:
 # One token per match, with the whitespace and comments before it, told
 # apart by `lastindex`: the groups below, or None for what trails the last
 # token. Whitespace is exactly space, tab, CR and LF (docs/smtlib-subset.md).
-# The first alternative, the one fused form, reads `(re.range L L)` as one
-# token instead of five (most tokens of the smt_mix benchmark were of such
-# lists; see the module docstring): each L is a literal of one character
-# other than " or of one \u{...} escape of 1-5 hex digits (at most 0xFFFFF,
-# a valid code point), and only whitespace, not a comment, separates the
-# parts. No " can follow an L, since whitespace or ) must. Any other
-# `re.range` list is read by the general tokens. Every other literal is the
-# general one, decoded by `_decode_string`. Its body is unrolled and
-# possessive: it takes "" pairs from the left, as a character scanner does,
-# and does not backtrack to end an unterminated literal at a doubled quote.
-# A lone " or | that starts no complete token falls through to the catch-all.
+# The first two alternatives are fused forms (most tokens of the smt_mix
+# benchmark were of such lists; see the module docstring). The first reads
+# `(re.range L L)` as one token instead of five: each L is a literal of one
+# character other than " or of one \u{...} escape of 1-5 hex digits (at
+# most 0xFFFFF, a valid code point), and only whitespace, not a comment,
+# separates the parts. No " can follow an L, since whitespace or ) must.
+# The second reads `(re.union R ...)` whose operands are 1 to BUDGET_STRIDE
+# such ranges, again separated by whitespace only, as one token; the
+# repetition is possessive, so a longer union fails at once and is read by
+# the general tokens. Any other `re.range` or `re.union` list is read by
+# the general tokens. Every other literal is the general one, decoded by
+# `_decode_string`. Its body is unrolled and possessive: it takes "" pairs
+# from the left, as a character scanner does, and does not backtrack to end
+# an unterminated literal at a doubled quote. A lone " or | that starts no
+# complete token falls through to the catch-all.
+_BOUND = r'"(?:\\u\{%s[0-9A-Fa-f]{1,5})\}|%s[^"]))"'  # %s: "(" to capture, or "(?:"
+_RANGE_FORM = r"\(re\.range[ \t\r\n]+%s[ \t\r\n]+%s[ \t\r\n]*\)"
+_BOUND_GROUPS, _BOUND_PLAIN = _BOUND % ("(", "("), _BOUND % ("(?:", "(?:")
+_RANGE_GROUPS = _RANGE_FORM % (_BOUND_GROUPS, _BOUND_GROUPS)
+# each range of a fused union: its bounds' hex digits or characters, as `findall` tuples
+_RANGES = re.compile(_RANGE_GROUPS)
 _TOKEN = re.compile(r"""
     (?:[ \t\r\n]+ | ;[^\n]*)*+
-    (?: (\(re\.range[ \t\r\n]+
-            "(?:\\u\{([0-9A-Fa-f]{1,5})\}|([^"]))"[ \t\r\n]+
-            "(?:\\u\{([0-9A-Fa-f]{1,5})\}|([^"]))"[ \t\r\n]*\))
+    (?: (%(range)s)
+      | (\(re\.union(?:[ \t\r\n]*%(plain)s){1,%(most)d}+[ \t\r\n]*\))
       | (\()
       | (\))
       | "((?:[^"]*+"")*+[^"]*+)"
@@ -121,9 +135,11 @@ _TOKEN = re.compile(r"""
       | ([^ \t\r\n();"|]+)
       | (.)
       | \Z)
-""", re.VERBOSE | re.DOTALL)
+""" % {"range": _RANGE_GROUPS, "plain": _RANGE_FORM % (_BOUND_PLAIN, _BOUND_PLAIN),
+       "most": BUDGET_STRIDE}, re.VERBOSE | re.DOTALL)
 _RANGE = 1  # groups 2-5: each bound's hex digits or its character
-_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(6, 13)
+_UNION = 6
+_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(7, 14)
 # A numeral of more digits is a syntax error, before `int()` meets Python's
 # limit on converting long digit strings (4300 by default). Any length
 # bound of this many digits is far past every length cap anyway.
@@ -189,16 +205,27 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
                 except StrSolveError as err:
                     held = err
             terms = parent
-        elif kind == _RANGE:  # the list the general path reduces, or its command error
+        elif kind == _RANGE or kind == _UNION:
+            # a fused list: the value the general path reduces, or its command error
             pos = m.start(kind)
-            lo_hex, lo, hi_hex, hi = m.group(2, 3, 4, 5)
-            regex = _range(int(lo_hex, 16) if lo_hex else ord(lo),
-                           int(hi_hex, 16) if hi_hex else ord(hi))
+            if kind == _RANGE:
+                head = "re.range"
+                lo_hex, lo, hi_hex, hi = m.group(2, 3, 4, 5)
+                regex = _range(int(lo_hex, 16) if lo_hex else ord(lo),
+                               int(hi_hex, 16) if hi_hex else ord(hi))
+            else:  # counts as its general tokens: (, re.union, each range and )
+                head = "re.union"
+                bounds = _RANGES.findall(src, pos, m.end())
+                countdown -= len(bounds) + 2
+                while countdown < 0:
+                    budget.check(0)
+                    countdown += BUDGET_STRIDE
+                regex = _fused_union(bounds, pos, m.end())
             if stack:
-                terms.append((_LIST, ("re.range", regex), pos, m.end()))
+                terms.append((_LIST, (head, regex), pos, m.end()))
             elif held is None:
                 held = (SyntaxParseError("expected a command", terms[0][2]) if terms
-                        else UnsupportedError("command re.range", pos))
+                        else UnsupportedError(f"command {head}", pos))
         elif kind == _WORD:
             text = m[kind]
             end = m.end()
@@ -333,6 +360,19 @@ def _re_union(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.R
         else:
             return rx.Union(tuple(items))
     return rx.CharClass(IntervalSet.normalize(parts))
+
+
+def _fused_union(bounds: list[tuple[str, str, str, str]], pos: int, end: int) -> rx.Regex:
+    """What `_re_union` makes of the fused ranges whose bound groups are
+    `bounds` (see `_RANGES`), as operands of the union at src[pos:end]."""
+    parts = [Interval(int(lo_hex, 16) if lo_hex else ord(lo),
+                      int(hi_hex, 16) if hi_hex else ord(hi))
+             for lo_hex, lo, hi_hex, hi in bounds]
+    if (1, 0) not in parts:  # the empty Interval, which a reversed range makes
+        return rx.CharClass(IntervalSet.normalize(parts))
+    # a reversed range is re.none, which keeps the union a Union
+    ranges = [(_LIST, ("re.range", _range(p.lo, p.hi)), pos, end) for p in parts]
+    return _re_union("re.union", ranges, pos, {})
 
 
 def _repeat(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:

@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random generators, reference matchers,
 interval enumeration, the reference word split, membership and shortest
 word, the reference SMT-LIB readers, the SMT-LIB printer, the reference
-`concat`, `product`, regex compile, `layering` and `_expand_or`, the trim
+`concat`, `product`, regex compile, `layering` and `expand_or`, the trim
 audit, renaming and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
@@ -340,7 +340,7 @@ def layering_reference(p: Problem) -> list[set[VarId]]:
     return [layers[lv] for lv in sorted(layers, reverse=True)]
 
 
-# `constraints._expand_or` as it was before its explicit stack: it recurses
+# `constraints.expand_or` as it was before its explicit stack: it recurses
 # into the branches of each `or`. The new one must give the same conjunctions
 # in the same order, or raise at the same cap.
 

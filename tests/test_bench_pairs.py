@@ -1,5 +1,5 @@
-"""The summary arithmetic of scripts/bench_pairs.py, on fixed numbers, and
-the cleanup of its temporary exports."""
+"""The summary arithmetic of scripts/bench_pairs.py, on fixed numbers, the
+cleanup of its temporary exports, and the snapshot it keeps reachable."""
 
 import importlib.util
 import json
@@ -173,3 +173,36 @@ def test_sigterm_removes_the_exports(tmp_path):
         child.kill()
         child.wait()
     assert list(tmp.iterdir()) == []
+
+
+def test_a_working_tree_snapshot_outlives_git_gc(tmp_path, monkeypatch):
+    # in a repository of its own, with no user or system configuration
+    for name, value in (("HOME", str(tmp_path)), ("GIT_CONFIG_NOSYSTEM", "1"),
+                        ("GIT_AUTHOR_NAME", "bench"), ("GIT_AUTHOR_EMAIL", "bench@example.com"),
+                        ("GIT_COMMITTER_NAME", "bench"),
+                        ("GIT_COMMITTER_EMAIL", "bench@example.com")):
+        monkeypatch.setenv(name, value)
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*command: str) -> str:
+        return subprocess.run(["git", *command], cwd=repo, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "f.txt").write_text("parent\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "parent")
+    head = git("rev-parse", "HEAD")
+    # a clean tree is HEAD, and needs no ref
+    assert bench_pairs.revisions("HEAD", None, "BENCH_clean", repo) == {"parent": head,
+                                                                        "change": head}
+    (repo / "f.txt").write_text("change\n")
+    assert bench_pairs.revisions("HEAD", "HEAD", "BENCH_given", repo)["change"] == head
+    assert git("for-each-ref", "refs/bench") == ""
+    revs = bench_pairs.revisions("HEAD", None, "BENCH_22", repo)
+    assert revs["parent"] == head and revs["change"] != head
+    assert git("rev-parse", "refs/bench/BENCH_22") == revs["change"]
+    git("reflog", "expire", "--expire=now", "--all")
+    git("gc", "-q", "--prune=now")
+    assert git("show", f"{revs['change']}:f.txt") == "change"

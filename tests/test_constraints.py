@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oracle import Bound, oracle_sat
 from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
-                                  Membership, Or, Problem, Var, _expand_or, check_tree,
-                                  desugar, layering, make_problem, problem_dump,
+                                  Membership, Or, Problem, Var, check_tree, desugar,
+                                  expand_or, layering, make_problem, problem_dump,
                                   sat_str)
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import MAX_CODEPOINT, IntervalSet
@@ -111,9 +111,9 @@ def test_expand_or_matches_the_recursive_reference(cs):
         expected = expand_or_reference(cs)
     except ResourceLimitError as err:
         with pytest.raises(ResourceLimitError, match=str(err)):
-            _expand_or(cs)
+            expand_or(cs)
     else:
-        assert _expand_or(cs) == expected
+        assert expand_or(cs) == expected
 
 
 def test_expand_or_reads_any_depth():
@@ -123,15 +123,15 @@ def test_expand_or_reads_any_depth():
             c = Or(((c,),) + ((Membership("x", rx.parse_regex("b")),),) * (width - 1))
         return c
 
-    assert _expand_or([nest(100_000, 1)]) == [[Membership("x", rx.parse_regex("a"))]]
-    assert len(_expand_or([nest(63, 2)])) == 64
+    assert expand_or([nest(100_000, 1)]) == [[Membership("x", rx.parse_regex("a"))]]
+    assert len(expand_or([nest(63, 2)])) == 64
     with pytest.raises(ResourceLimitError, match="more than 64 cases"):
-        _expand_or([nest(3000, 2)])
+        expand_or([nest(3000, 2)])
     # the cap holds inside a branch too, before an empty `or` after it would
     # make the branch's count 0
     two_way = nest(1, 2)
     with pytest.raises(ResourceLimitError, match="more than 64 cases"):
-        _expand_or([Or(((two_way,) * 7 + (Or(()),),))])
+        expand_or([Or(((two_way,) * 7 + (Or(()),),))])
 
 
 def test_desugar_is_linear_in_the_number_of_constraints():
