@@ -363,11 +363,13 @@ def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 
             return True, first, last
         raise TypeError(f"not a regex node: {node!r}")
 
+    # `lin` refers to itself through its closure cell; deleting it breaks that
+    # cycle, which would keep labels and follow alive until the cyclic
+    # collector ran, on every path out of the walk
     try:
         nullable, first, last = lin(ast) or (False, (), ())
     finally:
-        del lin  # it refers to itself through its closure cell, a cycle that would
-        # keep labels and follow alive until the cyclic collector ran
+        del lin
     # state 0 is the initial state and state p is position p
     rows = [[(part.lo, part.hi, p) for p in first for part in labels[p - 1].parts]]
     emitted = len(rows[0])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import json
@@ -12,15 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from strsolve import cli, solver
+from strsolve import cli, regex, solver
 from strsolve.cli import EXIT_RESOURCE, bench, main, solve_path, stats_record
-from strsolve.constraints import CyclicDependencyError, desugar
+from strsolve.constraints import CyclicDependencyError, Problem, desugar
 from strsolve.errors import ResourceLimitError, UnsupportedError
 from strsolve.smtlib import parse_smt
-from strsolve.regex import sigma_star
-from strsolve.snfa import dump, to_dot
+from strsolve.regex import LENGTH_CAP, sigma_star
+from strsolve.snfa import Budget, dump, to_dot
 
 MINI = Path(__file__).resolve().parent.parent / "benchmarks" / "mini"
+ORDER = Path(__file__).resolve().parent / "data" / "order"
 
 SAT_SRC = '(declare-const x String)(assert (str.in_re x (re.+ (re.range "a" "c"))))(check-sat)'
 UNSAT_SRC = ('(declare-const x String)(assert (str.in_re x (str.to_re "a")))'
@@ -248,6 +250,108 @@ def test_disjunction_solved_per_branch(tmp_path):
     verdict, _, _ = solve_path(f)
     assert verdict.kind == "sat"
     assert verdict.model == {"x": "ok"}
+
+
+def _disjunction(tmp_path, branches: list[str], name: str = "or.smt2") -> Path:
+    """A file asserting the `or` of `branches` over the one variable x."""
+    f = tmp_path / name
+    f.write_text(f"(declare-const x String)(assert (or {' '.join(branches)}))(check-sat)")
+    return f
+
+
+def test_disjuncts_are_desugared_one_at_a_time(tmp_path, monkeypatch):
+    # two unsat disjuncts, a sat one, and one that is never reached
+    f = _disjunction(tmp_path, [
+        '(and (str.in_re x (str.to_re "a")) (str.in_re x (str.to_re "b")))',
+        '(and (str.in_re x (str.to_re "cd")) (= (str.len x) 3))',
+        '(str.in_re x (str.to_re "ok"))',
+        '(str.in_re x (re.+ (re.range "a" "z")))'])
+    calls = []
+
+    def alive() -> int:
+        return sum(type(o) is Problem for o in gc.get_objects())
+
+    def desugar_one(cs, **kw):
+        # no Problem of an earlier disjunct is left, even without the collector
+        calls.append(("desugar", len(cs), alive() - before))
+        problems = desugar(cs, **kw)
+        calls.append(("problems", len(problems)))
+        return problems
+
+    def solve_one(problem, **kw):
+        verdict = solver.solve(problem, **kw)
+        calls.append(("solve", verdict.kind))
+        return verdict
+
+    monkeypatch.setattr(cli, "desugar", desugar_one)
+    monkeypatch.setattr(cli, "solve", solve_one)
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        verdict, stats, _ = solve_path(f)
+    finally:
+        gc.enable()
+    assert calls == [("desugar", 2, 0), ("problems", 1), ("solve", "unsat"),
+                     ("desugar", 2, 0), ("problems", 1), ("solve", "unsat"),
+                     ("desugar", 1, 0), ("problems", 1), ("solve", "sat")]
+    assert verdict.model == {"x": "ok"}
+    assert {key.split(":")[0] for key in stats.var_sizes} == {"0", "1", "2"}
+
+
+def test_a_sat_first_disjunct_compiles_one_regex(tmp_path, monkeypatch):
+    # 64 disjuncts over words of 40 001 characters, the first sat: each one
+    # used to be compiled before the first was solved
+    compiles = []
+
+    def counted(*args, **kw):
+        compiles.append(args[0])
+        return compile_(*args, **kw)
+
+    compile_ = regex.compile
+    monkeypatch.setattr(regex, "compile", counted)
+    words = ["a" * 40_000 + str(i) for i in range(64)]
+    f = _disjunction(tmp_path, [f'(str.in_re x (str.to_re "{w}"))' for w in words])
+    verdict, _, _ = solve_path(f)
+    assert (verdict.kind, verdict.model, len(compiles)) == ("sat", {"x": words[0]}, 1)
+    # one disjunct more is past the cap, which stops before any desugaring
+    compiles.clear()
+    f = _disjunction(tmp_path, [f'(str.in_re x (str.to_re "{i}"))' for i in range(65)], "or65.smt2")
+    with pytest.raises(ResourceLimitError, match="more than 64 cases"):
+        solve_path(f)
+    assert compiles == []
+
+
+def test_a_resource_stop_after_a_sat_disjunct_is_not_reached(tmp_path, capsys):
+    sat, too_long = '(str.in_re x (str.to_re "a"))', f"(<= (str.len x) {LENGTH_CAP + 1})"
+    assert main(["solve", str(_disjunction(tmp_path, [sat, too_long])), "--model"]) == 0
+    assert capsys.readouterr() == ('sat\n(define-fun x () String "a")\n', "")
+    # where the solve reaches it, the bound is still a resource stop
+    assert main(["solve", str(_disjunction(tmp_path, [too_long, sat]))]) == EXIT_RESOURCE
+    assert capsys.readouterr() == ("", f"resource: length bound too large: {LENGTH_CAP + 1} "
+                                       f"(cap {LENGTH_CAP})\n")
+
+
+def test_solving_leaves_no_cyclic_garbage():
+    # regex.compile's recursive walker referred to itself through its
+    # closure cell, so each compile left a cycle for the collector; so did
+    # a compile that the budget stopped
+    files = [f for corpus in (MINI, ORDER) for f in sorted(corpus.glob("*.smt2"))
+             if "timeout" not in f.name]
+    gc.collect()
+    gc.disable()
+    try:
+        for f in files:
+            solve_path(f)
+        try:
+            regex.compile(regex.parse_regex("(a|b|c)*d"), Budget(max_transitions=1))
+        except ResourceLimitError:
+            pass
+        else:
+            pytest.fail("the compile fit under a cap of one transition")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bench_mini_corpus_smoke(tmp_path, monkeypatch, capsys):

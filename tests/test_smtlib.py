@@ -10,7 +10,7 @@ from strsolve import regex as rx
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
-from strsolve.smtlib import MAX_NUMERAL_DIGITS, encode_string, parse_smt
+from strsolve.smtlib import _TOKEN, _UNION, MAX_NUMERAL_DIGITS, encode_string, parse_smt
 from strsolve.snfa import BUDGET_STRIDE, Budget
 
 
@@ -494,6 +494,105 @@ def test_parse_checks_the_budget_every_stride_of_tokens():
         assert budget.checked == checks
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         parse_smt("(check-sat)", Budget(deadline=time.monotonic() - 1))
+
+
+# A `re.union` whose operands are all one-token ranges is one token too.
+# Each case is read twice: as written, and with a comment before the
+# union's `)`, which leaves the union to the general tokens (its ranges
+# stay one token each). Both readings must give the same value or error,
+# at the same offset, after the same budget checks. A prefix of 0-1100
+# tokens moves the union across the budget stride.
+FUSED_CHARS = ["a", "z", "(", ")", ";", "\\", " ", "|", "é", "\U0001f600", "0"]
+_FUSED_BOUND = st.one_of(st.sampled_from(FUSED_CHARS).map('"{}"'.format),
+                         st.integers(0, 0xFFFFF).flatmap(lambda cp: st.sampled_from(
+                             [f'"\\u{{{cp:x}}}"', f'"\\u{{{cp:05X}}}"'])))
+_FUSED_GAP = st.sampled_from([" "] * 4 + ["\t", "\n", "\r\n", "  "])
+_FUSED_END = st.sampled_from([""] * 4 + [" ", "\n"])
+# where the union stands: in an assertion, or at depth 0 as a command,
+# after a stray atom, or after a command error, which is held first
+FUSED_PLACES = {"assert": DECL + "(assert (str.in_re x {}))", "command": DECL + "{}",
+                "after an atom": DECL + "x {}(check-sat)", "after an error": "(push 1){}"}
+
+
+@st.composite
+def fused_range(draw):
+    return ("(re.range" + draw(_FUSED_GAP) + draw(_FUSED_BOUND) + draw(_FUSED_GAP)
+            + draw(_FUSED_BOUND) + draw(_FUSED_END) + ")")
+
+
+def _fused_and_general(ranges, place="assert", prefix=0, gaps=None, end=""):
+    """The script with the union of `ranges` in `place`, as written and with
+    a comment before the union's `)`."""
+    gaps = gaps or [" "] * len(ranges)
+    body = "(re.union" + "".join(g + r for g, r in zip(gaps, ranges)) + end
+    head = "(set-info :k" + ' "a"' * prefix + ")"
+    return tuple(head + FUSED_PLACES[place].format(body + tail) for tail in (")", " ; c\n)"))
+
+
+def _read_both(fused, general):
+    """Both readings' outcomes, checked equal, budget checks included; and
+    how many unions `_TOKEN` took as one token in each."""
+    budgets = CountingBudget(), CountingBudget()
+    got = [_outcome(lambda src: parse_smt(src, budget), text)
+           for text, budget in zip((fused, general), budgets)]
+    assert got[0] == got[1]
+    assert budgets[0].checked == budgets[1].checked
+    unions = [[m.lastindex for m in _TOKEN.finditer(text)].count(_UNION)
+              for text in (fused, general)]
+    return got[0], unions
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(fused_range(), min_size=1, max_size=12), st.sampled_from(sorted(FUSED_PLACES)),
+       st.one_of(st.integers(0, 1100), st.integers(BUDGET_STRIDE - 30, BUDGET_STRIDE)),
+       st.data())
+@example(['(re.range "b" "a")'], "assert", 0, None)  # a reversed one-range union is re.none
+@example(['(re.range "\\u{41}" "\\u{41}")'], "assert", 0, None)
+def test_fused_union_reads_as_the_general_tokens(ranges, place, prefix, data):
+    gaps = end = None
+    if data is not None:  # no whitespace before a range, or before the union's )
+        gaps = [data.draw(st.sampled_from(["", " ", "\n "])) for _ in ranges]
+        end = data.draw(_FUSED_END)
+    fused, general = _fused_and_general(ranges, place, prefix, gaps, end or "")
+    got, unions = _read_both(fused, general)
+    assert unions == [1, 0]
+    if place == "assert" and not prefix:
+        assert got == _same_as_scanner_and_reference(fused)
+    if place == "command":
+        at = fused.index("(re.union")
+        assert got == (UnsupportedError, f"unsupported: command re.union (at offset {at})", at)
+
+
+def test_fused_union_counts_as_its_general_tokens():
+    # n + 3 tokens: with the union's last token, or the one after it, at
+    # each offset around a multiple of the stride, the check count is one
+    # per started stride of the general reading's tokens
+    ranges = ['(re.range "a" "c")', '(re.range "\\u{41}" "\\u{5a}")', '(re.range "b" "a")']
+    for prefix in range(BUDGET_STRIDE - 40, BUDGET_STRIDE):
+        fused, general = _fused_and_general(ranges, prefix=prefix)
+        assert _read_both(fused, general)[1] == [1, 0]
+        tokens = sum(1 for _ in _TOKEN.finditer(general))
+        budget = CountingBudget()
+        parse_smt(fused, budget)
+        assert len(budget.checked) == -(-tokens // BUDGET_STRIDE)
+
+
+def test_fused_union_takes_at_most_a_stride_of_ranges():
+    for count, unions in ((BUDGET_STRIDE, [1, 0]), (BUDGET_STRIDE + 1, [0, 0])):
+        starts = range(0x100, 0x100 + 3 * count, 3)
+        ranges = [f'(re.range "\\u{{{c:x}}}" "{chr(c + 2)}")' for c in starts]
+        for reversed_one in (False, True):
+            if reversed_one:
+                ranges[-1] = '(re.range "b" "a")'
+            got, seen = _read_both(*_fused_and_general(ranges, prefix=BUDGET_STRIDE - 9))
+            assert seen == unions
+            (membership,) = got.assertions
+            if reversed_one:
+                assert len(membership.regex.items) == count
+                assert membership.regex.items[-1] == rx.Never()
+            else:
+                assert membership.regex == rx.CharClass(
+                    IntervalSet.from_pairs(*((c, c + 2) for c in starts)))
 
 
 def test_comments_and_ignored_commands():
