@@ -102,15 +102,17 @@ def encode_string(w: str) -> str:
 # One token per match, with the whitespace and comments before it, told
 # apart by `lastindex`: the groups below, or None for what trails the last
 # token. Whitespace is exactly space, tab, CR and LF (docs/smtlib-subset.md).
-# The first two alternatives are fused forms (most tokens of the smt_mix
-# benchmark were of such lists; see the module docstring). The first reads
-# `(re.range L L)` as one token instead of five: each L is a literal of one
-# character other than " or of one \u{...} escape of 1-5 hex digits (at
-# most 0xFFFFF, a valid code point), and only whitespace, not a comment,
-# separates the parts. No " can follow an L, since whitespace or ) must.
-# The second reads `(re.union R ...)` whose operands are 1 to BUDGET_STRIDE
-# such ranges, again separated by whitespace only, as one token; the
-# repetition is possessive, so a longer union fails at once and is read by
+# The first alternative holds two fused forms after their shared `(re.`
+# prefix, so a plain ( fails it at its second character (most tokens of the
+# smt_mix benchmark were of such lists; see the module docstring). The first
+# form, group `_RANGE`, reads `(re.range L L)` as one token instead of five:
+# each L is a literal of one character other than " or of one \u{...}
+# escape of 1-5 hex digits (at most 0xFFFFF, a valid code point), and only
+# whitespace, not a comment, separates the parts. No " can follow an L,
+# since whitespace or ) must. The second, group `_UNION`, reads
+# `(re.union R ...)` whose operands are 1 to BUDGET_STRIDE such ranges,
+# again separated by whitespace only, as one token; the repetition is
+# possessive, so a longer union fails at once and is read by
 # the general tokens. Any other `re.range` or `re.union` list is read by
 # the general tokens. Every other literal is the general one, decoded by
 # `_decode_string`. Its body is unrolled and possessive: it takes "" pairs
@@ -118,15 +120,15 @@ def encode_string(w: str) -> str:
 # an unterminated literal at a doubled quote. A lone " or | that starts no
 # complete token falls through to the catch-all.
 _BOUND = r'"(?:\\u\{%s[0-9A-Fa-f]{1,5})\}|%s[^"]))"'  # %s: "(" to capture, or "(?:"
-_RANGE_FORM = r"\(re\.range[ \t\r\n]+%s[ \t\r\n]+%s[ \t\r\n]*\)"
+_RANGE_TAIL = r"range[ \t\r\n]+%s[ \t\r\n]+%s[ \t\r\n]*\)"  # after "(re."
 _BOUND_GROUPS, _BOUND_PLAIN = _BOUND % ("(", "("), _BOUND % ("(?:", "(?:")
-_RANGE_GROUPS = _RANGE_FORM % (_BOUND_GROUPS, _BOUND_GROUPS)
+_RANGE_GROUPS = _RANGE_TAIL % (_BOUND_GROUPS, _BOUND_GROUPS)
 # each range of a fused union: its bounds' hex digits or characters, as `findall` tuples
-_RANGES = re.compile(_RANGE_GROUPS)
+_RANGES = re.compile(r"\(re\." + _RANGE_GROUPS)
 _TOKEN = re.compile(r"""
     (?:[ \t\r\n]+ | ;[^\n]*)*+
-    (?: (%(range)s)
-      | (\(re\.union(?:[ \t\r\n]*%(plain)s){1,%(most)d}+[ \t\r\n]*\))
+    (?: \(re\.(?: (%(range)s)
+                | (union(?:[ \t\r\n]*\(re\.%(plain)s){1,%(most)d}+[ \t\r\n]*\)))
       | (\()
       | (\))
       | "((?:[^"]*+"")*+[^"]*+)"
@@ -135,7 +137,7 @@ _TOKEN = re.compile(r"""
       | ([^ \t\r\n();"|]+)
       | (.)
       | \Z)
-""" % {"range": _RANGE_GROUPS, "plain": _RANGE_FORM % (_BOUND_PLAIN, _BOUND_PLAIN),
+""" % {"range": _RANGE_GROUPS, "plain": _RANGE_TAIL % (_BOUND_PLAIN, _BOUND_PLAIN),
        "most": BUDGET_STRIDE}, re.VERBOSE | re.DOTALL)
 _RANGE = 1  # groups 2-5: each bound's hex digits or its character
 _UNION = 6
@@ -207,7 +209,7 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
             terms = parent
         elif kind == _RANGE or kind == _UNION:
             # a fused list: the value the general path reduces, or its command error
-            pos = m.start(kind)
+            pos = m.start(kind) - 4  # the "(re." before the group
             if kind == _RANGE:
                 head = "re.range"
                 lo_hex, lo, hi_hex, hi = m.group(2, 3, 4, 5)

@@ -4,35 +4,21 @@ The states of an automaton are the integers 0..n-1, and its one stored
 adjacency form is a tuple of rows `(lo, hi, dst)` per state: `rows[q]`
 holds the transitions leaving q, sorted by (lo, hi, dst) and free of
 duplicates. Labels are single non-empty code-point intervals. Every
-simulation, `product`, `concat` and `concat_bfs` index `rows[q]` directly.
-
-Each state also has a printed name `id:tag`, stored as the one integer
-`4*id + tag` (tag 0..2), so integer order is (id, tag) order. The tag
-realizes the injective renaming that keeps the two operands of a
-concatenation disjoint: `concat` names the states it keeps from its first
-operand `i:1` and those from its second `j:2`, after their numbers there,
-and every other construction names state q `q:0`. `SNfa.names` stores the
-names only where they differ from `q:0`, and `SNfa.name` decodes one for
-printing. Every construction numbers its states in the order of their
-names, so `dump` and `to_dot` print states sorted by (id, tag) and
-transitions sorted by (src, label, dst) straight from the rows, without a
-global sort: `product` numbers pair states in breadth-first discovery
-order, `concat` sorts the names of the states it reached, `concat_bfs`
-numbers the states of a concatenation in breadth-first discovery order, as
-the product of the all-words automaton with it would, and `regex` numbers
-positions in order.
+simulation, `product` and `concat` index `rows[q]` directly; both number
+their states in breadth-first discovery order. `dump` and `to_dot` print
+state q as `q:0` and the transitions straight from the rows, sorted by
+(src, label, dst) without a global sort.
 
 Identical inputs always rebuild identical automata, and concatenation and
 product emit only states reachable from the initial set (trim), which
-makes language emptiness a check on the accepting set. `product` and
-`concat_bfs` find their states by exploring; `concat` takes them from each
-operand's reachable states, found by `_reachable_states`, the one
-reachability pass. `_concat_row` is the one place that bridges a
-concatenation's first operand into its second, for `concat` and
-`concat_bfs` alike. The module also owns the per-solve `Budget`. `product`,
-`concat` and `concat_bfs` check it as they start and while they build (see
-`product`), and so do the SMT reader, desugaring and `regex.compile` (see
-`BUDGET_STRIDE`).
+makes language emptiness a check on the accepting set. Both find their
+states by exploring; elsewhere `_reachable_states` is the one reachability
+pass. `concat` keeps its two operands apart by an injective index, a1
+state i at 2i and a2 state j at 2j+1, and walks them as `product` walks
+pairs, so `product(sigma_star(), concat(a1, a2)) == concat(a1, a2)`. The
+module also owns the per-solve `Budget`. `product` and `concat` check it as
+they start and while they build (see `product`), and so do the SMT reader,
+desugaring and `regex.compile` (see `BUDGET_STRIDE`).
 
 `validate` is the one well-formedness check; with validation switched on it
 runs on every constructed automaton.
@@ -53,10 +39,9 @@ shortest word of a root variable, follows a chain without its
 breadth-first queue while the queue is empty.
 
 A search that can only meet its operands' states keeps its bookkeeping in
-lists indexed by state: `some_word` its search tree, and `concat_bfs` the
-number it gave each operand state (a1 state i at index 2i, a2 state j at
-2j+1, which keeps the order of their names). `product` keeps a dict,
-because its pair space n1·n2 can be far larger than the pairs it reaches.
+lists indexed by state: `some_word` its search tree, and `concat` the
+number it gave each operand index. `product` keeps a dict, because its
+pair space n1·n2 can be far larger than the pairs it reaches.
 It keeps one more dict per label that a one-label row of a1 meets, from
 each pair key to its one transition on that label, so a transition that
 many pair states build again, as on the doubling family, is one lookup.
@@ -69,7 +54,7 @@ from collections import deque, namedtuple
 from functools import cached_property
 from itertools import islice
 from operator import eq
-from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
 from .intervals import MAX_CODEPOINT, Value
@@ -78,10 +63,10 @@ Row = tuple[int, int, int]           # (lo, hi, dst)
 Rows = tuple[tuple[Row, ...], ...]   # one sorted, duplicate-free tuple per state
 
 DEFAULT_MAX_TRANSITIONS = 5_000_000
-# The budget is consulted once per this many states built by `product`,
-# `concat` and `concat_bfs`, in addition to the transition cap, which is
-# checked per state, and once per this many tokens read, surface constraints
-# desugared and regex positions made.
+# The budget is consulted once per this many states built by `product` and
+# `concat`, in addition to the transition cap, which is checked per state,
+# and once per this many tokens read, surface constraints desugared and
+# regex positions made.
 BUDGET_STRIDE = 1024
 # `product` also consults it before scanning more than this many row pairs
 # since its last check: one pair state of two wide character classes scans
@@ -91,7 +76,7 @@ PAIR_STRIDE = 1 << 15
 
 class Budget:
     """Cooperative per-solve limits, checked as the SMT reader, desugaring,
-    `regex.compile`, `product`, `concat` and `concat_bfs` work."""
+    `regex.compile`, `product` and `concat` work."""
 
     def __init__(self, max_transitions: int = DEFAULT_MAX_TRANSITIONS,
                  deadline: Optional[float] = None):
@@ -138,24 +123,21 @@ class _Transitions:
         return self._len
 
 
-class SNfa(Value, namedtuple("SNfa", "rows initial accepting names trim")):
+class SNfa(Value, namedtuple("SNfa", "rows initial accepting trim")):
     """Immutable symbolic NFA over the states 0..len(rows)-1.
 
     Direct construction trusts the caller to hand over rows that are sorted
-    and duplicate-free per state, and names (if any) that are strictly
-    increasing; `snfa()` canonicalizes arbitrary rows. `names` holds
-    4*id + tag per state, or None when state q is q:0. `trim` records
-    whether every state is known to be reachable from the initial set. The
-    flag is bookkeeping, not part of value equality or the hash.
+    and duplicate-free per state; `snfa()` canonicalizes arbitrary rows.
+    `trim` records whether every state is known to be reachable from the
+    initial set. The flag is bookkeeping, not part of value equality or the
+    hash.
     """
 
     # no __slots__: the instance dict holds the lazy `transitions`
 
     def __new__(cls, rows: Rows, initial: frozenset[int], accepting: frozenset[int],
-                names: Optional[tuple[int, ...]] = None, trim: bool = False):
-        if names is not None and all(map(eq, names, range(0, 4 * len(names), 4))):
-            names = None
-        self = tuple.__new__(cls, (rows, initial, accepting, names, trim))
+                trim: bool = False):
+        self = tuple.__new__(cls, (rows, initial, accepting, trim))
         if _VALIDATE:
             validate(self)
         return self
@@ -166,10 +148,10 @@ class SNfa(Value, namedtuple("SNfa", "rows initial accepting names trim")):
     __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self[:4] == other[:4]
+        return type(other) is type(self) and self[:3] == other[:3]
 
     def __hash__(self) -> int:
-        return hash(self[:4])
+        return hash(self[:3])
 
     @property
     def states(self) -> range:
@@ -179,11 +161,6 @@ class SNfa(Value, namedtuple("SNfa", "rows initial accepting names trim")):
     def transitions(self) -> _Transitions:
         return _Transitions(self.rows)
 
-    def name(self, q: int) -> str:
-        """The printed name `id:tag` of state q."""
-        key = 4 * q if self.names is None else self.names[q]
-        return f"{key >> 2}:{key & 3}"
-
     def __repr__(self) -> str:
         return (f"SNfa(states={len(self.rows)}, transitions={len(self.transitions)}, "
                 f"initial={len(self.initial)}, accepting={len(self.accepting)})")
@@ -191,8 +168,7 @@ class SNfa(Value, namedtuple("SNfa", "rows initial accepting names trim")):
 
 def snfa(rows: Iterable[Iterable[Row]], initial: Iterable[int],
          accepting: Iterable[int], trim: bool = False) -> SNfa:
-    """Canonicalizing constructor: sorts and dedupes each state's rows; the
-    states are named `q:0`."""
+    """Canonicalizing constructor: sorts and dedupes each state's rows."""
     return SNfa(tuple(tuple(sorted(set(row))) for row in rows), frozenset(initial),
                 frozenset(accepting), trim=trim)
 
@@ -215,14 +191,6 @@ def validate(a: SNfa) -> None:
                 raise ValueError(f"transition label outside the code points: {t}")
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
             raise ValueError(f"rows of state {src} not sorted and duplicate-free: {row}")
-    if a.names is not None:
-        if len(a.names) != n:
-            raise ValueError(f"{len(a.names)} names for {n} states")
-        bad = [nm for nm in a.names if not isinstance(nm, int) or nm < 0 or nm & 3 == 3]
-        if bad:
-            raise ValueError(f"state names not of the form 4*id + tag, tag 0..2: {bad}")
-        if any(a.names[i] >= a.names[i + 1] for i in range(n - 1)):
-            raise ValueError("state names not strictly increasing")
     if a.trim:
         reachable = _reachable_states(a)
         if len(reachable) != n:
@@ -305,94 +273,23 @@ def _sorted_row(row: list[Row]) -> tuple[Row, ...]:
     return tuple(row)
 
 
-def _concat_row(row1: tuple[Row, ...], acc1: frozenset[int], to1: Sequence[int],
-                entry: list[int]) -> tuple[Row, ...]:
-    """The row of an a1 state in the concatenation of a1 and a2: each
-    transition to a1 state d goes to `to1[d]`, and one into an a1-accepting
-    state is also bridged to each of `entry`, a2's initial states there.
-    `to1` is increasing, so only a bridged row needs a sort, which also drops
-    the duplicates of two bridged transitions with the same label."""
-    row = []
-    bridged = False
-    for lo, hi, d in row1:
-        row.append((lo, hi, to1[d]))
-        if d in acc1:
-            bridged = True
-            row.extend([(lo, hi, e) for e in entry])
-    return _sorted_row(row) if bridged else tuple(row)
-
-
 def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     """Concatenation: L(result) = { w1+w2 | w1 in L(a1), w2 in L(a2) }.
 
-    State i of a1 becomes `i:1` and state j of a2 becomes `j:2`, which keeps
-    the operands disjoint. Every a1-transition into an a1-accepting state is
-    bridged to each a2-initial state (`_concat_row`); the initial set
-    additionally includes a2's when a1 accepts the empty word. Only states
-    reachable from the initial set are kept, so the result is trim by
-    construction; the kept states are numbered in the order of their names.
-    They are a1's reachable states (`_reachable_states`), and a2's when one
-    of those accepts, since that state is initial or the target of a bridged
-    transition and so every a2-initial state is entered. The budget is
-    consulted as in `product`.
+    State i of a1 is the index 2i and state j of a2 the index 2j+1, an
+    injective renaming that keeps the operands apart. Every a1-transition
+    into an a1-accepting state is also bridged to each a2-initial state, and
+    the initial indices are a1's initial states, and a2's too when a1
+    accepts the empty word. The walk is `product`'s, breadth-first from the
+    sorted initial indices, and numbers its states through one list, `ids`,
+    indexed by them. Each state's row is read in (lo, hi, index) order and
+    its new targets are numbered in that order, so the result is trim,
+    accepts exactly at a2's accepting states, and is its own product with
+    the all-words automaton: `product(sigma_star(), concat(a1, a2))` equals
+    it. `budget.check` runs before every BUDGET_STRIDE-th state and as soon
+    as the transitions built pass `budget.max_transitions`, as in `product`.
     """
     rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
-    n1, n2 = len(rows1), len(rows2)
-    # state i of a1 is named 4i+1 (i:1) and state j of a2 4j+2 (j:2); the
-    # result numbers the states it keeps in the order of these names
-    reached = _reachable_states(a1)
-    keys = [4 * i + 1 for i in reached]
-    if not acc1.isdisjoint(reached):
-        keys += [4 * j + 2 for j in _reachable_states(a2)]
-    keys.sort()
-    new1, new2 = [None] * n1, [None] * n2
-    for k, key in enumerate(keys):
-        if key & 2:
-            new2[key >> 2] = k
-        else:
-            new1[key >> 2] = k
-    entry = [e for e in map(new2.__getitem__, sorted(a2.initial)) if e is not None]
-    start = [new1[i] for i in a1.initial]
-    if not acc1.isdisjoint(a1.initial):
-        start += entry
-    cap = budget.max_transitions
-    rows: list[tuple[Row, ...]] = []
-    emitted = 0
-    for k, key in enumerate(keys):
-        if not k % BUDGET_STRIDE:
-            budget.check(emitted)
-        if key & 2:
-            rows.append(tuple([(lo, hi, new2[d]) for lo, hi, d in rows2[key >> 2]]))
-        else:
-            rows.append(_concat_row(rows1[key >> 2], acc1, new1, entry))
-        emitted += len(rows[-1])
-        if emitted > cap:
-            budget.check(emitted)
-    return SNfa(tuple(rows), frozenset(start),
-                frozenset(k for k in map(new2.__getitem__, a2.accepting) if k is not None),
-                tuple(keys), trim=True)
-
-
-def concat_bfs(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
-    """The product of the all-words automaton with `concat(a1, a2)`, built in
-    one pass without the concatenation: the refinement of a variable that
-    has no language of its own.
-
-    The walk is `product`'s, breadth-first from the sorted initial indices,
-    on `concat`'s states: state i of a1 is the index 2i and state j of a2
-    the index 2j+1, so index order is the order of `concat`'s names `i:1`
-    and `j:2`. The walk numbers its states through one list, `ids`, indexed
-    by them. The initial indices are a1's initial states, and a2's too when
-    a1 accepts the empty word. Each state's concatenation row is read in
-    (lo, hi, index) order (`_concat_row` for a1, which bridges into a2) and
-    its new targets are numbered in that order, so the result is
-    byte-identical to the product's: states `q:0` in discovery order, trim,
-    accepting exactly at a2's accepting states. `budget.check` runs before
-    every BUDGET_STRIDE-th state and as soon as the transitions built pass
-    `budget.max_transitions`, as in `concat`.
-    """
-    rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
-    to1 = range(0, 2 * len(rows1), 2)  # to1[i] == 2i
     entry = [2 * j + 1 for j in sorted(a2.initial)]
     order = [2 * i for i in a1.initial]
     if not acc1.isdisjoint(a1.initial):
@@ -429,7 +326,16 @@ def concat_bfs(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
         if tag:
             row = [(lo, hi, 2 * d + 1) for lo, hi, d in row]
         else:
-            row = _concat_row(row, acc1, to1, entry)
+            # 2d keeps the row's order, so only a bridged row needs a sort,
+            # which also drops the copies of two bridges with one label
+            moves = []
+            bridged = False
+            for lo, hi, d in row:
+                moves.append((lo, hi, 2 * d))
+                if d in acc1:
+                    bridged = True
+                    moves.extend([(lo, hi, e) for e in entry])
+            row = _sorted_row(moves) if bridged else moves
         out: list[Row] = []
         for lo, hi, d in row:
             dst = ids[d]
@@ -731,32 +637,30 @@ def _run_from(a: SNfa, w: str, i: int, stride: int, dead: dict[int, set[int]],
 
 
 def to_dot(a: SNfa) -> str:
-    """GraphViz export, the graph named `snfa`, with "lo-hi" edge labels."""
-    names = list(map(a.name, a.states))
+    """GraphViz export, the graph named `snfa`, with "lo-hi" edge labels;
+    state q is the node "q:0"."""
     lines = ["digraph snfa {", "  rankdir=LR;"]
     for i, q in enumerate(sorted(a.initial)):
         lines.append(f'  __start{i} [shape=point];')
-        lines.append(f'  __start{i} -> "{names[q]}";')
+        lines.append(f'  __start{i} -> "{q}:0";')
     for q in a.states:
         shape = "doublecircle" if q in a.accepting else "circle"
-        lines.append(f'  "{names[q]}" [shape={shape}];')
+        lines.append(f'  "{q}:0" [shape={shape}];')
     for src, row in enumerate(a.rows):
-        s = names[src]
-        lines.extend(f'  "{s}" -> "{names[dst]}" [label="{lo}-{hi}"];' for lo, hi, dst in row)
+        lines.extend(f'  "{src}:0" -> "{dst}:0" [label="{lo}-{hi}"];' for lo, hi, dst in row)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def dump(a: SNfa) -> str:
-    """Line-based debug dump; exact grammar in docs/dump-format.md."""
-    names = list(map(a.name, a.states))
+    """Line-based debug dump, state q printed as `q:0`; exact grammar in
+    docs/dump-format.md."""
     lines = [f"snfa trim={int(a.trim)} states={len(a.rows)} "
              f"initial={len(a.initial)} accepting={len(a.accepting)} "
              f"transitions={len(a.transitions)}"]
     for q in a.states:
         flags = ("I" if q in a.initial else "-") + ("A" if q in a.accepting else "-")
-        lines.append(f"q {names[q]} {flags}")
+        lines.append(f"q {q}:0 {flags}")
     for src, row in enumerate(a.rows):
-        s = names[src]
-        lines.extend(f"t {s} -> {names[dst]} [{lo},{hi}]" for lo, hi, dst in row)
+        lines.extend(f"t {src}:0 -> {dst}:0 [{lo},{hi}]" for lo, hi, dst in row)
     return "\n".join(lines) + "\n"

@@ -3,7 +3,9 @@
 Propagation walks the concatenation dependence graph from independent
 variables upward, one round per dependence layer: each round refines every
 variable of its layer, replacing its automaton with the product of the
-current one and the concatenation of its pair's automata. The layers come
+current one and the concatenation of its pair's automata (`snfa.concat`).
+While the current one is the all-words automaton, that product is the
+concatenation itself, so none is built. The layers come
 from `constraints.layering`, which finds a cyclic dependence graph before
 any concatenation or product is built; such a solve reports unknown.
 
@@ -22,8 +24,8 @@ from typing import Mapping, Optional
 from .constraints import (Assignment, CyclicDependencyError, Problem, VarId,
                           check_tree, layering, sat_str)
 from .regex import is_sigma_star
-from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, concat_bfs, is_empty, product,
-                   some_word, split_word)
+from .snfa import (DEFAULT_BUDGET, Budget, SNfa, concat, is_empty, product, some_word,
+                   split_word)
 
 RefinedReg = dict[VarId, SNfa]
 
@@ -84,10 +86,9 @@ def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
 
     Each equation v = v1 ++ v2 replaces v's automaton with its product with
     the concatenation of v1's and v2's. While v's automaton is still the
-    all-words one, `concat_bfs` builds that product in one pass, without the
-    concatenation, and gives the same automaton. With `optimize`, an
-    equation whose operands both still accept every word is skipped: it
-    constrains nothing."""
+    all-words one, the concatenation is that product, and no product is
+    built. With `optimize`, an equation whose operands both still accept
+    every word is skipped: it constrains nothing."""
     layers = layering(p)
     reg: RefinedReg = dict(p.reg)
     for layer in reversed(layers):
@@ -97,8 +98,8 @@ def forward_prop(p: Problem, budget: Budget = DEFAULT_BUDGET,
                 r1, r2 = reg[v1], reg[v2]
                 if optimize and is_sigma_star(r1) and is_sigma_star(r2):
                     continue
-                a = (concat_bfs(r1, r2, budget) if is_sigma_star(a)
-                     else product(a, concat(r1, r2, budget), budget))
+                x = concat(r1, r2, budget)
+                a = x if is_sigma_star(a) else product(a, x, budget)
             reg[v] = a
     if stats is not None:
         stats.iterations = len(layers)

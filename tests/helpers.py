@@ -2,7 +2,7 @@
 interval enumeration, the reference word split, membership and shortest
 word, the reference SMT-LIB readers, the SMT-LIB printer, the reference
 `concat`, `product`, regex compile, `layering` and `expand_or`, the trim
-audit, renaming and automaton isomorphism.
+audit and automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -42,8 +42,8 @@ def compile_pattern(src: str) -> SNfa:
 
 def remove_unreachable(a: SNfa) -> SNfa:
     """Language-preserving trim: drop states unreachable from the initial set.
-    The kept states keep their names and their order. The tests audit
-    production trimming with it, so it searches on its own."""
+    The kept states keep their order. The tests audit production trimming
+    with it, so it searches on its own."""
     seen = set(a.initial)
     queue = deque(a.initial)
     while queue:
@@ -54,10 +54,8 @@ def remove_unreachable(a: SNfa) -> SNfa:
     kept = sorted(seen)
     new = {q: k for k, q in enumerate(kept)}
     rows = tuple(tuple((lo, hi, new[d]) for lo, hi, d in a.rows[q]) for q in kept)
-    names = range(0, 4 * len(a.rows), 4) if a.names is None else a.names
     return SNfa(rows, frozenset(new[q] for q in a.initial),
-                frozenset(new[q] for q in a.accepting if q in new),
-                tuple(map(names.__getitem__, kept)), trim=True)
+                frozenset(new[q] for q in a.accepting if q in new), trim=True)
 
 
 def words_upto(alphabet: tuple[int, int], max_len: int) -> list[str]:
@@ -923,8 +921,10 @@ def _print_regex(r: rx.Regex) -> str:
 # The `concat` and `product` kernels as they were before pair states of two
 # one-entry rows were built directly and `concat` read reachability off the
 # trim flags: a worklist pass over both operands, states ordered by a key
-# function, and every row through `_sorted_row`. `snfa.concat` and
-# `snfa.product` must build the same automata.
+# function, and every row through `_sorted_row`. `snfa.product` must build
+# the same automata as `product_reference`. `snfa.concat` numbers its states
+# in discovery order, so it must build `product_reference(sigma_star(),
+# concat_reference(a1, a2))`, the reference's states renumbered.
 
 class CountingBudget(Budget):
     """A budget that records the transition count of every check."""
@@ -950,13 +950,13 @@ def _sorted_row_reference(row: list[Row]) -> tuple[Row, ...]:
 def concat_reference(a1: SNfa, a2: SNfa, budget: Budget | None = None) -> SNfa:
     """Concatenation: L(result) = { w1+w2 | w1 in L(a1), w2 in L(a2) }.
 
-    State i of a1 becomes `i:1` and state j of a2 becomes `j:2`, which keeps
+    State i of a1 gets the key 2i and state j of a2 the key 2j+1, which keeps
     the operands disjoint. Every a1-transition into an a1-accepting state is
     bridged to each a2-initial state; the initial set additionally includes
     a2's when a1 accepts the empty word. A worklist pass keeps only states
     reachable from the initial set, so the result is trim by construction;
-    the kept states are numbered in (id, tag) order of their names. The
-    budget is consulted as in `product`.
+    the kept states are numbered in the order of their keys. The budget is
+    consulted as in `product`.
     """
     rows1, rows2, acc1 = a1.rows, a2.rows, a1.accepting
     n1 = len(rows1)
@@ -980,7 +980,6 @@ def concat_reference(a1: SNfa, a2: SNfa, budget: Budget | None = None) -> SNfa:
                 reached.add(d)
                 queue.append(d)
 
-    # name order (id, tag) with tags 1 < 2 is the order of the keys 2i, 2j+1
     order = sorted(reached, key=lambda q: 2 * q if q < n1 else 2 * (q - n1) + 1)
     new = {q: k for k, q in enumerate(order)}
     entry = [new[q] for q in entry2 if q in new]
@@ -1004,10 +1003,9 @@ def concat_reference(a1: SNfa, a2: SNfa, budget: Budget | None = None) -> SNfa:
         emitted += len(rows[-1])
         if emitted > cap:
             budget.check(emitted)
-    names = tuple(4 * q + 1 if q < n1 else 4 * (q - n1) + 2 for q in order)
     return SNfa(tuple(rows), frozenset(new[q] for q in start),
                 frozenset(new[q] for q in order if q >= n1 and q - n1 in a2.accepting),
-                names, trim=True)
+                trim=True)
 
 
 def product_reference(a1: SNfa, a2: SNfa, budget: Budget | None = None) -> SNfa:
@@ -1084,13 +1082,6 @@ def _in_strides_reference(rows: tuple[Row, ...], step: int, budget: Budget, emit
     for i in range(0, len(rows), step):
         budget.check(emitted)
         yield from rows[i:i + step]
-
-
-def rename(a: SNfa, tag: int) -> SNfa:
-    """Copy of `a` whose state q is named `q:tag` (tag 0..2); distinct tags
-    give disjoint names."""
-    return SNfa(a.rows, a.initial, a.accepting,
-                tuple(4 * q + tag for q in a.states), a.trim)
 
 
 def isomorphic(a1: SNfa, a2: SNfa, cap: int = DEFAULT_ISO_CAP) -> bool:

@@ -42,7 +42,9 @@ def test_removed_duplicates_stay_removed():
                               ("intervals", "mem"), ("intervals", "intersection"),
                               # paths no solve and no benchmark workload reached
                               ("smtlib", "_CHAR"), ("snfa", "Transition"),
-                              ("intervals", "ENUM_CAP")):
+                              ("intervals", "ENUM_CAP"),
+                              # a second concatenation kernel; `concat` is the one
+                              ("snfa", "concat_bfs")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name
@@ -51,6 +53,7 @@ def test_removed_duplicates_stay_removed():
     for name in ("oracle_sat", "oracle_lang", "Bound", "word_in"):
         assert not hasattr(strsolve, name), name
     assert not hasattr(strsolve.SNfa, "_out")  # the rows are the one adjacency form
+    assert "names" not in strsolve.SNfa._fields  # every state prints as q:0
     assert not hasattr(strsolve.Budget, "charge")  # product and concat check as they build
     for method in ("union", "full", "contains", "count", "code_points"):
         assert not hasattr(strsolve.IntervalSet, method), method
@@ -62,11 +65,14 @@ def test_removed_duplicates_stay_removed():
 
 
 def test_benchmark_hooks_keep_their_names_and_signatures():
-    # perfbench/trace.py wraps solver.split_word and counts snfa.accepts
+    # perfbench/trace.py wraps solver.split_word and solver.concat, and
+    # counts snfa.accepts
     solver = importlib.import_module("strsolve.solver")
     snfa = importlib.import_module("strsolve.snfa")
     assert solver.split_word is snfa.split_word
     assert list(inspect.signature(solver.split_word).parameters) == ["a1", "a2", "w"]
+    assert solver.concat is snfa.concat
+    assert list(inspect.signature(solver.concat).parameters) == ["a1", "a2", "budget"]
     assert list(inspect.signature(snfa.accepts).parameters) == ["a", "word"]
 
 
@@ -91,7 +97,7 @@ def _values() -> list[tuple[object, tuple]]:
         (Length("x", "<=", 3), ("x", "<=", 3)), (Or(((m,),)), (((m,),),)),
         (CHARS, (CHARS.parts,)), (SmtScript((("x", "String"),), (m,), True),
                                   ((("x", "String"),), (m,), True)),
-        (SMALL, (SMALL.rows, SMALL.initial, SMALL.accepting, None)),
+        (SMALL, (SMALL.rows, SMALL.initial, SMALL.accepting)),
     ]
 
 
@@ -111,12 +117,9 @@ def test_value_hash_is_the_hash_of_its_compared_fields():
 
 
 def test_snfa_equality_and_hash_ignore_trim():
-    trimmed = SNfa(SMALL.rows, SMALL.initial, SMALL.accepting, None, True)
+    trimmed = SNfa(SMALL.rows, SMALL.initial, SMALL.accepting, True)
     assert trimmed.trim and not SMALL.trim
     assert trimmed == SMALL and hash(trimmed) == hash(SMALL)
-    # names equal to the default q:0 naming are stored as None
-    assert SNfa(SMALL.rows, SMALL.initial, SMALL.accepting, names=(0, 4)).names is None
-    assert SNfa(SMALL.rows, SMALL.initial, SMALL.accepting, names=(0, 6)) != SMALL
     with pytest.raises(ValueError):  # validation is on in the tests
         SNfa(SMALL.rows, frozenset({2}), SMALL.accepting)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import concat_reference, product_reference
 from strsolve import cli, regex, solver
 from strsolve.cli import EXIT_RESOURCE, bench, main, solve_path, stats_record
 from strsolve.constraints import CyclicDependencyError, Problem, desugar
@@ -614,19 +615,16 @@ def test_timeout_counts_the_parse(monkeypatch):
         time.sleep(0.2)
         return script
 
-    # every equation of sat_url has an all-words left side, so its
-    # concatenations are built by `concat_bfs`; count both kernels
+    # every equation of sat_url refines through `concat`; count its calls
     concats = []
+    kernel = solver.concat
 
-    def counted(kernel):
-        def build(a1, a2, budget=None):
-            concats.append(budget)
-            return kernel(a1, a2, budget)
-        return build
+    def counted(a1, a2, budget):
+        concats.append(budget)
+        return kernel(a1, a2, budget)
 
     monkeypatch.setattr(cli, "parse_smt", slow_parse)
-    for name in ("concat", "concat_bfs"):
-        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+    monkeypatch.setattr(solver, "concat", counted)
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         solve_path(MINI / "sat_url.smt2", timeout_ms=50)
     assert concats == []  # stopped before the first concat
@@ -647,15 +645,16 @@ def _template_source(terms: int) -> str:
             + f"(assert (= y (str.++ {items})))(check-sat)")
 
 
-def test_concat_bfs_refines_as_the_product_with_all_words(tmp_path, monkeypatch):
-    # every refined automaton is the one the product of all words with the
-    # concatenation gives, on the files whose all-words left sides take it
+def test_concat_refines_as_the_product_with_all_words(tmp_path, monkeypatch):
+    # every refined automaton is the one that the product of all words with
+    # the reference concatenation gives in place of `concat`, on the files
+    # whose all-words left sides take no product
     template = tmp_path / "template.smt2"
     template.write_text(_template_source(30))
     paths = [p for p in sorted(MINI.glob("*.smt2")) if "timeout" not in p.name]
     paths += sorted((MINI.parent.parent / "tests" / "data" / "order").glob("*.smt2"))
     paths.append(template)
-    kernel = solver.concat_bfs
+    kernel = solver.concat
 
     def refine_all(optimize: bool = False) -> list[dict]:
         out = []
@@ -675,22 +674,22 @@ def test_concat_bfs_refines_as_the_product_with_all_words(tmp_path, monkeypatch)
         calls.append(budget)
         return kernel(a1, a2, budget)
 
-    monkeypatch.setattr(solver, "concat_bfs", counted)
+    monkeypatch.setattr(solver, "concat", counted)
     got = refine_all()
     assert len(calls) > 15  # the template alone has 15 fresh left sides
-    monkeypatch.setattr(solver, "concat_bfs", lambda a1, a2, budget:
-                        solver.product(sigma_star(), solver.concat(a1, a2, budget), budget))
+    monkeypatch.setattr(solver, "concat", lambda a1, a2, budget:
+                        product_reference(sigma_star(), concat_reference(a1, a2)))
     want = refine_all()
     assert len(got) == len(want)
     for reg, ref in zip(got, want):
         assert (reg is None) == (ref is None)
         for v in reg or ():
             assert dump(reg[v]) == dump(ref[v]), v
-            assert (reg[v].names, reg[v].trim) == (ref[v].names, ref[v].trim), v
+            assert reg[v].trim == ref[v].trim, v
 
     # --optimize skips only the equations of two all-words operands, and
     # refines every other all-words left side with the same kernel
-    monkeypatch.setattr(solver, "concat_bfs", counted)
+    monkeypatch.setattr(solver, "concat", counted)
     calls.clear()
     refine_all(optimize=True)
     assert len(calls) > 15

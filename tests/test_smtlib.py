@@ -10,7 +10,8 @@ from strsolve import regex as rx
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
-from strsolve.smtlib import _TOKEN, _UNION, MAX_NUMERAL_DIGITS, encode_string, parse_smt
+from strsolve.smtlib import (_CLOSE, _OPEN, _RANGE, _STRING, _TOKEN, _UNION, _WORD,
+                             MAX_NUMERAL_DIGITS, encode_string, parse_smt)
 from strsolve.snfa import BUDGET_STRIDE, Budget
 
 
@@ -593,6 +594,26 @@ def test_fused_union_takes_at_most_a_stride_of_ranges():
             else:
                 assert membership.regex == rx.CharClass(
                     IntervalSet.from_pairs(*((c, c + 2) for c in starts)))
+
+
+def test_fused_forms_share_the_re_prefix():
+    # both fused forms follow one `(re.` in the token pattern: a list that
+    # starts so but is neither form reads as the general tokens, and a fused
+    # form's offset is that of its (, after any whitespace and comments
+    def kinds(text):
+        return [m.lastindex for m in _TOKEN.finditer(text)]
+
+    assert kinds('(re.range "a" "b")') == [_RANGE, None]
+    assert kinds('(re.union (re.range "a" "b"))') == [_UNION, None]
+    assert kinds("(re.all)") == [_OPEN, _WORD, _CLOSE, None]
+    assert kinds('(re.ranges "a" "b")') == [_OPEN, _WORD, _STRING, _STRING, _CLOSE, None]
+    assert kinds('(re.union (re.range "a" "b") re.all)') == [_OPEN, _WORD, _RANGE, _WORD,
+                                                              _CLOSE, None]
+    for head, text in (("re.range", '; c\n  (re.range "a" "b")'),
+                       ("re.union", ' \t(re.union (re.range "a" "b"))')):
+        at = text.index("(re.")
+        assert _outcome(parse_smt, text) == (
+            UnsupportedError, f"unsupported: command {head} (at offset {at})", at)
 
 
 def test_comments_and_ignored_commands():

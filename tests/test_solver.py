@@ -6,6 +6,7 @@ import pytest
 from helpers import TEST_ALPHABET, CountingBudget, random_problem, words_upto
 from oracle import Bound, oracle_sat
 from strsolve import regex as rx
+from strsolve import solver
 from strsolve.constraints import (CyclicDependencyError, Equation, Lit, Membership,
                                   Var, check_tree, desugar, layering, make_problem,
                                   sat_str)
@@ -190,13 +191,21 @@ def doubling(k: int):
                         {"x": {(f"x{i}", f"x{i}") for i in range(1, k + 1)}})
 
 
-def test_budget_is_checked_only_inside_operations():
-    # the first pair refines the all-words x with one `concat_bfs`, the other
-    # 3 with a concat and a product each: every operation checks once, at
-    # its first state; nothing between or after them consults the budget
+def test_budget_is_checked_only_inside_operations(monkeypatch):
+    # the first pair refines the all-words x with one `concat` and no
+    # product, the other 3 with a concat and a product each: every operation
+    # checks once, at its first state; nothing between or after them
+    # consults the budget
+    calls = []
+    for name in ("concat", "product"):
+        def counted(a1, a2, budget, name=name, kernel=getattr(solver, name)):
+            calls.append(name)
+            return kernel(a1, a2, budget)
+        monkeypatch.setattr(solver, name, counted)
     budget = CountingBudget()
     forward_prop(doubling(4), budget=budget)
     assert budget.checked == [0] * 7
+    assert calls == ["concat"] + ["concat", "product"] * 3
 
 
 def test_budget_stops_inside_product_and_concat():
