@@ -239,9 +239,12 @@ def desugar(cs: Sequence[SurfaceConstraint], base_vars: Iterable[VarId] = (),
     into a single automaton under `budget`, which also bounds each regex
     compile and is checked before every BUDGET_STRIDE-th constraint of a
     disjunct, starting with the first. `base_vars` forces
-    declared-but-unused variables into every Problem.
+    declared-but-unused variables into every Problem. A conjunction without
+    `or`, such as each one `cli.solve_path` hands over, is its own one
+    disjunct and is not expanded.
     """
-    return [_Desugarer(base_vars, budget).run(conj) for conj in expand_or(cs)]
+    conjunctions = expand_or(cs) if any(isinstance(c, Or) for c in cs) else [cs]
+    return [_Desugarer(base_vars, budget).run(conj) for conj in conjunctions]
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,10 @@ A search that can only meet its operands' states keeps its bookkeeping in
 lists indexed by state: `some_word` its search tree, and `concat` the
 number it gave each operand index. `product` keeps a dict, because its
 pair space n1·n2 can be far larger than the pairs it reaches.
-It keeps one more dict per label that a one-label row of a1 meets, from
-each pair key to its one transition on that label, so a transition that
-many pair states build again, as on the doubling family, is one lookup.
+It keeps one more dict, keyed by each (label, a2 state) that a one-label
+row of a1 meets, with the hits of that meeting and the run of
+transitions each a1 target yields with them, so a run that many pair
+states need again, as on the doubling family, is one lookup.
 """
 
 from __future__ import annotations
@@ -366,15 +367,17 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
 
     A row of a1 with two or more entries that all carry one label (its
     first and last entries share (lo, hi), as the row is sorted) meets the
-    a2 row once: the non-empty intersections, without repeats, are its
-    hits. Each entry of a1 pairs with each hit, and the transition comes
-    from the hit label's table, which maps the pair key d1·|Q2| + d2 to the
-    one (lo, hi, dst) built for it. Such a row has no duplicates, since its
-    targets d1 are distinct, so it is only sorted. On the doubling family
-    every row of a1 carries the full range, and 3^k transitions reach 2^k
-    states. Every other row meets the a2 row entry by entry and shares its
-    transitions through one dict of tuples. Both paths discover pairs in
-    the same order, a1 entry by a1 entry and a2 entry by a2 entry.
+    row of a2 state q once per (label, q): the non-empty intersections,
+    without repeats, are its hits. Each entry d1 of a1 pairs with each hit,
+    and the transitions this yields, d1's run, depend only on (label, q,
+    d1). A run is built as a tuple on d1's first use, hit by hit, and every
+    later pair state that needs it extends its row by that tuple. Such a
+    row has no duplicates, since its targets d1 are distinct, so it is only
+    sorted. On the doubling family every row of a1 carries the full range,
+    and 3^k transitions reach 2^k states from 2·|Q1| runs. Every other row
+    meets the a2 row entry by entry. Both paths share their transitions
+    through one dict of tuples and discover pairs in the same order, a1
+    entry by a1 entry and a2 entry by a2 entry.
 
     `budget.check` runs before every BUDGET_STRIDE-th pair state is
     explored, before any run of rows of a1 that would take the row pairs
@@ -392,8 +395,9 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     get = ids.get
     # many pair states reach the same pair on the same label: one tuple each
     shared = {}.setdefault
-    # per label met by a one-label row of a1: the transition of each pair key
-    table = {}.setdefault
+    # per (label, a2 state) met by a one-label row of a1: the hits, and the
+    # run each a1 target yields with them
+    memo: dict[tuple[int, int, int], tuple[list[Row], dict[int, tuple[Row, ...]]]] = {}
     cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
     emitted = 0
@@ -423,21 +427,24 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
             if emitted > cap:
                 budget.check(emitted)
             continue
-        hits = None
+        runs = None
         if len(r1) > 1 and r1[0][0] == r1[-1][0] and r1[0][1] == r1[-1][1]:
             # r1 is sorted, so every entry carries one label: meet it with r2
-            # once. Two a2 entries can meet it in the same (lo, hi, d2); the
-            # hits keep one, and each carries its label's table
+            # once per (label, q). Two a2 entries can meet it in the same
+            # (lo, hi, d2); the hits keep one
             lo1, hi1, _ = r1[0]
-            met = []
-            for lo2, hi2, d2 in r2:
-                if lo2 > hi1:
-                    break  # r2 is sorted by lo: no later row meets [lo1, hi1]
-                lo = lo1 if lo1 >= lo2 else lo2
-                hi = hi1 if hi1 <= hi2 else hi2
-                if lo <= hi:
-                    met.append((lo, hi, d2))
-            hits = [(table((lo, hi), {}), lo, hi, d2) for lo, hi, d2 in dict.fromkeys(met)]
+            met = memo.get((lo1, hi1, q))
+            if met is None:
+                hits = []
+                for lo2, hi2, d2 in r2:
+                    if lo2 > hi1:
+                        break  # r2 is sorted by lo: no later row meets [lo1, hi1]
+                    lo = lo1 if lo1 >= lo2 else lo2
+                    hi = hi1 if hi1 <= hi2 else hi2
+                    if lo <= hi:
+                        hits.append((lo, hi, d2))
+                met = memo[lo1, hi1, q] = (list(dict.fromkeys(hits)), {})
+            hits, runs = met
             width = len(hits)
         else:
             width = len(r2)
@@ -451,19 +458,25 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
                 r1 = _in_strides(r1, step, budget, emitted)
             row: list[Row] = []
             add = row.append
-            if hits is not None:
+            if runs is not None:
+                extend = row.extend
                 for _, _, d1 in r1:
-                    base = d1 * n2
-                    for labelled, lo, hi, d2 in hits:
-                        key = base + d2
-                        t = labelled.get(key)
-                        if t is None:
+                    run = runs.get(d1)
+                    if run is None:
+                        # d1's first use: the pairs it reaches are discovered
+                        # here, in the order of the hits
+                        base = d1 * n2
+                        made = []
+                        for lo, hi, d2 in hits:
+                            key = base + d2
                             dst = get(key)
                             if dst is None:
                                 dst = ids[key] = len(pairs)
                                 pairs.append((d1, d2))
-                            t = labelled[key] = (lo, hi, dst)
-                        add(t)
+                            t = (lo, hi, dst)
+                            made.append(shared(t, t))
+                        run = runs[d1] = tuple(made)
+                    extend(run)
                 # distinct d1 times distinct hits: the row has no duplicates
                 row.sort()
                 out = tuple(row)

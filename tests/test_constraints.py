@@ -8,6 +8,7 @@ from helpers import (TEST_ALPHABET, CountingBudget, compile_pattern, expand_or_r
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import Bound, oracle_sat
+from strsolve import cli, constraints
 from strsolve import regex as rx
 from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
                                   Membership, Or, Problem, Var, check_tree, desugar,
@@ -132,6 +133,28 @@ def test_expand_or_reads_any_depth():
     two_way = nest(1, 2)
     with pytest.raises(ResourceLimitError, match="more than 64 cases"):
         expand_or([Or(((two_way,) * 7 + (Or(()),),))])
+
+
+def test_a_script_without_or_is_expanded_once(tmp_path, monkeypatch):
+    # `solve_path` expands the script's disjunctions, and `desugar` takes
+    # each flat conjunction it is handed as its one disjunct
+    walks = []
+
+    def counted(cs):
+        walks.append(len(cs))
+        return expand_or(cs)
+
+    monkeypatch.setattr(cli, "expand_or", counted)
+    monkeypatch.setattr(constraints, "expand_or", counted)
+    f = tmp_path / "no_or.smt2"
+    f.write_text('(declare-const x String)(declare-const y String)'
+                 '(assert (= x (str.++ y "a")))(assert (str.in_re y (str.to_re "b")))'
+                 '(check-sat)', encoding="utf-8")
+    verdict, _, _ = cli.solve_path(f)
+    assert verdict.kind == "sat" and walks == [2]
+    # a conjunction that holds an `or` is still expanded by `desugar`
+    assert len(desugar([Or(((Length("x", "=", 1),), (Length("x", "=", 2),)))])) == 2
+    assert walks == [2, 1]
 
 
 def test_desugar_is_linear_in_the_number_of_constraints():

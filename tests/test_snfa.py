@@ -443,6 +443,20 @@ ONE_LABEL = snfa([[(97, 98, 0), (97, 98, 1), (97, 98, 2)], [(97, 97, 2)], []], {
 OVERLAPPING = snfa([[(97, 98, 1), (97, 99, 1), (98, 100, 0)], [(97, 97, 0)]], {0}, {1})
 MISSES = snfa([[(95, 96, 1), (99, 100, 0)], [(97, 98, 0)]], {0}, {1})
 SEVERAL_ENTRIES = snfa([[(97, 97, 1)], [(98, 98, 2)], [(97, 99, 0)]], {0, 1, 2}, {2})
+# Every row of REUSE carries the one label [97, 98], and product builds the
+# run of each a1 target once per (label, a2 state): against LOOP the pair
+# states (1, 0) and (2, 0) reuse the runs of targets 1 and 2 that (0, 0)
+# built. TWICE's state 0 meets the label in (97, 98, 0) twice, and every
+# run with it holds one copy.
+REUSE = snfa([[(97, 98, 1), (97, 98, 2)], [(97, 98, 1), (97, 98, 2)],
+              [(97, 98, 0), (97, 98, 2)]], {0}, {2})
+LOOP = snfa([[(97, 97, 0), (98, 98, 0)]], {0}, {0})
+TWICE = snfa([[(97, 98, 0), (97, 99, 0), (98, 98, 1)], [(97, 97, 0)]], {0}, {1})
+# Each pair state of STRIDED and MANY_HITS pairs 2 a1 entries with 16 400
+# hits, more row pairs than PAIR_STRIDE, so product walks its a1 entries in
+# strides (`_in_strides`), and the second one reuses both runs in that walk.
+STRIDED = snfa([[(0, 20_000, 0), (0, 20_000, 1)]] * 2, {0}, {1})
+MANY_HITS = snfa([[(c, c, 0) for c in range(16_400)]], {0}, {0})
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -464,6 +478,9 @@ SEVERAL_ENTRIES = snfa([[(97, 97, 1)], [(98, 98, 2)], [(97, 99, 0)]], {0, 1, 2},
 @example(ONE_LABEL, OVERLAPPING, True)
 @example(ONE_LABEL, MISSES, True)
 @example(ONE_LABEL, SEVERAL_ENTRIES, True)
+@example(REUSE, LOOP, False)
+@example(REUSE, TWICE, True)
+@example(STRIDED, MANY_HITS, True)
 def test_concat_and_product_match_the_reference_kernels(a1, a2, budgeted):
     def budget() -> Budget:
         return Budget(max_transitions=10 ** 9, deadline=time.monotonic() + 3600) \

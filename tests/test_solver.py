@@ -288,6 +288,36 @@ def test_budget_bounds_the_row_pairs_of_a_one_label_row_between_checks():
     assert max(b - a for a, b in zip(marks, marks[1:])) <= PAIR_STRIDE
 
 
+def test_one_label_rows_build_each_run_once_per_label_and_a2_state(monkeypatch):
+    # a1 target d of a one-label row yields the same run with every pair
+    # state (p, q) that meets its label in q; product keys d by d * n2 once,
+    # when it builds that run. Without the memo it does so once per a1
+    # entry of every such pair state: 4372 times in the last product here
+    built: list[int] = []
+    steps: list[int] = []
+
+    class CountedTarget(int):
+        def __mul__(self, n2: int) -> int:
+            built[-1] += 1
+            return int(self) * n2
+
+    def counted(a1: SNfa, a2: SNfa, budget: Budget) -> SNfa:
+        one_label = [len(row) > 1 and row[0][:2] == row[-1][:2] for row in a1.rows]
+        labels = {row[0][:2] for row, one in zip(a1.rows, one_label) if one}
+        rows = tuple(tuple((lo, hi, CountedTarget(d)) for lo, hi, d in row) if one else row
+                     for row, one in zip(a1.rows, one_label))
+        built.append(0)
+        got = product(SNfa(rows, a1.initial, a1.accepting), a2, budget)
+        assert built[-1] <= len(labels) * len(a2.rows) * len(a1.rows)
+        steps.append(len(got.transitions))
+        return got
+
+    monkeypatch.setattr(solver, "product", counted)
+    forward_prop(doubling(8))
+    assert steps == [3 ** k for k in range(2, 9)]
+    assert built[-1] == 256
+
+
 def test_budget_cap_stops_no_solve_that_fits():
     # the largest automaton of doubling k=6 has exactly 3^6 transitions
     assert forward_prop(doubling(6), budget=Budget(max_transitions=3 ** 6))["x"].trim
