@@ -19,7 +19,12 @@ from typing import Iterable, Mapping, Sequence
 from . import regex as rx
 from .errors import ResourceLimitError, StrSolveError
 from .intervals import Value
-from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, Budget, SNfa, accepts, product
+# `sat_str` calls `snfa.accepts` through the module, so a binding that
+# replaces it there (a tracer's counter) sees every model check. This runs
+# while the package's __init__ imports this module, before it binds the name
+# `snfa` to the constructor
+from . import snfa
+from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, Budget, SNfa, product
 
 VarId = str
 
@@ -264,7 +269,7 @@ def sat_str(p: Problem, m: Mapping[VarId, str]) -> bool:
         raise ValueError(f"assignment missing variables: {sorted(missing)}")
     for v in sorted(p.variables):
         a = p.reg[v]
-        if not rx.is_sigma_star(a) and not accepts(a, m[v]):
+        if not rx.is_sigma_star(a) and not snfa.accepts(a, m[v]):
             return False
     for v in sorted(p.concat):
         for v1, v2 in sorted(p.concat[v]):

@@ -76,6 +76,23 @@ def test_benchmark_hooks_keep_their_names_and_signatures():
     assert list(inspect.signature(snfa.accepts).parameters) == ["a", "word"]
 
 
+def test_sat_str_checks_models_through_the_counted_accepts_binding(monkeypatch):
+    # perfbench/trace.py counts model checks by replacing the binding
+    # strsolve.snfa.accepts; sat_str has to look it up there when it runs
+    snfa = importlib.import_module("strsolve.snfa")
+    calls = []
+
+    def counted(a, word, accepts=snfa.accepts):
+        calls.append(word)
+        return accepts(a, word)
+
+    monkeypatch.setattr(snfa, "accepts", counted)
+    p = make_problem(["x", "y"], {}, {"x": rx.word_automaton("ab")})
+    assert strsolve.sat_str(p, {"x": "ab", "y": "c"})
+    assert not strsolve.sat_str(p, {"x": "b", "y": "c"})
+    assert calls == ["ab", "b"]  # y accepts every word and is not simulated
+
+
 # ---------------------------------------------------------------------------
 # The value and record classes: equality, hashes, immutability, validation
 # and repr, whatever the classes are built from

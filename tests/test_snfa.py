@@ -457,6 +457,24 @@ TWICE = snfa([[(97, 98, 0), (97, 99, 0), (98, 98, 1)], [(97, 97, 0)]], {0}, {1})
 # strides (`_in_strides`), and the second one reuses both runs in that walk.
 STRIDED = snfa([[(0, 20_000, 0), (0, 20_000, 1)]] * 2, {0}, {1})
 MANY_HITS = snfa([[(c, c, 0) for c in range(16_400)]], {0}, {0})
+# Both rows of TARGET_TWICE go to one target on the labels [97, 99] and
+# [98, 100], which both meet ONE_ENTRY_LOOP's entry in (98, 98, 0): the hits
+# keep one copy, and the pair state (1, 0) builds its run from the hits that
+# (0, 0) met. SPREAD's one-target rows sweep BLOCKED's row, whose first
+# entry [96, 100] meets every label of SPREAD: the sweep cannot skip it, nor
+# the entries after it that end below 99.
+TARGET_TWICE = snfa([[(97, 99, 1), (98, 100, 1)], [(97, 99, 0), (98, 100, 0)]], {0}, {1})
+ONE_ENTRY_LOOP = snfa([[(98, 98, 0)]], {0}, {0})
+SPREAD = snfa([[(97, 97, 1), (99, 99, 1), (100, 100, 1)],
+               [(97, 97, 0), (99, 99, 0), (100, 100, 0)]], {0}, {1})
+BLOCKED = snfa([[(96, 100, 0), (97, 97, 1), (98, 98, 1), (101, 102, 0)], [(97, 99, 0)]],
+               {0}, {0, 1})
+# One entry against a row of character classes, and a mixed row (two labels,
+# two targets) against the same row.
+ONE_ENTRY = snfa([[(97, 122, 1)], []], {0}, {1})
+MIXED = snfa([[(97, 97, 1), (98, 104, 2), (110, 111, 1)], [], [(48, 57, 0)]], {0}, {1, 2})
+CLASSES = snfa([[(48, 57, 0), (65, 90, 1), (97, 97, 1), (98, 99, 0), (100, 120, 1)],
+                [(97, 122, 0)]], {0}, {0, 1})
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -481,6 +499,10 @@ MANY_HITS = snfa([[(c, c, 0) for c in range(16_400)]], {0}, {0})
 @example(REUSE, LOOP, False)
 @example(REUSE, TWICE, True)
 @example(STRIDED, MANY_HITS, True)
+@example(TARGET_TWICE, ONE_ENTRY_LOOP, False)
+@example(SPREAD, BLOCKED, True)
+@example(ONE_ENTRY, CLASSES, False)
+@example(MIXED, CLASSES, True)
 def test_concat_and_product_match_the_reference_kernels(a1, a2, budgeted):
     def budget() -> Budget:
         return Budget(max_transitions=10 ** 9, deadline=time.monotonic() + 3600) \
@@ -506,6 +528,65 @@ def test_product_matches_the_reference_kernel_on_every_doubling_step(monkeypatch
     names = ["x"] + [f"x{i}" for i in range(1, 9)]
     forward_prop(make_problem(names, {"x": {(f"x{i}", f"x{i}") for i in range(1, 9)}}))
     assert steps == [3 ** k for k in range(2, 9)]
+
+
+def test_one_target_rows_meet_each_label_set_and_a2_state_once(monkeypatch):
+    # a chain of 20 states whose rows all go to the next state on the same
+    # three classes, against a2's two states of wide rows that swap on every
+    # character: 20 pair states, but only the label set against state 0 and
+    # against state 1 to meet
+    meets = []
+
+    class Entries(tuple):
+        def __iter__(self):  # product walks the entries of a shape once per meet
+            meets.append(1)
+            return tuple.__iter__(self)
+
+    def counted(r1, sigs, n2, shape=SNFA_MODULE._shape):
+        got = shape(r1, sigs, n2)
+        return got and (got[0], Entries(got[1]), got[2])
+
+    classes = [(48, 57), (65, 90), (97, 122)]
+    a1 = SNfa(tuple(tuple((lo, hi, p + 1) for lo, hi in classes) for p in range(20)) + ((),),
+              frozenset({0}), frozenset({20}))
+    wide = [(c, c, 1) for c in range(40, 130, 3)]
+    a2 = snfa([wide, [(lo, hi, 0) for lo, hi, _ in wide]], {0}, {0, 1})
+    monkeypatch.setattr(SNFA_MODULE, "_shape", counted)
+    got = product(a1, a2)
+    assert len(got.rows) == 21 and not is_empty(got)
+    assert len(meets) == 2
+    _same_automaton(got, product_reference(a1, a2))
+
+
+def test_two_wide_rows_meet_in_linear_reads():
+    # one pair state of two 60-class one-target rows, a1's [4i, 4i+1]
+    # against a2's [4i+1, 4i+2]: each class meets one other, at 4i+1. The
+    # sweep reads each a2 entry that ends below a class of a1 once, not once
+    # per later class: at most |r1| + |r2| + hits entries of a2
+    reads = [0]
+
+    class CountedRow(tuple):
+        def __iter__(self):
+            for r in tuple.__iter__(self):
+                reads[0] += 1
+                yield r
+
+        def __getitem__(self, i):
+            if not isinstance(i, slice):
+                reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    n = 60
+    a1 = SNfa((tuple((4 * i, 4 * i + 1, 1) for i in range(n)), ()),
+              frozenset({0}), frozenset({1}))
+    a2 = SNfa((CountedRow((4 * i + 1, 4 * i + 2, 1) for i in range(n)), CountedRow()),
+              frozenset({0}), frozenset({1}))
+    reads[0] = 0  # building a2 may have read it, under validation
+    got = product(a1, a2)
+    hits = len(got.rows[0])
+    assert hits == n
+    assert reads[0] <= n + n + hits
+    _same_automaton(got, product_reference(a1, a2))
 
 
 # Two a-transitions of state 0 into accepting states: both bridge to a2's

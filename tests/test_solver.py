@@ -228,19 +228,26 @@ def test_budget_stops_inside_product_and_concat():
 
 def test_budget_bounds_the_row_pairs_product_scans_between_checks():
     # two chains of 250 one-character classes, even code points against odd
-    # ones, that share only code point 1000: each pair state scans about
-    # 251 * 126 row pairs and has one successor
+    # ones, that share only code point 1000. Each row of a2 also holds the
+    # wide entry [1, 999] into its last state, which meets every class of a1
+    # from 2 on, so its sweep cannot skip the odd classes below a class of
+    # a1: each pair state reads about 251 * 126 entries of a2, by index
     reads = [0]
 
     class CountedRow(tuple):
-        def __iter__(self):  # product reads rows of a2 only in its pair scan
+        def __iter__(self):
             for r in tuple.__iter__(self):
                 reads[0] += 1
                 yield r
 
-    def chain(offset: int, n: int = 20) -> SNfa:
+        def __getitem__(self, i):
+            if not isinstance(i, slice):
+                reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    def chain(offset: int, extra: list[tuple[int, int, int]], n: int = 20) -> SNfa:
         rows = [CountedRow(sorted([(c, c, q + 1) for c in range(offset, 500, 2)]
-                                  + [(1000, 1000, q + 1)]))
+                                  + [(1000, 1000, q + 1)] + extra))
                 for q in range(n)]
         return SNfa(tuple(rows) + (CountedRow(),), frozenset({0}), frozenset({n}))
 
@@ -251,7 +258,7 @@ def test_budget_bounds_the_row_pairs_product_scans_between_checks():
             at_check.append(reads[0])
             super().check(transitions)
 
-    a1, a2 = chain(0), chain(1)
+    a1, a2 = chain(0, []), chain(1, [(1, 999, 20)])
     reads[0] = 0
     assert not is_empty(product(a1, a2, RecordingBudget()))
     assert reads[0] > 10 * PAIR_STRIDE
