@@ -438,10 +438,10 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
             if lo > hi:
                 rows.append(())
                 continue
-            key = d1 * n2 + d2
-            dst = get(key)
+            pair = d1 * n2 + d2
+            dst = get(pair)
             if dst is None:
-                dst = ids[key] = len(pairs)
+                dst = ids[pair] = len(pairs)
                 pairs.append((d1, d2))
             t = (lo, hi, dst)
             rows.append((shared(t, t),))
