@@ -31,7 +31,8 @@ between the medians in units of the parent's interquartile range
 worse than the parent's by more than the metric's `bound` in
 BENCHMARK.json, as a fraction of the parent's median
 (`worse_beyond_bound`). For the traced pairs it gives, per workload,
-whether the counts agree and the change/parent ratio of each
+whether the counts agree, each count that differs with its values, and
+the change/parent ratio of each
 layer time, raw and scaled by each run's calibration (`summarize_traced`).
 """
 
@@ -122,7 +123,9 @@ def summarize(pairs: list[dict], metrics: list[str],
 
 def summarize_traced(pairs: list[dict]) -> dict:
     """Per traced workload: whether every count metric agrees in every pair,
-    and the median over pairs of change/parent for each time metric.
+    the values of each count that differs in some pair (`counts_differing`,
+    its parent and change values pair by pair), and the median over pairs
+    of change/parent for each time metric.
 
     perfbench reports the layer times of a traced pass raw, so a drift of
     the machine's speed between the two runs of a pair goes into their
@@ -140,9 +143,12 @@ def summarize_traced(pairs: list[dict]) -> dict:
                                            for p in pairs), 3)
                 for n in ms}
 
+    differing = {n: {side: [value(p, side, n) for p in pairs] for side in ("parent", "change")}
+                 for n in counts
+                 if any(value(p, "parent", n) != value(p, "change", n) for p in pairs)}
     summary = {
-        "counts_equal": all(value(p, "parent", n) == value(p, "change", n)
-                            for p in pairs for n in counts),
+        "counts_equal": not differing,
+        "counts_differing": differing,
         "ms_change_over_parent": ratios(value),
     }
     if all(p[side].get("raw_traced_ms") for p in pairs for side in ("parent", "change")):

@@ -16,18 +16,14 @@ operands' values, and the operator or command that uses a chain of them
 flattens it once, so a chain of any depth costs linear time.
 
 Reading is the largest front-end cost of a benchmark of many small
-scripts, so the loop makes few calls per token. A whole `(re.range L L)`
-whose bounds are literals of one character, or of one \\u{...} escape, is
-one token, and the loop appends the list's value as the general path would
-reduce it: the 21 637 `re.range` lists of the smt_mix benchmark were
-108 185 of its 196 895 tokens, and every escaped literal of that
-benchmark is a bound of one. A `re.union` whose operands are all such
-ranges is one token as well: that benchmark's 2 636 of them hold all its
-21 637 ranges, and reading each as one match takes the reader from
-112 347 matches to 85 438. Its value gathers the ranges' intervals into
-one `IntervalSet` without making a class per range, and it counts toward
-the budget stride as the tokens it stands for. Any other `re.union` of
-only character ranges gathers their intervals the same way.
+scripts, so the loop makes few calls per token. A `re.union` whose
+operands are all `(re.range L L)` lists, each bound a literal of one
+character or of one \\u{...} escape, is one token: the smt_mix
+benchmark's 2 636 of them hold all its 21 637 ranges. Its value gathers
+the ranges' intervals into one `IntervalSet` without making a class per
+range, and it counts toward the budget stride as the 5n + 3 tokens it
+stands for. Any other `re.union` of only characters gathers their
+intervals the same way.
 """
 
 from __future__ import annotations
@@ -102,23 +98,20 @@ def encode_string(w: str) -> str:
 # One token per match, with the whitespace and comments before it, told
 # apart by `lastindex`: the groups below, or None for what trails the last
 # token. Whitespace is exactly space, tab, CR and LF (docs/smtlib-subset.md).
-# The first alternative holds two fused forms after their shared `(re.`
-# prefix, so a plain ( fails it at its second character (most tokens of the
-# smt_mix benchmark were of such lists; see the module docstring). The first
-# form, group `_RANGE`, reads `(re.range L L)` as one token instead of five:
-# each L is a literal of one character other than " or of one \u{...}
-# escape of 1-5 hex digits (at most 0xFFFFF, a valid code point), and only
-# whitespace, not a comment, separates the parts. No " can follow an L,
-# since whitespace or ) must. The second, group `_UNION`, reads
-# `(re.union R ...)` whose operands are 1 to BUDGET_STRIDE such ranges,
-# again separated by whitespace only, as one token; the repetition is
-# possessive, so a longer union fails at once and is read by
-# the general tokens. Any other `re.range` or `re.union` list is read by
-# the general tokens. Every other literal is the general one, decoded by
-# `_decode_string`. Its body is unrolled and possessive: it takes "" pairs
-# from the left, as a character scanner does, and does not backtrack to end
-# an unterminated literal at a doubled quote. A lone " or | that starts no
-# complete token falls through to the catch-all.
+# The first alternative, group `_UNION`, reads `(re.union R ...)` as one
+# token when its operands are 1 to BUDGET_STRIDE lists `(re.range L L)`
+# (see the module docstring). Each L is a literal of one character other
+# than " or of one \u{...} escape of 1-5 hex digits (at most 0xFFFFF, a
+# valid code point), and only whitespace, not a comment, separates the
+# parts. No " can follow an L, since whitespace or ) must. A plain ( fails
+# the alternative at its second character. The repetition is possessive,
+# so a longer union fails at once; it, every `re.range` list and any other
+# `re.union` list are read by the general tokens. Every other literal is
+# the general one, decoded by `_decode_string`. Its body is unrolled and
+# possessive: it takes "" pairs from the left, as a character scanner
+# does, and does not backtrack to end an unterminated literal at a doubled
+# quote. A lone " or | that starts no complete token falls through to the
+# catch-all.
 _BOUND = r'"(?:\\u\{%s[0-9A-Fa-f]{1,5})\}|%s[^"]))"'  # %s: "(" to capture, or "(?:"
 _RANGE_TAIL = r"range[ \t\r\n]+%s[ \t\r\n]+%s[ \t\r\n]*\)"  # after "(re."
 _BOUND_GROUPS, _BOUND_PLAIN = _BOUND % ("(", "("), _BOUND % ("(?:", "(?:")
@@ -127,8 +120,7 @@ _RANGE_GROUPS = _RANGE_TAIL % (_BOUND_GROUPS, _BOUND_GROUPS)
 _RANGES = re.compile(r"\(re\." + _RANGE_GROUPS)
 _TOKEN = re.compile(r"""
     (?:[ \t\r\n]+ | ;[^\n]*)*+
-    (?: \(re\.(?: (%(range)s)
-                | (union(?:[ \t\r\n]*\(re\.%(plain)s){1,%(most)d}+[ \t\r\n]*\)))
+    (?: \(re\.(union(?:[ \t\r\n]*\(re\.%(plain)s){1,%(most)d}+[ \t\r\n]*\))
       | (\()
       | (\))
       | "((?:[^"]*+"")*+[^"]*+)"
@@ -137,11 +129,10 @@ _TOKEN = re.compile(r"""
       | ([^ \t\r\n();"|]+)
       | (.)
       | \Z)
-""" % {"range": _RANGE_GROUPS, "plain": _RANGE_TAIL % (_BOUND_PLAIN, _BOUND_PLAIN),
-       "most": BUDGET_STRIDE}, re.VERBOSE | re.DOTALL)
-_RANGE = 1  # groups 2-5: each bound's hex digits or its character
-_UNION = 6
-_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(7, 14)
+""" % {"plain": _RANGE_TAIL % (_BOUND_PLAIN, _BOUND_PLAIN), "most": BUDGET_STRIDE},
+                    re.VERBOSE | re.DOTALL)
+_UNION = 1
+_OPEN, _CLOSE, _STRING, _QUOTED, _NUMERAL, _WORD, _STRAY = range(2, 9)
 # A numeral of more digits is a syntax error, before `int()` meets Python's
 # limit on converting long digit strings (4300 by default). Any length
 # bound of this many digits is far past every length cap anyway.
@@ -207,27 +198,22 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
                 except StrSolveError as err:
                     held = err
             terms = parent
-        elif kind == _RANGE or kind == _UNION:
-            # a fused list: the value the general path reduces, or its command error
+        elif kind == _UNION:
+            # a fused list: the value the general path reduces, or its command
+            # error. It counts as its general tokens: (, re.union, the five of
+            # each range and )
             pos = m.start(kind) - 4  # the "(re." before the group
-            if kind == _RANGE:
-                head = "re.range"
-                lo_hex, lo, hi_hex, hi = m.group(2, 3, 4, 5)
-                regex = _range(int(lo_hex, 16) if lo_hex else ord(lo),
-                               int(hi_hex, 16) if hi_hex else ord(hi))
-            else:  # counts as its general tokens: (, re.union, each range and )
-                head = "re.union"
-                bounds = _RANGES.findall(src, pos, m.end())
-                countdown -= len(bounds) + 2
-                while countdown < 0:
-                    budget.check(0)
-                    countdown += BUDGET_STRIDE
-                regex = _fused_union(bounds, pos, m.end())
+            bounds = _RANGES.findall(src, pos, m.end())
+            countdown -= 5 * len(bounds) + 2
+            while countdown < 0:
+                budget.check(0)
+                countdown += BUDGET_STRIDE
+            regex = _fused_union(bounds, pos, m.end())
             if stack:
-                terms.append((_LIST, (head, regex), pos, m.end()))
+                terms.append((_LIST, ("re.union", regex), pos, m.end()))
             elif held is None:
                 held = (SyntaxParseError("expected a command", terms[0][2]) if terms
-                        else UnsupportedError(f"command {head}", pos))
+                        else UnsupportedError("command re.union", pos))
         elif kind == _WORD:
             text = m[kind]
             end = m.end()
@@ -338,14 +324,6 @@ def _re_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> lis
 
 
 def _re_union(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:
-    ranges = []  # the one interval of each operand, while all are ranges of characters
-    for kind, val, _, _ in args:
-        if kind != _LIST or val[0] != "re.range" or type(val[1]) is not rx.CharClass:
-            break
-        ranges.append(val[1].chars.parts[0])
-    else:
-        if ranges:
-            return rx.CharClass(IntervalSet.normalize(ranges))
     items = [x for t in args for x in _items(_regex(t), rx.Union)]
     if not items:
         raise SyntaxParseError("empty re.union", pos)

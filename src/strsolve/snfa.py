@@ -43,15 +43,16 @@ lists indexed by state: `some_word` its search tree, and `concat` the
 number it gave each operand index. `product` keeps a dict, because its
 pair space n1·n2 can be far larger than the pairs it reaches.
 It classifies each row of a1 once: two or more entries on one label, or
-into one target, make a label set times a set of targets. Such a row meets
-the row of a2 state q once per (label set, q), keyed by `sig * n2 + q`
-with the label set interned to the int `sig`, and a memo keeps the hits of
-that meet and the run of transitions each a1 target yields with them. A
-row that many pair states need again, as on the doubling family or a
+into one target, make a label set times a set of targets. The label set
+meets the row of a2 state q once per (label set, q), keyed by
+`sig * n2 + q` with the label set interned to the int `sig`, in a linear
+sweep that starts past the a2 entries that end below the current label,
+so two wide rows of character classes meet in time linear in their sizes.
+A memo keeps the distinct hits of that meet, and the run of transitions
+each a1 target yields with them, built on the target's first use. A row
+that many pair states need again, as on the doubling family or a
 character class that many a1 states repeat, is then one lookup per
-target. A one-target row meets in a linear sweep, which starts past the a2
-entries that end below the current label, so two wide rows of character
-classes meet in time linear in their sizes.
+target.
 """
 
 from __future__ import annotations
@@ -371,41 +372,38 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     chains such as length and word automata, is built directly: it has at
     most one transition.
 
-    Every other pair state (p, q) meets a1 entries with the row r2 of a2
-    state q, a1 entry by a1 entry and a2 entry by a2 entry, and discovers
-    pairs in that order. How depends on the row r1 of p, classified once,
-    on p's first pair state (`_shape`):
-    - a row of two or more entries on one label is {label} x targets, and
-      its first entry meets r2;
-    - a row of two or more entries into one target d1 is labels x {d1}, and
-      all of them meet r2 in a linear sweep: as r1 is sorted by lo, an a2
-      entry that ends below the current a1 label meets no later one, and
-      once no unskipped entry stands before it the sweep starts past it, so
-      two rows of disjoint classes meet in |r1| + |r2| + hits reads;
-    - any other row, one-entry or mixed, meets r2 entry by entry.
-    The first two shapes meet r2 once per (label set, q): the label set is
-    interned to an int sig, and the memo under `sig * n2 + q` keeps the
-    hits, the transitions of that first meet in meet order, one of each,
-    and the run of each a1 target, the transitions it yields with them. The
-    first meet emits its row's run while it records the hits; every later
-    target's run is built from the hits on its first use, in their order,
-    so the numbering is the entry-by-entry loop's. A one-target row is its
-    run, sorted, so a repeated one is one lookup; a one-label row is its
-    targets' runs, concatenated and sorted, free of duplicates as its
-    targets are distinct. On the doubling family every row of a1 carries
-    the full range, and 3^k transitions reach 2^k states from 2·|Q1| runs;
-    on character classes many a1 states repeat one label set. All
-    transitions are shared through one dict of tuples.
+    Every other pair state (p, q) meets the row r1 of p with the row r2 of
+    a2 state q. How depends on r1, classified once, on p's first pair state
+    (`_shape`):
+    - a row of two or more entries on one label, or into one target, is a
+      label set times targets. The label set meets r2 once per (label set,
+      q), in a linear sweep: as r1 is sorted by lo, an a2 entry that ends
+      below the current label meets no later one, and once no unskipped
+      entry stands before it the sweep starts past it, so two rows of
+      disjoint classes meet in |r1| + |r2| + hits reads. The label set is
+      interned to an int sig, and the memo under `sig * n2 + q` keeps the
+      distinct hits (lo, hi, d2) of that meet, which discovers no pair,
+      and the run of each a1 target: the transitions it yields with the
+      hits, built on its first use and sorted. The row is its targets'
+      runs, concatenated and sorted, free of duplicates as the targets and
+      the hits are distinct;
+    - any other row, one-entry or mixed, meets r2 a1 entry by a1 entry and
+      a2 entry by a2 entry, and discovers pairs in that order.
+    Target by target, then hit by hit, is that order too, for both shapes,
+    so the numbering does not depend on the path. On the doubling family
+    every row of a1 carries the full range, and 3^k transitions reach 2^k
+    states from 2·|Q1| runs; on character classes many a1 states repeat
+    one label set. All transitions are shared through one dict of tuples.
 
     `budget.check` runs before every BUDGET_STRIDE-th pair state is
     explored, before any run of a1 entries or targets that would take the
     row pairs scanned since the last check past PAIR_STRIDE (a meet counts
-    |rows2[q]| pairs per a1 entry it meets with, which bounds the a2 entries
-    that entry reads or skips, and a row made from the memo |hits| per
-    target; a pair of one-entry rows is not counted, as the state stride
-    already bounds those), and as soon as the number of distinct
-    transitions built passes `budget.max_transitions`, so a run past either
-    limit stops inside the operation.
+    |rows2[q]| pairs per a1 entry or label it meets with, which bounds the
+    a2 entries that it reads or skips, and the runs of a label set's
+    targets |hits| per target; a pair of one-entry rows is not counted, as
+    the state stride already bounds those), and as soon as the number of
+    distinct transitions built passes `budget.max_transitions`, so a run
+    past either limit stops inside the operation.
     """
     rows1, rows2 = a1.rows, a2.rows
     n2 = len(rows2)
@@ -417,8 +415,8 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     # per a1 state, from its first pair state on: its `_shape`
     shapes: list[Optional[tuple]] = [None] * len(rows1)
     sigs: dict[tuple, int] = {}
-    # per (label set, a2 state) met, keyed by sig * n2 + q: the hits, and
-    # the run of each a1 target
+    # per (label set, a2 state) met, keyed by sig * n2 + q: the distinct
+    # hits (lo, hi, d2), and the run of each a1 target
     memo: dict[int, tuple[list[Row], dict[int, tuple[Row, ...]]]] = {}
     cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
@@ -455,93 +453,76 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
         shape = shapes[p]
         if shape is None:
             shape = shapes[p] = _shape(r1, sigs, n2)
-        if shape:
-            key = shape[0] + q
-            met = memo.get(key)
-        if not shape or met is None:
-            entries = shape[1] if shape else r1
+        if not shape:
+            entries = r1
             width = len(r2)
-            sweep = shape and len(entries) > 1 and width > 1  # a one-target row
             scanned += len(entries) * width
             if scanned > PAIR_STRIDE:
                 entries, scanned = _strided(entries, width, budget, emitted)
             row: list[Row] = []
             add = row.append
-            if not sweep:
-                for lo1, hi1, d1 in entries:
-                    base = d1 * n2
-                    for lo2, hi2, d2 in r2:
-                        if lo2 > hi1:
-                            break  # r2 is sorted by lo: no later entry meets [lo1, hi1]
-                        if hi2 < lo1:
-                            continue
-                        pair = base + d2
-                        dst = get(pair)
-                        if dst is None:
-                            dst = ids[pair] = len(pairs)
-                            pairs.append((d1, d2))
-                        t = (lo1 if lo1 >= lo2 else lo2, hi1 if hi1 <= hi2 else hi2, dst)
-                        add(shared(t, t))
-            else:
-                start = 0  # the a2 entries before it end below the current a1 label
-                for lo1, hi1, d1 in entries:
-                    base = d1 * n2
+            for lo1, hi1, d1 in entries:
+                base = d1 * n2
+                for lo2, hi2, d2 in r2:
+                    if lo2 > hi1:
+                        break  # r2 is sorted by lo: no later entry meets [lo1, hi1]
+                    if hi2 < lo1:
+                        continue
+                    pair = base + d2
+                    dst = get(pair)
+                    if dst is None:
+                        dst = ids[pair] = len(pairs)
+                        pairs.append((d1, d2))
+                    t = (lo1 if lo1 >= lo2 else lo2, hi1 if hi1 <= hi2 else hi2, dst)
+                    add(shared(t, t))
+            out = _sorted_row(row)
+        else:
+            key, labels, targets = shape
+            key += q
+            met = memo.get(key)
+            if met is None:
+                width = len(r2)
+                scanned += len(labels) * width
+                if scanned > PAIR_STRIDE:
+                    labels, scanned = _strided(labels, width, budget, emitted)
+                hits: list[Row] = []
+                add = hits.append
+                start = 0  # the a2 entries before it end below the current label
+                for lo1, hi1, _ in labels:
                     for j in range(start, width):
                         lo2, hi2, d2 = r2[j]
                         if lo2 > hi1:
                             break
                         if hi2 < lo1:
                             if j == start:
-                                start += 1  # r1 is sorted by lo: it meets no later entry
+                                start += 1  # r1 is sorted by lo: it meets no later label
                             continue
-                        pair = base + d2
-                        dst = get(pair)
-                        if dst is None:
-                            dst = ids[pair] = len(pairs)
-                            pairs.append((d1, d2))
-                        t = (lo1 if lo1 >= lo2 else lo2, hi1 if hi1 <= hi2 else hi2, dst)
-                        add(shared(t, t))
-            if not shape:
-                out = _sorted_row(row)
-            elif len(shape[2]) == 1:
-                # one target: its run is the row. Overlapping labels can meet
-                # one a2 entry in the same (lo, hi, d2); the hits keep one
-                out = _sorted_row(row[:])
-                memo[key] = (list(dict.fromkeys(row)) if len(out) < len(row) else row,
-                             {r1[0][2]: out})
-            else:
-                made = list(dict.fromkeys(row))
-                met = memo[key] = (made, {r1[0][2]: tuple(made)})
-                out = None  # the other targets' runs are still to build
-        else:
-            out = None
-        if out is None:
-            made, runs = met
-            targets = shape[2]
+                        add((lo1 if lo1 >= lo2 else lo2, hi1 if hi1 <= hi2 else hi2, d2))
+                # overlapping labels can meet one a2 entry in the same (lo, hi, d2)
+                met = memo[key] = (list(dict.fromkeys(hits)), {})
+            hits, runs = met
             one = len(targets) == 1
-            width = len(made)
-            scanned += len(targets) * width
+            scanned += len(targets) * len(hits)
             if scanned > PAIR_STRIDE:
-                targets, scanned = _strided(targets, width, budget, emitted)
+                targets, scanned = _strided(targets, len(hits), budget, emitted)
             row = []
             extend = row.extend
             for _, _, d1 in targets:
                 run = runs.get(d1)
                 if run is None:
-                    # d1's first use: the pairs it reaches are discovered
-                    # here, in the order of the first meet's hits
+                    # d1's first use: the pairs it reaches are discovered here,
+                    # in the order of the hits
                     base = d1 * n2
                     new = []
-                    for lo, hi, d in made:
-                        pair = base + pairs[d][1]
+                    for lo, hi, d2 in hits:
+                        pair = base + d2
                         dst = get(pair)
                         if dst is None:
                             dst = ids[pair] = len(pairs)
-                            pairs.append((d1, pair - base))
+                            pairs.append((d1, d2))
                         t = (lo, hi, dst)
                         new.append(shared(t, t))
-                    if one:
-                        new.sort()  # the hits are distinct, and so is the run
+                    new.sort()  # the hits are distinct, and so is the run
                     run = runs[d1] = tuple(new)
                 extend(run)
             if one:
@@ -561,12 +542,11 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
 
 def _shape(r1: tuple[Row, ...], sigs: dict[tuple, int], n2: int) -> tuple:
     """How `product` meets the non-empty row r1 of a1: `()` for a mixed or
-    one-entry row, else `(sig * n2, entries, targets)`: `sig` interns the
-    row's label set in `sigs`, `entries` meet a row of a2 once per key, and
-    the target of each entry of `targets` has a run. A one-label row's label
-    set is the bare (lo, hi), a one-target row's the pair of its lo and hi
-    tuples, so the runs of the two shapes never mix: a one-target row's run
-    is its row, sorted, and a one-label row's runs are parts of its row."""
+    one-entry row, else a label set times targets, `(sig * n2, labels,
+    targets)`: `sig` interns the label set in `sigs`, and the entries of
+    `labels` carry the label set and those of `targets` the targets. A
+    one-label row's label set is the bare (lo, hi), a one-target row's the
+    pair of its lo and hi tuples."""
     if len(r1) == 1:
         return ()
     lo, hi, d1 = r1[0]
@@ -580,18 +560,17 @@ def _shape(r1: tuple[Row, ...], sigs: dict[tuple, int], n2: int) -> tuple:
 
 
 def _strided(seq: tuple, width: int, budget: Budget, emitted: int) -> tuple[Iterator, int]:
-    """`seq` in runs of PAIR_STRIDE // width, with a check before each run
-    (`_in_strides`), and the row pairs of the last run."""
+    """The items of `seq` in runs of PAIR_STRIDE // width, with
+    `budget.check(emitted)` before each run, and the row pairs of the last
+    run."""
     step = PAIR_STRIDE // width or 1
-    return _in_strides(seq, step, budget, emitted), ((len(seq) - 1) % step + 1) * width
 
+    def runs() -> Iterator:
+        for i in range(0, len(seq), step):
+            budget.check(emitted)
+            yield from seq[i:i + step]
 
-def _in_strides(rows: tuple, step: int, budget: Budget, emitted: int) -> Iterator:
-    """The items of `rows`, with `budget.check(emitted)` before each run of
-    `step` of them."""
-    for i in range(0, len(rows), step):
-        budget.check(emitted)
-        yield from rows[i:i + step]
+    return runs(), ((len(seq) - 1) % step + 1) * width
 
 
 def is_empty(a: SNfa) -> bool:

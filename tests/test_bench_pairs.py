@@ -81,9 +81,14 @@ def test_summarize_traced_compares_counts_and_time_ratios():
              {"parent": traced(80.0, 7.0), "change": traced(60.0, 7.0)}]
     got = bench_pairs.summarize_traced(pairs)
     # a layer that reads 0 on the parent has no ratio
-    assert got == {"counts_equal": True, "ms_change_over_parent": {"snfa.product.ms": 0.625}}
+    assert got == {"counts_equal": True, "counts_differing": {},
+                   "ms_change_over_parent": {"snfa.product.ms": 0.625}}
     pairs[1]["change"]["metrics"]["snfa.product.states_out"]["value"] = 8.0
-    assert not bench_pairs.summarize_traced(pairs)["counts_equal"]
+    got = bench_pairs.summarize_traced(pairs)
+    assert not got["counts_equal"]
+    # each count that differs in some pair, with both sides' values pair by pair
+    assert got["counts_differing"] == {
+        "snfa.product.states_out": {"parent": [7.0, 7.0], "change": [7.0, 8.0]}}
 
 
 def test_summarize_traced_scales_each_run_by_its_calibration():

@@ -10,7 +10,7 @@ from strsolve import regex as rx
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import IntervalSet
-from strsolve.smtlib import (_CLOSE, _OPEN, _RANGE, _STRING, _TOKEN, _UNION, _WORD,
+from strsolve.smtlib import (_CLOSE, _OPEN, _STRING, _TOKEN, _UNION, _WORD,
                              MAX_NUMERAL_DIGITS, encode_string, parse_smt)
 from strsolve.snfa import BUDGET_STRIDE, Budget
 
@@ -270,8 +270,8 @@ _OPERATOR = {sort: st.sampled_from(ops) for sort, ops in OPERATORS.items()}
 _HEAD = st.sampled_from(HEADS)
 _ARG_SORT = {sort: st.sampled_from([sort] * 25 + [*OPERATORS, "any"]) for sort in LEAVES}
 # What a `re.range` list puts before each argument and before its `)`: a
-# run of whitespace, which the one-token range takes, or else a comment or
-# no whitespace, which leave the list to the general tokens.
+# run of whitespace, which a fused union's ranges take, or else a comment
+# or no whitespace, which leave a union of the list to the general tokens.
 RANGE_GAPS = st.sampled_from([" "] * 4 + ["\t", "\n", "   ", " ; comment\n", ""])
 RANGE_ENDS = st.sampled_from([""] * 4 + [" ", "\t\n", " ; comment\n"])
 
@@ -480,11 +480,12 @@ def test_parse_checks_the_budget_every_stride_of_tokens():
     budget = CountingBudget()
     parse_smt("(set-info :k" + ' "\\u{41}"' * 2996 + ")", budget)  # 3000 tokens
     assert budget.checked == [0, 0, 0]
-    # a range with one-character bounds is one token: 5 + 7 + 3000 + 3 tokens
+    # a range is five tokens, and a union of more than a stride of ranges
+    # is read by the general tokens: 5 + 7 + 5 * 3000 + 3 tokens
     budget = CountingBudget()
     ranges = "".join(f' (re.range "{chr(c)}" "\\u{{{c:x}}}")' for c in range(0x100, 0x100 + 3000))
     script = parse_smt(DECL + "(assert (str.in_re x (re.union" + ranges + ")))", budget)
-    assert budget.checked == [0, 0, 0]
+    assert budget.checked == [0] * 15
     chars = rx.CharClass(IntervalSet.from_pairs((0x100, 0x100 + 2999)))
     assert script.assertions == (Membership("x", chars),)
     # the match of what trails the last token is one more: a stride of
@@ -497,10 +498,10 @@ def test_parse_checks_the_budget_every_stride_of_tokens():
         parse_smt("(check-sat)", Budget(deadline=time.monotonic() - 1))
 
 
-# A `re.union` whose operands are all one-token ranges is one token too.
+# A `re.union` whose operands are all `(re.range L L)` lists is one token.
 # Each case is read twice: as written, and with a comment before the
-# union's `)`, which leaves the union to the general tokens (its ranges
-# stay one token each). Both readings must give the same value or error,
+# union's `)`, which leaves the union and its ranges to the general
+# tokens. Both readings must give the same value or error,
 # at the same offset, after the same budget checks. A prefix of 0-1100
 # tokens moves the union across the budget stride.
 FUSED_CHARS = ["a", "z", "(", ")", ";", "\\", " ", "|", "é", "\U0001f600", "0"]
@@ -565,7 +566,7 @@ def test_fused_union_reads_as_the_general_tokens(ranges, place, prefix, data):
 
 
 def test_fused_union_counts_as_its_general_tokens():
-    # n + 3 tokens: with the union's last token, or the one after it, at
+    # 5n + 3 tokens: with the union's last token, or the one after it, at
     # each offset around a multiple of the stride, the check count is one
     # per started stride of the general reading's tokens
     ranges = ['(re.range "a" "c")', '(re.range "\\u{41}" "\\u{5a}")', '(re.range "b" "a")']
@@ -597,18 +598,20 @@ def test_fused_union_takes_at_most_a_stride_of_ranges():
 
 
 def test_fused_forms_share_the_re_prefix():
-    # both fused forms follow one `(re.` in the token pattern: a list that
-    # starts so but is neither form reads as the general tokens, and a fused
-    # form's offset is that of its (, after any whitespace and comments
+    # the fused union follows a `(re.` in the token pattern: a list that
+    # starts so but is no fused union, a lone range among them, reads as the
+    # general tokens, and a fused union's offset is that of its (, after
+    # any whitespace and comments
     def kinds(text):
         return [m.lastindex for m in _TOKEN.finditer(text)]
 
-    assert kinds('(re.range "a" "b")') == [_RANGE, None]
+    general_range = [_OPEN, _WORD, _STRING, _STRING, _CLOSE]
+    assert kinds('(re.range "a" "b")') == general_range + [None]
     assert kinds('(re.union (re.range "a" "b"))') == [_UNION, None]
     assert kinds("(re.all)") == [_OPEN, _WORD, _CLOSE, None]
     assert kinds('(re.ranges "a" "b")') == [_OPEN, _WORD, _STRING, _STRING, _CLOSE, None]
-    assert kinds('(re.union (re.range "a" "b") re.all)') == [_OPEN, _WORD, _RANGE, _WORD,
-                                                              _CLOSE, None]
+    assert kinds('(re.union (re.range "a" "b") re.all)') == [_OPEN, _WORD, *general_range,
+                                                              _WORD, _CLOSE, None]
     for head, text in (("re.range", '; c\n  (re.range "a" "b")'),
                        ("re.union", ' \t(re.union (re.range "a" "b"))')):
         at = text.index("(re.")

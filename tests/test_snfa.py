@@ -454,7 +454,7 @@ LOOP = snfa([[(97, 97, 0), (98, 98, 0)]], {0}, {0})
 TWICE = snfa([[(97, 98, 0), (97, 99, 0), (98, 98, 1)], [(97, 97, 0)]], {0}, {1})
 # Each pair state of STRIDED and MANY_HITS pairs 2 a1 entries with 16 400
 # hits, more row pairs than PAIR_STRIDE, so product walks its a1 entries in
-# strides (`_in_strides`), and the second one reuses both runs in that walk.
+# strides (`_strided`), and the second one reuses both runs in that walk.
 STRIDED = snfa([[(0, 20_000, 0), (0, 20_000, 1)]] * 2, {0}, {1})
 MANY_HITS = snfa([[(c, c, 0) for c in range(16_400)]], {0}, {0})
 # Both rows of TARGET_TWICE go to one target on the labels [97, 99] and
@@ -530,32 +530,54 @@ def test_product_matches_the_reference_kernel_on_every_doubling_step(monkeypatch
     assert steps == [3 ** k for k in range(2, 9)]
 
 
-def test_one_target_rows_meet_each_label_set_and_a2_state_once(monkeypatch):
-    # a chain of 20 states whose rows all go to the next state on the same
-    # three classes, against a2's two states of wide rows that swap on every
-    # character: 20 pair states, but only the label set against state 0 and
-    # against state 1 to meet
-    meets = []
+def _counted_meets(monkeypatch) -> list[int]:
+    """A list that grows by one each time product meets the label set of a
+    shaped row of a1 with a row of a2."""
+    meets: list[int] = []
 
-    class Entries(tuple):
-        def __iter__(self):  # product walks the entries of a shape once per meet
+    class Labels(tuple):
+        def __iter__(self):  # product walks the labels of a shape once per meet
             meets.append(1)
             return tuple.__iter__(self)
 
     def counted(r1, sigs, n2, shape=SNFA_MODULE._shape):
         got = shape(r1, sigs, n2)
-        return got and (got[0], Entries(got[1]), got[2])
+        return got and (got[0], Labels(got[1]), got[2])
 
+    monkeypatch.setattr(SNFA_MODULE, "_shape", counted)
+    return meets
+
+
+# two states of wide rows that swap on every character
+WIDE_SWAP = snfa([[(c, c, 1) for c in range(40, 130, 3)],
+                  [(c, c, 0) for c in range(40, 130, 3)]], {0}, {0, 1})
+
+
+def test_one_target_rows_meet_each_label_set_and_a2_state_once(monkeypatch):
+    # a chain of 20 states whose rows all go to the next state on the same
+    # three classes, against WIDE_SWAP: 20 pair states, but only the label
+    # set against state 0 and against state 1 to meet
+    meets = _counted_meets(monkeypatch)
     classes = [(48, 57), (65, 90), (97, 122)]
     a1 = SNfa(tuple(tuple((lo, hi, p + 1) for lo, hi in classes) for p in range(20)) + ((),),
               frozenset({0}), frozenset({20}))
-    wide = [(c, c, 1) for c in range(40, 130, 3)]
-    a2 = snfa([wide, [(lo, hi, 0) for lo, hi, _ in wide]], {0}, {0, 1})
-    monkeypatch.setattr(SNFA_MODULE, "_shape", counted)
-    got = product(a1, a2)
+    got = product(a1, WIDE_SWAP)
     assert len(got.rows) == 21 and not is_empty(got)
     assert len(meets) == 2
-    _same_automaton(got, product_reference(a1, a2))
+    _same_automaton(got, product_reference(a1, WIDE_SWAP))
+
+
+def test_one_label_rows_meet_each_label_and_a2_state_once(monkeypatch):
+    # a chain of 20 states whose rows all go to the next two states on the
+    # same label, against WIDE_SWAP: 42 pair states, but only the label
+    # against state 0 and against state 1 to meet
+    meets = _counted_meets(monkeypatch)
+    a1 = SNfa(tuple(((32, 126, p + 1), (32, 126, p + 2)) for p in range(20)) + ((),) * 2,
+              frozenset({0}), frozenset({21}))
+    got = product(a1, WIDE_SWAP)
+    assert len(got.rows) == 42 and not is_empty(got)
+    assert len(meets) == 2
+    _same_automaton(got, product_reference(a1, WIDE_SWAP))
 
 
 def test_two_wide_rows_meet_in_linear_reads():
