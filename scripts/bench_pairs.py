@@ -32,8 +32,8 @@ worse than the parent's by more than the metric's `bound` in
 BENCHMARK.json, as a fraction of the parent's median
 (`worse_beyond_bound`). For the traced pairs it gives, per workload,
 whether the counts agree, each count that differs with its values, and
-the change/parent ratio of each
-layer time, raw and scaled by each run's calibration (`summarize_traced`).
+the change/parent ratio of each layer time, raw and scaled by each run's
+calibration (`summarize_traced`).
 """
 
 from __future__ import annotations
