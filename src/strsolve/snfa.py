@@ -48,11 +48,10 @@ meets the row of a2 state q once per (label set, q), keyed by
 `sig * n2 + q` with the label set interned to the int `sig`, in a linear
 sweep that starts past the a2 entries that end below the current label,
 so two wide rows of character classes meet in time linear in their sizes.
-A memo keeps the distinct hits of that meet, and the run of transitions
-each a1 target yields with them, built on the target's first use. A row
-that many pair states need again, as on the doubling family or a
-character class that many a1 states repeat, is then one lookup per
-target.
+A memo keeps the hits of that meet, and the run of transitions each a1
+target yields with them, built on the target's first use. A row that many
+pair states need again, as on the doubling family or a character class
+that many a1 states repeat, is then one lookup per target.
 """
 
 from __future__ import annotations
@@ -272,7 +271,8 @@ def accepts(a: SNfa, word: str) -> bool:
 
 def _sorted_row(row: list[Row]) -> tuple[Row, ...]:
     """`row` sorted and without duplicates (sorting first makes any
-    duplicates adjacent, and they are rare)."""
+    duplicates adjacent, and they are rare): the one place where duplicates
+    leave a row of `concat` or `product`."""
     if len(row) < 2:
         return tuple(row)
     row.sort()
@@ -382,18 +382,20 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
       entry stands before it the sweep starts past it, so two rows of
       disjoint classes meet in |r1| + |r2| + hits reads. The label set is
       interned to an int sig, and the memo under `sig * n2 + q` keeps the
-      distinct hits (lo, hi, d2) of that meet, which discovers no pair,
-      and the run of each a1 target: the transitions it yields with the
-      hits, built on its first use and sorted. The row is its targets'
-      runs, concatenated and sorted, free of duplicates as the targets and
-      the hits are distinct;
+      hits (lo, hi, d2) of that meet, which discovers no pair, and the run
+      of each a1 target: the transitions it yields with the hits, built on
+      its first use and sorted by `_sorted_row`, which drops the copies
+      of a hit that two labels or two a2 entries meet in. The row is its
+      targets' runs, concatenated and sorted, free of duplicates as the
+      targets are distinct;
     - any other row, one-entry or mixed, meets r2 a1 entry by a1 entry and
       a2 entry by a2 entry, and discovers pairs in that order.
     Target by target, then hit by hit, is that order too, for both shapes,
     so the numbering does not depend on the path. On the doubling family
     every row of a1 carries the full range, and 3^k transitions reach 2^k
     states from 2·|Q1| runs; on character classes many a1 states repeat
-    one label set. All transitions are shared through one dict of tuples.
+    one label set. A pair (p, q) is its int key p·|Q2| + q alone; only the
+    runs, which many pair states reuse, intern their transitions.
 
     `budget.check` runs before every BUDGET_STRIDE-th pair state is
     explored, before any run of a1 entries or targets that would take the
@@ -407,25 +409,26 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     """
     rows1, rows2 = a1.rows, a2.rows
     n2 = len(rows2)
-    pairs = [(p, q) for p in sorted(a1.initial) for q in sorted(a2.initial)]
-    ids = {p * n2 + q: i for i, (p, q) in enumerate(pairs)}
+    pairs = [p * n2 + q for p in sorted(a1.initial) for q in sorted(a2.initial)]
+    ids = {pair: i for i, pair in enumerate(pairs)}
     get = ids.get
-    # many pair states reach the same pair on the same label: one tuple each
+    # many pair states reach a run's transitions again: one tuple each
     shared = {}.setdefault
     # per a1 state, from its first pair state on: its `_shape`
     shapes: list[Optional[tuple]] = [None] * len(rows1)
     sigs: dict[tuple, int] = {}
-    # per (label set, a2 state) met, keyed by sig * n2 + q: the distinct
-    # hits (lo, hi, d2), and the run of each a1 target
+    # per (label set, a2 state) met, keyed by sig * n2 + q: the hits
+    # (lo, hi, d2), and the run of each a1 target
     memo: dict[int, tuple[list[Row], dict[int, tuple[Row, ...]]]] = {}
     cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
     emitted = 0
     scanned = 0  # row pairs scanned since the last check
-    for src, (p, q) in enumerate(pairs):  # `pairs` grows while it is walked
+    for src, pair in enumerate(pairs):  # `pairs` grows while it is walked
         if not src % BUDGET_STRIDE:
             budget.check(emitted)
             scanned = 0
+        p, q = divmod(pair, n2)
         r1, r2 = rows1[p], rows2[q]
         if len(r1) == 1 == len(r2):
             # the common case on chains: one row pair, at most one transition
@@ -440,9 +443,8 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
             dst = get(pair)
             if dst is None:
                 dst = ids[pair] = len(pairs)
-                pairs.append((d1, d2))
-            t = (lo, hi, dst)
-            rows.append((shared(t, t),))
+                pairs.append(pair)
+            rows.append(((lo, hi, dst),))
             emitted += 1
             if emitted > cap:
                 budget.check(emitted)
@@ -472,9 +474,8 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
                     dst = get(pair)
                     if dst is None:
                         dst = ids[pair] = len(pairs)
-                        pairs.append((d1, d2))
-                    t = (lo1 if lo1 >= lo2 else lo2, hi1 if hi1 <= hi2 else hi2, dst)
-                    add(shared(t, t))
+                        pairs.append(pair)
+                    add((lo1 if lo1 >= lo2 else lo2, hi1 if hi1 <= hi2 else hi2, dst))
             out = _sorted_row(row)
         else:
             key, labels, targets = shape
@@ -498,8 +499,7 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
                                 start += 1  # r1 is sorted by lo: it meets no later label
                             continue
                         add((lo1 if lo1 >= lo2 else lo2, hi1 if hi1 <= hi2 else hi2, d2))
-                # overlapping labels can meet one a2 entry in the same (lo, hi, d2)
-                met = memo[key] = (list(dict.fromkeys(hits)), {})
+                met = memo[key] = (hits, {})
             hits, runs = met
             one = len(targets) == 1
             scanned += len(targets) * len(hits)
@@ -519,16 +519,15 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
                         dst = get(pair)
                         if dst is None:
                             dst = ids[pair] = len(pairs)
-                            pairs.append((d1, d2))
+                            pairs.append(pair)
                         t = (lo, hi, dst)
                         new.append(shared(t, t))
-                    new.sort()  # the hits are distinct, and so is the run
-                    run = runs[d1] = tuple(new)
+                    run = runs[d1] = _sorted_row(new)
                 extend(run)
             if one:
                 out = run
             else:
-                row.sort()  # distinct targets and distinct hits: no duplicates
+                row.sort()  # distinct targets and duplicate-free runs: no duplicates
                 out = tuple(row)
         rows.append(out)
         emitted += len(out)
@@ -536,8 +535,8 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
             budget.check(emitted)
     acc1, acc2 = a1.accepting, a2.accepting
     return SNfa(tuple(rows), frozenset(range(len(a1.initial) * len(a2.initial))),
-                frozenset(i for i, (p, q) in enumerate(pairs) if p in acc1 and q in acc2),
-                trim=True)
+                frozenset(i for i, pair in enumerate(pairs)
+                          if pair // n2 in acc1 and pair % n2 in acc2), trim=True)
 
 
 def _shape(r1: tuple[Row, ...], sigs: dict[tuple, int], n2: int) -> tuple:

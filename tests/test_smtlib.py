@@ -456,7 +456,7 @@ RANGE_AB = rx.CharClass(IntervalSet.from_pairs((97, 98)))
             ' (re.range "d" "e")))))',
      (Membership("x", rx.CharClass(IntervalSet.from_pairs((97, 98), (100, 101), (120, 122)))),)),
 ])
-def test_one_token_ranges_read_as_the_general_tokens_read_them(src, want):
+def test_ranges_read_as_the_reference_reads_them(src, want):
     got = _same_as_scanner_and_reference(src)
     assert got == want if type(got) is tuple else got.assertions == want
 
@@ -466,7 +466,7 @@ def test_one_token_ranges_read_as_the_general_tokens_read_them(src, want):
     (DECL + '(assert ((re.range "\\u{41}"\t"b") x))',
      'unsupported: operator (re.range "\\u{41}"\t"b") (at offset 32)'),
 ])
-def test_one_token_range_as_the_head_of_a_list(src, message):
+def test_range_as_the_head_of_a_list(src, message):
     # named by its source text; the reference names it by a Python repr
     at = int(message.split()[-1][:-1])
     assert _outcome(parse_smt_reference, src)[::2] == (UnsupportedError, at)

@@ -1,6 +1,8 @@
+import gc
 import importlib
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +15,8 @@ from helpers import (DEFAULT_ISO_CAP, LEMMA_ALPHABET, CountingBudget, accepts_re
 from oracle import Bound, word_in
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import MAX_CODEPOINT
-from strsolve.regex import compile, length_automaton, sigma_star, word_automaton
-from strsolve.snfa import (SNfa, accepts, concat, dump, is_empty, product,
+from strsolve.regex import Literal, Star, compile, length_automaton, sigma_star, word_automaton
+from strsolve.snfa import (SNfa, accepts, concat, dump, is_empty, product, set_validation,
                            snfa, some_word, split_word, to_dot, validate)
 from strsolve import solver
 from strsolve.constraints import make_problem
@@ -528,6 +530,31 @@ def test_product_matches_the_reference_kernel_on_every_doubling_step(monkeypatch
     names = ["x"] + [f"x{i}" for i in range(1, 9)]
     forward_prop(make_problem(names, {"x": {(f"x{i}", f"x{i}") for i in range(1, 9)}}))
     assert steps == [3 ** k for k in range(2, 9)]
+
+
+# Peak bytes traced per pair state while `product` builds the chain below,
+# 20 % above the largest reading without pytest on CPython 3.11.7, 3.12.1 and
+# 3.13.0 (226 on each).
+PRODUCT_PEAK_BYTES_PER_STATE = 271
+
+
+def test_product_peak_bytes_per_pair_state_stay_bounded():
+    # on chains the bytes go with the states, which the transition cap
+    # bounds only as far as one state costs a bounded number of bytes
+    a1 = word_automaton("a" * 160)
+    a2 = concat(compile(Star(Literal(97))), word_automaton("a" * 80))
+    # the validator's own sets are not the product's; the autouse fixture
+    # turns it back on
+    set_validation(False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = product(a1, a2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got.rows) == 9962
+    assert peak / len(got.rows) < PRODUCT_PEAK_BYTES_PER_STATE
 
 
 def _counted_meets(monkeypatch) -> list[int]:
