@@ -3,8 +3,8 @@
 The alphabet is the plain integer range 0..0x10FFFF (surrogates included).
 A transition label is a single closed interval; an interval with lo > hi is
 empty and canonicalizes to [1,0] so that equal sets compare equal.
-IntervalSet is the normalized union-of-intervals form used by the regex
-compiler for character classes; automata never store one directly.
+IntervalSet is the normalized union-of-intervals form of character
+classes, which the parsers make; automata never store one.
 
 `Value` is the mixin of the package's immutable value classes, which are
 namedtuple subclasses: cheap to define at import, which every start of

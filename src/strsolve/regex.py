@@ -277,12 +277,12 @@ def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 
     denotes no word drops it, so only such a subterm's links can stop a
     compile whose automaton fits under the cap.
     """
-    labels: list[IntervalSet] = []       # label of position p at labels[p-1]
-    follow: list[set[int]] = []          # follow set of position p at follow[p-1]
+    labels: list[tuple] = []        # the (lo, hi) parts of position p's label at labels[p-1]
+    follow: list[set[int]] = []     # follow set of position p at follow[p-1]
     cap = budget.max_transitions
     made = links = work = 0  # positions made, links held, work since the last check
 
-    def new_pos(chars: IntervalSet) -> int:
+    def new_pos(chars: tuple) -> int:
         nonlocal made
         made += 1
         if not made % BUDGET_STRIDE:
@@ -310,15 +310,15 @@ def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 
     def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]] | None:
         nonlocal links
         if isinstance(node, Literal):
-            p = new_pos(IntervalSet((Interval(node.cp, node.cp),)))
+            p = new_pos(((node.cp, node.cp),))
             return False, (p,), (p,)
         if isinstance(node, CharClass):
             if node.chars.is_empty():
                 return None
-            p = new_pos(node.chars)
+            p = new_pos(node.chars.parts)
             return False, (p,), (p,)
         if isinstance(node, AnyChar):
-            p = new_pos(IntervalSet((FULL,)))
+            p = new_pos((FULL,))
             return False, (p,), (p,)
         if isinstance(node, Epsilon):
             return True, (), ()
@@ -371,10 +371,10 @@ def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 
     finally:
         del lin
     # state 0 is the initial state and state p is position p
-    rows = [[(part.lo, part.hi, p) for p in first for part in labels[p - 1].parts]]
+    rows = [[(lo, hi, p) for p in first for lo, hi in labels[p - 1]]]
     emitted = len(rows[0])
     for f in follow:
-        rows.append([(part.lo, part.hi, q) for q in f for part in labels[q - 1].parts])
+        rows.append([(lo, hi, q) for q in f for lo, hi in labels[q - 1]])
         emitted += len(rows[-1])
         work += len(rows[-1])
         if work > PAIR_STRIDE or emitted > cap:

@@ -150,7 +150,9 @@ _SYM, _STR, _NUM, _LIST = range(4)
 def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
     """Parse an SMT-LIB script in the supported string fragment. A list at
     depth 0 is a command, run when it closes. The budget is checked before
-    every BUDGET_STRIDE-th token, starting with the first."""
+    every BUDGET_STRIDE-th token, starting with the first. A string literal
+    counts as its decoded length and at least one token, a fused `re.union`
+    as the tokens it stands for, and each is checked as it is read."""
     declared: dict[str, str] = {}  # name -> sort, in declaration order
     assertions: list[SurfaceConstraint] = []
     has_check_sat = False
@@ -222,7 +224,12 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
             raw = m[kind]
             end = m.end()
             pos = end - len(raw) - 2  # the opening quote
-            terms.append((_STR, _decode_string(raw, pos), pos, end))
+            text = _decode_string(raw, pos)
+            countdown -= len(text) - 1 if text else 0  # one token per character
+            while countdown < 0:
+                budget.check(0)
+                countdown += BUDGET_STRIDE
+            terms.append((_STR, text, pos, end))
         elif kind == _QUOTED:
             text = m[kind]
             end = m.end()

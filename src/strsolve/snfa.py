@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import time
 from collections import deque, namedtuple
-from functools import cached_property
 from itertools import islice
 from operator import eq
 from typing import AbstractSet, Collection, Iterable, Iterator, Optional
@@ -118,8 +117,8 @@ def set_validation(enabled: bool) -> bool:
 
 
 class _Transitions:
-    """The number of an automaton's transitions, counted once from the rows,
-    as `len(a.transitions)`; walk `a.rows` for the transitions themselves."""
+    """The number of an automaton's transitions, counted from the rows, as
+    `len(a.transitions)`; walk `a.rows` for the transitions themselves."""
 
     __slots__ = ("_len",)
 
@@ -140,7 +139,7 @@ class SNfa(Value, namedtuple("SNfa", "rows initial accepting trim")):
     hash.
     """
 
-    # no __slots__: the instance dict holds the lazy `transitions`
+    __slots__ = ()
 
     def __new__(cls, rows: Rows, initial: frozenset[int], accepting: frozenset[int],
                 trim: bool = False):
@@ -148,11 +147,6 @@ class SNfa(Value, namedtuple("SNfa", "rows initial accepting trim")):
         if _VALIDATE:
             validate(self)
         return self
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"SNfa is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self[:3] == other[:3]
@@ -164,7 +158,7 @@ class SNfa(Value, namedtuple("SNfa", "rows initial accepting trim")):
     def states(self) -> range:
         return range(len(self.rows))
 
-    @cached_property
+    @property
     def transitions(self) -> _Transitions:
         return _Transitions(self.rows)
 
@@ -307,7 +301,6 @@ def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     ids: list[Optional[int]] = [None] * (2 * max(len(rows1), len(rows2)))
     for k, x in enumerate(order):
         ids[x] = k
-    shared = {}.setdefault
     cap = budget.max_transitions
     rows: list[tuple[Row, ...]] = []
     emitted = 0
@@ -318,8 +311,7 @@ def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
         row = rows2[x >> 1] if tag else rows1[x >> 1]
         if len(row) == 1 and (tag or row[0][2] not in acc1):
             # the common case on chains: one transition, not bridged, so its
-            # target keeps the tag of its source. Chain targets are nearly
-            # always distinct, so its tuple is not looked up in `shared`
+            # target keeps the tag of its source
             (lo, hi, d), = row
             d = 2 * d + tag
             dst = ids[d]
@@ -350,8 +342,7 @@ def concat(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
             if dst is None:
                 dst = ids[d] = len(order)
                 order.append(d)
-            t = (lo, hi, dst)
-            out.append(shared(t, t))
+            out.append((lo, hi, dst))
         rows.append(_sorted_row(out))
         emitted += len(out)
         if emitted > cap:
@@ -394,8 +385,9 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     so the numbering does not depend on the path. On the doubling family
     every row of a1 carries the full range, and 3^k transitions reach 2^k
     states from 2·|Q1| runs; on character classes many a1 states repeat
-    one label set. A pair (p, q) is its int key p·|Q2| + q alone; only the
-    runs, which many pair states reuse, intern their transitions.
+    one label set. A pair (p, q) is its int key p·|Q2| + q alone, and a
+    transition the plain (lo, hi, dst) tuple, appended where it is found;
+    the pair states that reuse a run share its tuple by reference.
 
     `budget.check` runs before every BUDGET_STRIDE-th pair state is
     explored, before any run of a1 entries or targets that would take the
@@ -412,8 +404,6 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
     pairs = [p * n2 + q for p in sorted(a1.initial) for q in sorted(a2.initial)]
     ids = {pair: i for i, pair in enumerate(pairs)}
     get = ids.get
-    # many pair states reach a run's transitions again: one tuple each
-    shared = {}.setdefault
     # per a1 state, from its first pair state on: its `_shape`
     shapes: list[Optional[tuple]] = [None] * len(rows1)
     sigs: dict[tuple, int] = {}
@@ -520,8 +510,7 @@ def product(a1: SNfa, a2: SNfa, budget: Budget = DEFAULT_BUDGET) -> SNfa:
                         if dst is None:
                             dst = ids[pair] = len(pairs)
                             pairs.append(pair)
-                        t = (lo, hi, dst)
-                        new.append(shared(t, t))
+                        new.append((lo, hi, dst))
                     run = runs[d1] = _sorted_row(new)
                 extend(run)
             if one:

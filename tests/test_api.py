@@ -144,6 +144,7 @@ def test_snfa_equality_and_hash_ignore_trim():
 def test_frozen_values_reject_assignment():
     problem = make_problem(["x"])
     for value, fields in [*_values(), (problem, (problem.variables, problem.concat, problem.reg))]:
+        assert not hasattr(value, "__dict__"), type(value).__name__  # slotted: its fields alone
         names = list(inspect.signature(type(value)).parameters)
         assert len(names) >= len(fields)
         for name in (*names, "extra"):
@@ -152,9 +153,10 @@ def test_frozen_values_reject_assignment():
         for name in names:
             with pytest.raises(AttributeError):
                 delattr(value, name)
-    len(SMALL.transitions)  # cached in the instance, and still not deletable
     with pytest.raises(AttributeError):
         del SMALL.transitions
+    for a in (SMALL, rx.compile(rx.parse_regex("(a|[b-d])*.?")), rx.sigma_star()):
+        assert len(a.transitions) == sum(map(len, a.rows))
 
 
 def test_constructors_still_validate():

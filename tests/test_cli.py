@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from helpers import concat_reference, product_reference
-from strsolve import cli, regex, solver
+from strsolve import cli, regex, smtlib, solver
 from strsolve.cli import EXIT_RESOURCE, bench, main, solve_path, stats_record
 from strsolve.constraints import CyclicDependencyError, Problem, desugar
 from strsolve.errors import ResourceLimitError, UnsupportedError
@@ -300,6 +300,12 @@ def test_disjuncts_are_desugared_one_at_a_time(tmp_path, monkeypatch):
     assert {key.split(":")[0] for key in stats.var_sizes} == {"0", "1", "2"}
 
 
+def _long_words(tmp_path) -> tuple[list[str], Path]:
+    """64 words of 40 001 characters, and the file of their disjunction."""
+    words = ["a" * 40_000 + str(i) for i in range(64)]
+    return words, _disjunction(tmp_path, [f'(str.in_re x (str.to_re "{w}"))' for w in words])
+
+
 def test_a_sat_first_disjunct_compiles_one_regex(tmp_path, monkeypatch):
     # 64 disjuncts over words of 40 001 characters, the first sat: each one
     # used to be compiled before the first was solved
@@ -311,8 +317,7 @@ def test_a_sat_first_disjunct_compiles_one_regex(tmp_path, monkeypatch):
 
     compile_ = regex.compile
     monkeypatch.setattr(regex, "compile", counted)
-    words = ["a" * 40_000 + str(i) for i in range(64)]
-    f = _disjunction(tmp_path, [f'(str.in_re x (str.to_re "{w}"))' for w in words])
+    words, f = _long_words(tmp_path)
     verdict, _, _ = solve_path(f)
     assert (verdict.kind, verdict.model, len(compiles)) == ("sat", {"x": words[0]}, 1)
     # one disjunct more is past the cap, which stops before any desugaring
@@ -321,6 +326,28 @@ def test_a_sat_first_disjunct_compiles_one_regex(tmp_path, monkeypatch):
     with pytest.raises(ResourceLimitError, match="more than 64 cases"):
         solve_path(f)
     assert compiles == []
+
+
+def test_a_long_literal_stops_the_parse_before_its_regex_is_made(tmp_path, monkeypatch):
+    # each word counts toward the parser's budget stride as its length, so
+    # a deadline that passes right after the first check stops the parse
+    # at the first word, before any `str.to_re` list is reduced
+    made = []
+
+    def counted(*args, to_re=smtlib._to_re):
+        made.append(args[0])
+        return to_re(*args)
+
+    class Expiring(Budget):
+        def check(self, transitions: int) -> None:
+            super().check(transitions)
+            self.deadline = time.monotonic() - 1
+
+    monkeypatch.setitem(smtlib._REDUCERS, "str.to_re", counted)
+    _, f = _long_words(tmp_path)
+    with pytest.raises(ResourceLimitError, match="time budget exhausted"):
+        parse_smt(f.read_text(), Expiring())
+    assert made == []
 
 
 def test_a_resource_stop_after_a_sat_disjunct_is_not_reached(tmp_path, capsys):

@@ -494,6 +494,18 @@ def test_parse_checks_the_budget_every_stride_of_tokens():
         budget = CountingBudget()
         parse_smt("(set-info :k" + ' "\\u{41}"' * literals + ")", budget)
         assert budget.checked == checks
+    # a literal counts as its decoded length: 3000 characters, written as
+    # 18 000 characters of escapes, are 3000 of its 3004 tokens
+    budget = CountingBudget()
+    parse_smt('(set-info :k "' + "\\u{41}" * 3000 + '")', budget)
+    assert budget.checked == [0, 0, 0]
+    for length, checks in ((BUDGET_STRIDE - 5, [0]), (BUDGET_STRIDE - 4, [0, 0])):
+        budget = CountingBudget()
+        parse_smt('(set-info :k "' + "a" * length + '")', budget)
+        assert budget.checked == checks
+    budget = CountingBudget()
+    parse_smt('(set-info :k "")' * 1000, budget)  # an empty literal is one token
+    assert budget.checked == [0, 0, 0, 0, 0]
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         parse_smt("(check-sat)", Budget(deadline=time.monotonic() - 1))
 

@@ -557,6 +557,31 @@ def test_product_peak_bytes_per_pair_state_stay_bounded():
     assert peak / len(got.rows) < PRODUCT_PEAK_BYTES_PER_STATE
 
 
+# Peak bytes traced per transition while `product` builds the ninth
+# doubling step below, 20 % above the reading without pytest on CPython
+# 3.11.7 (20.0).
+DOUBLING_PEAK_BYTES_PER_TRANSITION = 24
+
+
+def test_doubling_product_peak_bytes_per_transition_stay_bounded():
+    # every row of a1 is a label set of one label, the full range: the pair
+    # states that meet it with one a2 state share the runs of its targets
+    step = concat(sigma_star(), sigma_star())
+    a1 = step
+    for _ in range(7):
+        a1 = product(a1, step)
+    set_validation(False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = product(a1, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(got.rows), len(got.transitions)) == (2 ** 9, 3 ** 9)
+    assert peak / len(got.transitions) < DOUBLING_PEAK_BYTES_PER_TRANSITION
+
+
 def _counted_meets(monkeypatch) -> list[int]:
     """A list that grows by one each time product meets the label set of a
     shaped row of a1 with a row of a2."""
