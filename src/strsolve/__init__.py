@@ -13,7 +13,7 @@ from .constraints import (Assignment, CyclicDependencyError, Equation, Length, L
                           sat_str)
 from .errors import (ResourceLimitError, StrSolveError, SyntaxParseError,
                      UnsupportedError)
-from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
+from .intervals import FULL, MAX_CODEPOINT
 from .regex import length_automaton, parse_regex, sigma_star, word_automaton
 from .smtlib import SmtScript, parse_smt
 from .snfa import (Budget, SNfa, accepts, concat, dump, is_empty, product, snfa,
@@ -24,8 +24,8 @@ from .solver import (RefinedReg, SolveStats, Verdict, classify, extract_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "Budget", "CyclicDependencyError", "Equation", "FULL", "Interval",
-    "IntervalSet", "Length", "Lit", "MAX_CODEPOINT", "Membership", "Or", "Problem",
+    "Assignment", "Budget", "CyclicDependencyError", "Equation", "FULL", "Length", "Lit",
+    "MAX_CODEPOINT", "Membership", "Or", "Problem",
     "RefinedReg", "ResourceLimitError", "SNfa", "SmtScript", "SolveStats", "StrSolveError",
     "SurfaceConstraint", "SyntaxParseError", "UnsupportedError", "Var",
     "VarId", "Verdict", "accepts", "check_tree", "classify", "concat", "desugar", "dump",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import ResourceLimitError, SyntaxParseError, UnsupportedError
-from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet, Value
+from .intervals import FULL, MAX_CODEPOINT, Value, complement, normalize
 from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, PAIR_STRIDE, Budget, SNfa, snfa
 
 
@@ -26,7 +26,7 @@ class Literal(Value, namedtuple("Literal", "cp")):
 
 
 class CharClass(Value, namedtuple("CharClass", "chars")):
-    __slots__ = ()  # chars: an IntervalSet, normalized and non-empty
+    __slots__ = ()  # chars: a tuple of (lo, hi) pairs in normal form, non-empty
 
 
 class AnyChar(Value, namedtuple("AnyChar", "")):
@@ -211,7 +211,7 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             negate = True
-        parts: list[Interval] = []
+        pairs: list[tuple[int, int]] = []
         while True:
             ch = self.peek()
             if ch is None:
@@ -225,15 +225,15 @@ class _Parser:
                 hi = self.class_char(start)
                 if lo > hi:
                     raise self.error("reversed class range", start)
-                parts.append(Interval(lo, hi))
+                pairs.append((lo, hi))
             else:
-                parts.append(Interval(lo, lo))
-        if not parts:
+                pairs.append((lo, lo))
+        if not pairs:
             raise self.error("empty character class", start)
-        chars = IntervalSet.normalize(parts)
+        chars = normalize(pairs)
         if negate:
-            chars = chars.complement()
-        if chars.is_empty():
+            chars = complement(chars)
+        if not chars:
             raise self.error("character class denotes no characters", start)
         return CharClass(chars)
 
@@ -313,9 +313,9 @@ def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 
             p = new_pos(((node.cp, node.cp),))
             return False, (p,), (p,)
         if isinstance(node, CharClass):
-            if node.chars.is_empty():
+            if not node.chars:
                 return None
-            p = new_pos(node.chars.parts)
+            p = new_pos(node.chars)
             return False, (p,), (p,)
         if isinstance(node, AnyChar):
             p = new_pos((FULL,))

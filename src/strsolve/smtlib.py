@@ -20,10 +20,10 @@ scripts, so the loop makes few calls per token. A `re.union` whose
 operands are all `(re.range L L)` lists, each bound a literal of one
 character or of one \\u{...} escape, is one token: the smt_mix
 benchmark's 2 636 of them hold all its 21 637 ranges. Its value gathers
-the ranges' intervals into one `IntervalSet` without making a class per
+the ranges' `(lo, hi)` pairs into one class without making a class per
 range, and it counts toward the budget stride as the 5n + 3 tokens it
 stands for. Any other `re.union` of only characters gathers their
-intervals the same way.
+pairs the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import namedtuple
 from . import regex as rx
 from .constraints import Equation, Length, Lit, Membership, Or, SurfaceConstraint, Var
 from .errors import StrSolveError, SyntaxParseError, UnsupportedError
-from .intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet, Value
+from .intervals import FULL, MAX_CODEPOINT, Value, normalize
 from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, Budget
 
 _IGNORED_COMMANDS = {"set-logic", "set-option", "set-info", "exit"}
@@ -210,7 +210,7 @@ def parse_smt(src: str, budget: Budget = DEFAULT_BUDGET) -> SmtScript:
             while countdown < 0:
                 budget.check(0)
                 countdown += BUDGET_STRIDE
-            regex = _fused_union(bounds, pos, m.end())
+            regex = _fused_union(bounds)
             if stack:
                 terms.append((_LIST, ("re.union", regex), pos, m.end()))
             elif held is None:
@@ -336,30 +336,30 @@ def _re_union(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.R
         raise SyntaxParseError("empty re.union", pos)
     if len(items) == 1:
         return items[0]
-    parts: list[Interval] = []  # of a union of only characters
+    pairs: list[tuple[int, int]] = []  # of a union of only characters
     for x in items:
         if isinstance(x, rx.CharClass):
-            parts += x.chars.parts
+            pairs += x.chars
         elif isinstance(x, rx.Literal):
-            parts.append(Interval(x.cp, x.cp))
+            pairs.append((x.cp, x.cp))
         elif isinstance(x, rx.AnyChar):
-            parts.append(FULL)
+            pairs.append(FULL)
         else:
             return rx.Union(tuple(items))
-    return rx.CharClass(IntervalSet.normalize(parts))
+    return rx.CharClass(normalize(pairs))
 
 
-def _fused_union(bounds: list[tuple[str, str, str, str]], pos: int, end: int) -> rx.Regex:
+def _fused_union(bounds: list[tuple[str, str, str, str]]) -> rx.Regex:
     """What `_re_union` makes of the fused ranges whose bound groups are
-    `bounds` (see `_RANGES`), as operands of the union at src[pos:end]."""
-    parts = [Interval(int(lo_hex, 16) if lo_hex else ord(lo),
-                      int(hi_hex, 16) if hi_hex else ord(hi))
+    `bounds` (see `_RANGES`)."""
+    pairs = [(int(lo_hex, 16) if lo_hex else ord(lo),
+              int(hi_hex, 16) if hi_hex else ord(hi))
              for lo_hex, lo, hi_hex, hi in bounds]
-    if (1, 0) not in parts:  # the empty Interval, which a reversed range makes
-        return rx.CharClass(IntervalSet.normalize(parts))
+    if all(lo <= hi for lo, hi in pairs):
+        return rx.CharClass(normalize(pairs))
     # a reversed range is re.none, which keeps the union a Union
-    ranges = [(_LIST, ("re.range", _range(p.lo, p.hi)), pos, end) for p in parts]
-    return _re_union("re.union", ranges, pos, {})
+    items = [_range(lo, hi) for lo, hi in pairs]
+    return items[0] if len(items) == 1 else rx.Union(tuple(items))
 
 
 def _repeat(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Regex:
@@ -381,7 +381,7 @@ def _range(lo: int, hi: int) -> rx.Regex:
     """The regex of `re.range` with one-character bounds `lo` and `hi`."""
     if lo > hi:
         return rx.Never()
-    return rx.CharClass(IntervalSet((Interval(lo, hi),)))  # one range is normal
+    return rx.CharClass(((lo, hi),))  # one range is normal
 
 
 def _str_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> list:

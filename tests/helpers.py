@@ -24,7 +24,7 @@ from strsolve.constraints import (MAX_DISJUNCTS, CyclicDependencyError, Equation
                                   Lit, Membership, Or, Problem, SurfaceConstraint, Var, VarId,
                                   make_problem)
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
-from strsolve.intervals import FULL, MAX_CODEPOINT, Interval, IntervalSet
+from strsolve.intervals import FULL, MAX_CODEPOINT, normalize
 from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
                             Regex, Star, Union)
 from strsolve.smtlib import (_FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript,
@@ -129,7 +129,7 @@ def ref_regex_match(node: rx.Regex, w: str) -> bool:
     if isinstance(node, rx.Literal):
         return w == chr(node.cp)
     if isinstance(node, rx.CharClass):
-        return len(w) == 1 and any(p.lo <= ord(w) <= p.hi for p in node.chars.parts)
+        return len(w) == 1 and any(lo <= ord(w) <= hi for lo, hi in node.chars)
     if isinstance(node, rx.AnyChar):
         return len(w) == 1
     if isinstance(node, rx.Epsilon):
@@ -171,7 +171,7 @@ def random_regex(rng: random.Random, depth: int,
         if roll < 0.7:
             a = rng.randint(lo, hi)
             b = rng.randint(a, hi)
-            return rx.CharClass(IntervalSet.from_pairs((a, b)))
+            return rx.CharClass(((a, b),))
         if roll < 0.85:
             return rx.AnyChar()
         return rx.Epsilon()
@@ -193,7 +193,7 @@ def random_regex(rng: random.Random, depth: int,
 def _without_never(node: Regex) -> Regex:
     """Rewrite away embedded empty-language nodes so the position construction
     below never creates unreachable states; only a top-level Never survives."""
-    if isinstance(node, CharClass) and node.chars.is_empty():
+    if isinstance(node, CharClass) and not node.chars:
         return Never()
     if isinstance(node, Concat):
         items = tuple(_without_never(x) for x in node.items)
@@ -223,10 +223,10 @@ def compile_reference(ast: Regex) -> SNfa:
     denote no word, then run the position construction on what is left. The
     result is epsilon-free and trim."""
     ast = _without_never(ast)
-    labels: list[IntervalSet] = []       # label of position p at labels[p-1]
+    labels: list[tuple] = []             # label pairs of position p at labels[p-1]
     follow: list[set[int]] = []          # follow set of position p at follow[p-1]
 
-    def new_pos(chars: IntervalSet) -> int:
+    def new_pos(chars: tuple) -> int:
         labels.append(chars)
         follow.append(set())
         return len(labels)
@@ -237,13 +237,13 @@ def compile_reference(ast: Regex) -> SNfa:
 
     def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
         if isinstance(node, Literal):
-            p = new_pos(IntervalSet((Interval(node.cp, node.cp),)))
+            p = new_pos(((node.cp, node.cp),))
             return False, (p,), (p,)
         if isinstance(node, CharClass):
             p = new_pos(node.chars)
             return False, (p,), (p,)
         if isinstance(node, AnyChar):
-            p = new_pos(IntervalSet((FULL,)))
+            p = new_pos((FULL,))
             return False, (p,), (p,)
         if isinstance(node, Epsilon):
             return True, (), ()
@@ -281,26 +281,13 @@ def compile_reference(ast: Regex) -> SNfa:
 
     nullable, first, last = lin(ast)
     # state 0 is the initial state and state p is position p
-    rows = [[(part.lo, part.hi, p) for p in first for part in labels[p - 1].parts]]
-    rows += [[(part.lo, part.hi, q) for q in follow[p - 1] for part in labels[q - 1].parts]
+    rows = [[(lo, hi, p) for p in first for lo, hi in labels[p - 1]]]
+    rows += [[(lo, hi, q) for q in follow[p - 1] for lo, hi in labels[q - 1]]
              for p in range(1, len(labels) + 1)]
     accepting = set(last)
     if nullable:
         accepting.add(0)
     return snfa(rows, {0}, accepting, trim=True)
-
-
-# Enumerating the members of a large label is almost always a bug, so
-# `sem` refuses it above this cap.
-SEM_CAP = 1 << 16
-
-
-def sem(a: Interval, cap: int = SEM_CAP) -> frozenset[int]:
-    """The set {n | lo <= n <= hi}, materialized. Refused above `cap` elements."""
-    n = a.hi - a.lo + 1 if a.lo <= a.hi else 0
-    if n > cap:
-        raise ResourceLimitError(f"refusing to enumerate {n} code points (cap {cap})")
-    return frozenset(range(a.lo, a.hi + 1))
 
 
 # `constraints.layering` as it was before Kahn's algorithm: it rescans the
@@ -702,7 +689,7 @@ def _regex(node: SNode) -> rx.Regex:
         if not items:
             raise SyntaxParseError("empty re.union", node.pos)
         if len(items) > 1 and all(isinstance(x, _CHARLIKE) for x in items):
-            return rx.CharClass(IntervalSet.normalize(p for x in items for p in _char_parts(x)))
+            return rx.CharClass(normalize(p for x in items for p in _char_parts(x)))
         return items[0] if len(items) == 1 else rx.Union(tuple(items))
     if head in ("re.*", "re.+", "re.opt"):
         if len(args) != 1:
@@ -715,15 +702,15 @@ def _regex(node: SNode) -> rx.Regex:
         lo, hi = args[0].val.text, args[1].val.text  # type: ignore[union-attr]
         if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
             return rx.Never()  # standard semantics: such a range denotes no characters
-        return rx.CharClass(IntervalSet((Interval(ord(lo), ord(hi)),)))  # one range is normal
+        return rx.CharClass(((ord(lo), ord(hi)),))  # one range is normal
     raise UnsupportedError(f"regex operator {head}", node.pos)
 
 
-def _char_parts(node: rx.Regex) -> tuple[Interval, ...]:
+def _char_parts(node: rx.Regex) -> tuple[tuple[int, int], ...]:
     if isinstance(node, rx.Literal):
-        return (Interval(node.cp, node.cp),)
+        return ((node.cp, node.cp),)
     if isinstance(node, rx.CharClass):
-        return node.chars.parts
+        return node.chars
     return (FULL,)  # AnyChar
 
 
@@ -886,8 +873,8 @@ def _print_regex(r: rx.Regex) -> str:
     if isinstance(r, rx.Literal):
         return f'(str.to_re "{encode_string(chr(r.cp))}")'
     if isinstance(r, rx.CharClass):
-        ranges = [f'(re.range "{encode_string(chr(p.lo))}" "{encode_string(chr(p.hi))}")'
-                  for p in r.chars.parts]
+        ranges = [f'(re.range "{encode_string(chr(lo))}" "{encode_string(chr(hi))}")'
+                  for lo, hi in r.chars]
         return ranges[0] if len(ranges) == 1 else "(re.union " + " ".join(ranges) + ")"
     if isinstance(r, rx.Concat):
         parts: list[str] = []

@@ -19,7 +19,6 @@ from typing import Optional
 
 from strsolve.constraints import Problem, VarId
 from strsolve.errors import ResourceLimitError
-from strsolve.intervals import IntervalSet
 from strsolve.snfa import SNfa
 
 MAX_ORACLE_LEN = 8
@@ -29,20 +28,21 @@ DEFAULT_SPACE_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class Bound:
-    """Word-length cap and restricted alphabet for bounded enumeration."""
+    """Word-length cap and restricted alphabet for bounded enumeration. The
+    alphabet is a character class: (lo, hi) pairs in normal form."""
 
     max_len: int
-    alphabet: IntervalSet
+    alphabet: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.max_len > MAX_ORACLE_LEN:
             raise ValueError(f"oracle bound too deep: {self.max_len} > {MAX_ORACLE_LEN}")
-        width = sum(p.hi - p.lo + 1 for p in self.alphabet.parts)
+        width = sum(hi - lo + 1 for lo, hi in self.alphabet)
         if width > MAX_ORACLE_ALPHABET:
             raise ValueError(f"oracle alphabet too wide: {width} > {MAX_ORACLE_ALPHABET}")
 
     def chars(self) -> list[str]:
-        return [chr(cp) for p in self.alphabet.parts for cp in range(p.lo, p.hi + 1)]
+        return [chr(cp) for lo, hi in self.alphabet for cp in range(lo, hi + 1)]
 
     def words(self) -> list[str]:
         """All words over the alphabet up to max_len, in length-lexicographic order."""

@@ -21,7 +21,6 @@ from strsolve import regex as rx
 from strsolve.cli import bench, solve_path, stats_record
 from strsolve.constraints import make_problem, sat_str
 from strsolve.errors import ResourceLimitError
-from strsolve.intervals import IntervalSet
 from strsolve.smtlib import parse_smt
 from strsolve.snfa import accepts, concat, dump, product, set_validation
 from strsolve.solver import forward_prop, solve
@@ -29,8 +28,8 @@ from strsolve.solver import forward_prop, solve
 REPO = Path(__file__).resolve().parent.parent
 MINI = REPO / "benchmarks" / "mini"
 
-ABC = IntervalSet.from_pairs((97, 99))     # problem-suite alphabet a..c
-ABCD = IntervalSet.from_pairs((97, 100))   # automata-suite alphabet a..d
+ABC = ((97, 99),)    # problem-suite alphabet a..c
+ABCD = ((97, 100),)  # automata-suite alphabet a..d
 
 
 def _load_problems(path: Path):
@@ -70,7 +69,7 @@ def test_criterion_2_tree_property_boundary():
     (problem,) = _load_problems(MINI / "unknown_not_tree.smt2")
     verdict = solve(problem)
     assert (verdict.kind, verdict.reason) == ("unknown", "not-tree")
-    assert oracle_sat(problem, Bound(4, IntervalSet.from_pairs((97, 98)))) is None
+    assert oracle_sat(problem, Bound(4, ((97, 98),))) is None
     _passed(2, "y=x+x is unknown(not-tree) and has no bounded model")
 
 

@@ -16,7 +16,7 @@ from strsolve.constraints import (CyclicDependencyError, Equation, Length, Lit,
                                   expand_or, layering, make_problem, problem_dump,
                                   sat_str)
 from strsolve.errors import ResourceLimitError
-from strsolve.intervals import MAX_CODEPOINT, IntervalSet
+from strsolve.intervals import MAX_CODEPOINT
 from strsolve.snfa import SNfa, accepts, is_empty, set_validation
 
 
@@ -451,7 +451,7 @@ def test_desugar_preserves_bounded_satisfiability():
     """Surface-level enumeration agrees with the oracle on desugared output,
     existentially projecting the fresh variables."""
     rng = random.Random(4242)
-    bound = Bound(3, IntervalSet.from_pairs(TEST_ALPHABET))
+    bound = Bound(3, (TEST_ALPHABET,))
     checked = 0
     while checked < 25:
         nvars = rng.randint(1, 2)

@@ -9,13 +9,13 @@ from helpers import (TEST_ALPHABET, CountingBudget, compile_reference, random_re
                      ref_regex_match, remove_unreachable, words_upto)
 from strsolve import regex as rx
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
-from strsolve.intervals import FULL, IntervalSet, MAX_CODEPOINT
+from strsolve.intervals import FULL, MAX_CODEPOINT, complement
 from strsolve.snfa import Budget, accepts, dump, validate
 
 
 def test_parse_class_plus():
     ast = rx.parse_regex("[a-zA-Z.]+")
-    assert ast == rx.Plus(rx.CharClass(IntervalSet.from_pairs((46, 46), (65, 90), (97, 122))))
+    assert ast == rx.Plus(rx.CharClass(((46, 46), (65, 90), (97, 122))))
 
 
 def test_parse_union():
@@ -39,7 +39,7 @@ def test_parse_escapes():
     assert rx.parse_regex(r"\t") == rx.Literal(9)
     assert rx.parse_regex(r"\x41") == rx.Literal(65)
     assert rx.parse_regex(r"\u{10FFFF}") == rx.Literal(0x10FFFF)
-    assert rx.parse_regex("[\\]a]") == rx.CharClass(IntervalSet.from_pairs((93, 93), (97, 97)))
+    assert rx.parse_regex("[\\]a]") == rx.CharClass(((93, 93), (97, 97)))
 
 
 def test_parse_groups_and_precedence():
@@ -54,7 +54,7 @@ def test_parse_groups_and_precedence():
 
 def test_parse_negated_class():
     ast = rx.parse_regex("[^a]")
-    assert ast == rx.CharClass(IntervalSet.from_pairs((0, 96), (98, MAX_CODEPOINT)))
+    assert ast == rx.CharClass(((0, 96), (98, MAX_CODEPOINT)))
 
 
 @pytest.mark.parametrize("pattern,feature", [
@@ -125,13 +125,13 @@ def test_compile_never_and_embedded_never():
 
 
 A, B, C = rx.Literal(97), rx.Literal(98), rx.Literal(99)
-NO_CHARS = rx.CharClass(IntervalSet(()))
+NO_CHARS = rx.CharClass(())
 # leaves over a..c, with the two subterms that denote no word: Never and an
 # empty class
 regex_ast = st.recursive(
     st.one_of(st.builds(rx.Literal, st.integers(97, 99)),
               st.tuples(st.integers(97, 99), st.integers(0, 2)).map(
-                  lambda t: rx.CharClass(IntervalSet.from_pairs((t[0], t[0] + t[1])))),
+                  lambda t: rx.CharClass(((t[0], t[0] + t[1]),))),
               st.sampled_from([rx.AnyChar(), rx.Epsilon(), rx.Never(), NO_CHARS])),
     lambda inner: st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Concat(tuple(xs))),
@@ -159,7 +159,7 @@ def test_compile_matches_the_two_pass_reference(ast):
 word_ast = st.recursive(
     st.one_of(st.builds(rx.Literal, st.integers(97, 99)),
               st.tuples(st.integers(97, 99), st.integers(0, 2)).map(
-                  lambda t: rx.CharClass(IntervalSet.from_pairs((t[0], t[0] + t[1])))),
+                  lambda t: rx.CharClass(((t[0], t[0] + t[1]),))),
               st.sampled_from([rx.AnyChar(), rx.Epsilon()])),
     lambda inner: st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Concat(tuple(xs))),
@@ -213,7 +213,7 @@ def test_sigma_star_canonical_form():
     ss = rx.sigma_star()
     assert len(ss.states) == 1 and len(ss.transitions) == 1
     assert ss.initial == ss.accepting == set(ss.states)
-    assert ss.rows == (((FULL.lo, FULL.hi, 0),),)
+    assert ss.rows == (((*FULL, 0),),)
     assert accepts(ss, "")
     assert accepts(ss, "any word at all é\U0001d11e")
 
@@ -270,10 +270,10 @@ def test_negated_class_complement_is_exact():
     for _ in range(50):
         a = rng.randint(0, 200)
         b = rng.randint(a, 220)
-        chars = IntervalSet.from_pairs((a, b))
-        comp = rx.CharClass(chars.complement())
+        chars = ((a, b),)
+        comp = rx.CharClass(complement(chars))
         auto = rx.compile(comp)
         for cp in (0, a - 1, a, (a + b) // 2, b, b + 1, 300, MAX_CODEPOINT):
             if cp < 0:
                 continue
-            assert accepts(auto, chr(cp)) == (not any(p.lo <= cp <= p.hi for p in chars.parts))
+            assert accepts(auto, chr(cp)) == (not any(lo <= cp <= hi for lo, hi in chars))

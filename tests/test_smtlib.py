@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from strsolve import regex as rx
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
-from strsolve.intervals import IntervalSet
+from strsolve.intervals import normalize
 from strsolve.smtlib import (_CLOSE, _OPEN, _STRING, _TOKEN, _UNION, _WORD,
                              MAX_NUMERAL_DIGITS, encode_string, parse_smt)
 from strsolve.snfa import BUDGET_STRIDE, Budget
@@ -20,8 +20,7 @@ def test_parse_simple_membership():
                        '(assert (str.in_re x (re.+ (re.range "a" "c"))))'
                        '(check-sat)')
     assert script.declarations == (("x", "String"),)
-    assert script.assertions == (Membership("x", rx.Plus(rx.CharClass(
-        IntervalSet.from_pairs((97, 99))))),)
+    assert script.assertions == (Membership("x", rx.Plus(rx.CharClass(((97, 99),)))),)
     assert script.has_check_sat
 
 
@@ -73,7 +72,7 @@ def test_parse_regex_operators():
     first = script.assertions[0].regex
     assert first.items[0] == star_any and first.items[-1] == star_any
     # unions of single-character pieces normalize into one class
-    assert script.assertions[1].regex == rx.CharClass(IntervalSet.from_pairs((97, 97), (99, 100)))
+    assert script.assertions[1].regex == rx.CharClass(((97, 97), (99, 100)))
     assert script.assertions[2].regex == rx.Opt(rx.Plus(rx.Never()))
     assert script.assertions[3].regex == star_any
 
@@ -432,7 +431,7 @@ def test_union_of_ranges_with_one_escape_bounds():
     assert isinstance(chars.regex, rx.CharClass)
 
 
-RANGE_AB = rx.CharClass(IntervalSet.from_pairs((97, 98)))
+RANGE_AB = rx.CharClass(((97, 98),))
 
 
 @pytest.mark.parametrize("src,want", [
@@ -450,11 +449,11 @@ RANGE_AB = rx.CharClass(IntervalSet.from_pairs((97, 98)))
     (DECL + '(assert (str.in_re x (re.range "b" "a")))', (Membership("x", rx.Never()),)),
     (DECL + '(assert (str.in_re x (re.range "\\u{fffff}" "\\u{41}")))', (Membership("x", rx.Never()),)),
     (DECL + '(assert (str.in_re x (re.union (re.range "\\" "\\") (re.range "b" "a"))))',
-     (Membership("x", rx.Union((rx.CharClass(IntervalSet.from_pairs((92, 92))), rx.Never()))),)),
+     (Membership("x", rx.Union((rx.CharClass(((92, 92),)), rx.Never()))),)),
     # a class of several intervals is not a range
     (DECL + '(assert (str.in_re x (re.union (re.range "x" "z") (re.union (re.range "a" "b")'
             ' (re.range "d" "e")))))',
-     (Membership("x", rx.CharClass(IntervalSet.from_pairs((97, 98), (100, 101), (120, 122)))),)),
+     (Membership("x", rx.CharClass(((97, 98), (100, 101), (120, 122)))),)),
 ])
 def test_ranges_read_as_the_reference_reads_them(src, want):
     got = _same_as_scanner_and_reference(src)
@@ -486,7 +485,7 @@ def test_parse_checks_the_budget_every_stride_of_tokens():
     ranges = "".join(f' (re.range "{chr(c)}" "\\u{{{c:x}}}")' for c in range(0x100, 0x100 + 3000))
     script = parse_smt(DECL + "(assert (str.in_re x (re.union" + ranges + ")))", budget)
     assert budget.checked == [0] * 15
-    chars = rx.CharClass(IntervalSet.from_pairs((0x100, 0x100 + 2999)))
+    chars = rx.CharClass(((0x100, 0x100 + 2999),))
     assert script.assertions == (Membership("x", chars),)
     # the match of what trails the last token is one more: a stride of
     # tokens ends the text, or it starts a second stride
@@ -606,7 +605,7 @@ def test_fused_union_takes_at_most_a_stride_of_ranges():
                 assert membership.regex.items[-1] == rx.Never()
             else:
                 assert membership.regex == rx.CharClass(
-                    IntervalSet.from_pairs(*((c, c + 2) for c in starts)))
+                    normalize((c, c + 2) for c in starts))
 
 
 def test_fused_forms_share_the_re_prefix():

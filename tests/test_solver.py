@@ -11,7 +11,6 @@ from strsolve.constraints import (CyclicDependencyError, Equation, Lit, Membersh
                                   Var, check_tree, desugar, layering, make_problem,
                                   sat_str)
 from strsolve.errors import ResourceLimitError
-from strsolve.intervals import IntervalSet
 from strsolve.snfa import PAIR_STRIDE, SNfa, accepts, concat, dump, is_empty, product
 from strsolve.solver import Budget, SolveStats, classify, extract_model, forward_prop, solve
 
@@ -352,7 +351,7 @@ def test_soundness_and_completeness_small():
     """Small-scale versions of the unsat-soundness and tree-completeness
     suites; the full-size runs are in the acceptance tests."""
     rng = random.Random(2024)
-    bound = Bound(4, IntervalSet.from_pairs(TEST_ALPHABET))
+    bound = Bound(4, (TEST_ALPHABET,))
     unsat_seen = sat_seen = 0
     for _ in range(60):
         p = random_problem(rng, tree_only=True)
