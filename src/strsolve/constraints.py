@@ -195,7 +195,7 @@ class _Desugarer:
                 raise ValueError("equation with literal left-hand side and variables on the right")
             rhs_word = "".join(t.word for t in eq.rhs)  # type: ignore[union-attr]
             if eq.lhs.word != rhs_word:
-                self.fresh(rx.compile(rx.Never()))
+                self.fresh(rx.compile(rx.CharClass(())))
             return
         lhs = self.note(eq.lhs.name)
         names = [self.note(t.name) if isinstance(t, Var) else self.fresh(rx.word_automaton(t.word))

@@ -7,9 +7,15 @@ full-match: membership means the entire word is in the language. Anchors,
 backreferences, lookaround, lazy/possessive quantifiers and bounded
 repetition raise UnsupportedError rather than being approximated.
 
-Compilation is a position construction (one state per literal/class
-occurrence plus a single initial state), which yields an epsilon-free and
-trim automaton directly.
+The AST has two leaves: a `CharClass`, one character from a set of
+`(lo, hi)` pairs (a literal or escape is a class of one character, `.` the
+full range, and the empty class denotes no word), and a `Literal`, one word
+(the SMT reader's `str.to_re`; "" is the empty word). Concat, Union, Star,
+Plus and Opt combine them.
+
+Compilation is a position construction (one state per character of a
+`Literal` and per `CharClass` occurrence, plus a single initial state),
+which yields an epsilon-free and trim automaton directly.
 """
 
 from __future__ import annotations
@@ -21,27 +27,17 @@ from .intervals import FULL, MAX_CODEPOINT, Value, complement, normalize
 from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, PAIR_STRIDE, Budget, SNfa, snfa
 
 
-class Literal(Value, namedtuple("Literal", "cp")):
-    __slots__ = ()
+class Literal(Value, namedtuple("Literal", "word")):
+    __slots__ = ()  # word: a str, "" for the empty word
 
 
 class CharClass(Value, namedtuple("CharClass", "chars")):
-    __slots__ = ()  # chars: a tuple of (lo, hi) pairs in normal form, non-empty
+    __slots__ = ()  # chars: a tuple of (lo, hi) pairs in normal form; () denotes no word
 
 
-class AnyChar(Value, namedtuple("AnyChar", "")):
-    __slots__ = ()
-
-
-class Epsilon(Value, namedtuple("Epsilon", "")):
-    __slots__ = ()
-
-
-class Never(Value, namedtuple("Never", "")):
-    """The empty language. Never produced by the parser; it exists so the
-    SMT front-end can express `re.none` and empty ranges."""
-
-    __slots__ = ()
+def char(cp: int) -> CharClass:
+    """The class of the one character `cp`."""
+    return CharClass(((cp, cp),))
 
 
 class Concat(Value, namedtuple("Concat", "items")):
@@ -64,7 +60,7 @@ class Opt(Value, namedtuple("Opt", "item")):
     __slots__ = ()
 
 
-Regex = Literal | CharClass | AnyChar | Epsilon | Never | Concat | Union | Star | Plus | Opt
+Regex = Literal | CharClass | Concat | Union | Star | Plus | Opt
 
 LENGTH_CAP = 10_000
 
@@ -112,7 +108,7 @@ class _Parser:
         while self.peek() not in (None, "|", ")"):
             items.append(self.repeat())
         if not items:
-            return Epsilon()
+            return Literal("")
         return items[0] if len(items) == 1 else Concat(tuple(items))
 
     def repeat(self) -> Regex:
@@ -150,7 +146,7 @@ class _Parser:
         if ch == "[":
             return self.char_class(start)
         if ch == ".":
-            return AnyChar()
+            return CharClass((FULL,))
         if ch in "*+?":
             raise self.error("nothing to repeat", start)
         if ch == "{":
@@ -158,8 +154,8 @@ class _Parser:
         if ch in "^$":
             raise self.unsupported("anchor", start)
         if ch == "\\":
-            return Literal(self.escape(start))
-        return Literal(ord(ch))
+            return char(self.escape(start))
+        return char(ord(ch))
 
     def escape(self, start: int) -> int:
         if self.peek() is None:
@@ -264,8 +260,8 @@ def parse_regex(src: str) -> Regex:
 def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 - mirrors re.compile
     """Position-construction compile; the result is epsilon-free and trim.
 
-    A subterm that denotes no word (`Never`, an empty `CharClass`, a `Plus`
-    of such a subterm, a `Union` of only such subterms, or a `Concat` with
+    A subterm that denotes no word (an empty `CharClass`, a `Plus` of such
+    a subterm, a `Union` of only such subterms, or a `Concat` with
     one among its items) makes no positions: a `Union` skips it, `Star` and
     `Opt` of it denote the empty word, and at the top it leaves only the
     initial state, which does not accept. So no position is unreachable.
@@ -309,21 +305,20 @@ def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 
     # found them: a Concat that meets such an item deletes what it made.
     def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]] | None:
         nonlocal links
-        if isinstance(node, Literal):
-            p = new_pos(((node.cp, node.cp),))
-            return False, (p,), (p,)
         if isinstance(node, CharClass):
             if not node.chars:
                 return None
             p = new_pos(node.chars)
             return False, (p,), (p,)
-        if isinstance(node, AnyChar):
-            p = new_pos((FULL,))
-            return False, (p,), (p,)
-        if isinstance(node, Epsilon):
-            return True, (), ()
-        if isinstance(node, Never):
-            return None
+        if isinstance(node, Literal):
+            # one position per character, made and linked as a Concat of
+            # one-character classes makes and links them
+            first = last = ()
+            for cp in map(ord, node.word):
+                p = new_pos(((cp, cp),))
+                link(last, (p,))
+                first, last = first or (p,), (p,)
+            return not node.word, first, last
         if isinstance(node, Concat):
             mark = len(labels)
             nullable, first, last = True, (), ()

@@ -15,6 +15,11 @@ first bad command's error. `and`, `str.++` and `re.++` nest their
 operands' values, and the operator or command that uses a chain of them
 flattens it once, so a chain of any depth costs linear time.
 
+A `str.to_re` word is one regex node, a `Literal`, however long it is,
+except that a word of one character is a one-character `CharClass`.
+`re.allchar`, `re.none` and `re.range` are classes too, so a `re.union`
+of non-empty classes is one class.
+
 Reading is the largest front-end cost of a benchmark of many small
 scripts, so the loop makes few calls per token. A `re.union` whose
 operands are all `(re.range L L)` lists, each bound a literal of one
@@ -22,8 +27,7 @@ character or of one \\u{...} escape, is one token: the smt_mix
 benchmark's 2 636 of them hold all its 21 637 ranges. Its value gathers
 the ranges' `(lo, hi)` pairs into one class without making a class per
 range, and it counts toward the budget stride as the 5n + 3 tokens it
-stands for. Any other `re.union` of only characters gathers their
-pairs the same way.
+stands for.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
 _CONSTRAINT_HEADS = {"and", "or", "str.in_re", "str.in.re", *_FLIP}
 _REPEAT = {"re.*": rx.Star, "re.+": rx.Plus, "re.opt": rx.Opt}
 _REGEX_HEADS = {"str.to_re", "str.to.re", "re.++", "re.union", "re.range", *_REPEAT}
-_RE_SYMBOLS = {"re.allchar": rx.AnyChar(), "re.all": rx.Star(rx.AnyChar()), "re.none": rx.Never()}
+_RE_SYMBOLS = {"re.allchar": rx.CharClass((FULL,)), "re.all": rx.Star(rx.CharClass((FULL,))),
+               "re.none": rx.CharClass(())}
+_EMPTY_WORD = rx.Literal("")
 
 
 class SmtScript(Value, namedtuple("SmtScript", "declarations assertions has_check_sat")):
@@ -319,9 +325,7 @@ def _to_re(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.Rege
     if len(args) != 1 or args[0][0] != _STR:
         raise SyntaxParseError("str.to_re takes one string literal", pos)
     word = args[0][1]
-    if len(word) == 1:
-        return rx.Literal(ord(word))
-    return rx.Concat(tuple(map(rx.Literal, map(ord, word)))) if word else rx.Epsilon()
+    return rx.char(ord(word)) if len(word) == 1 else rx.Literal(word)
 
 
 def _re_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> list:
@@ -336,17 +340,10 @@ def _re_union(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.R
         raise SyntaxParseError("empty re.union", pos)
     if len(items) == 1:
         return items[0]
-    pairs: list[tuple[int, int]] = []  # of a union of only characters
-    for x in items:
-        if isinstance(x, rx.CharClass):
-            pairs += x.chars
-        elif isinstance(x, rx.Literal):
-            pairs.append((x.cp, x.cp))
-        elif isinstance(x, rx.AnyChar):
-            pairs.append(FULL)
-        else:
-            return rx.Union(tuple(items))
-    return rx.CharClass(normalize(pairs))
+    # a union of only characters is one class; re.none keeps it a Union
+    if all(isinstance(x, rx.CharClass) and x.chars for x in items):
+        return rx.CharClass(normalize([pair for x in items for pair in x.chars]))
+    return rx.Union(tuple(items))
 
 
 def _fused_union(bounds: list[tuple[str, str, str, str]]) -> rx.Regex:
@@ -373,15 +370,13 @@ def _re_range(head: str, args: list, pos: int, declared: dict[str, str]) -> rx.R
         raise SyntaxParseError("re.range takes two string literals", pos)
     lo, hi = args[0][1], args[1][1]
     if len(lo) != 1 or len(hi) != 1:
-        return rx.Never()  # standard semantics: such a range denotes no characters,
+        return rx.CharClass(())  # standard semantics: such a range denotes no characters,
     return _range(ord(lo), ord(hi))  # and so does a reversed one
 
 
 def _range(lo: int, hi: int) -> rx.Regex:
     """The regex of `re.range` with one-character bounds `lo` and `hi`."""
-    if lo > hi:
-        return rx.Never()
-    return rx.CharClass(((lo, hi),))  # one range is normal
+    return rx.CharClass(((lo, hi),) if lo <= hi else ())  # one range is normal
 
 
 def _str_concat(head: str, args: list, pos: int, declared: dict[str, str]) -> list:
@@ -488,15 +483,15 @@ def _regex_term(t: tuple) -> rx.Regex | list:
 
 def _regex(t: tuple) -> rx.Regex:
     """A regex term's regex. A `re.++` is the Concat of its operands' items,
-    those of a nested `re.++` or Concat spliced in; no Concat holds an
-    Epsilon."""
+    those of a nested `re.++` or Concat spliced in; no Concat holds the
+    empty word. A `str.to_re` word is one `Literal`, not spliced."""
     r = _regex_term(t)
     if type(r) is not list:
         return r
     items = [x for operand in _flatten(r) for x in _items(operand, rx.Concat)
-             if not isinstance(x, rx.Epsilon)]
+             if x != _EMPTY_WORD]
     if not items:
-        return rx.Epsilon()
+        return _EMPTY_WORD
     return items[0] if len(items) == 1 else rx.Concat(tuple(items))
 
 

@@ -25,8 +25,7 @@ from strsolve.constraints import (MAX_DISJUNCTS, CyclicDependencyError, Equation
                                   make_problem)
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, MAX_CODEPOINT, normalize
-from strsolve.regex import (AnyChar, CharClass, Concat, Epsilon, Literal, Never, Opt, Plus,
-                            Regex, Star, Union)
+from strsolve.regex import CharClass, Concat, Literal, Opt, Plus, Regex, Star, Union
 from strsolve.smtlib import (_FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript,
                              encode_string)
 from strsolve.snfa import BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, snfa
@@ -127,15 +126,9 @@ def random_problem(rng: random.Random, max_vars: int = 4, tree_only: bool = Fals
 def ref_regex_match(node: rx.Regex, w: str) -> bool:
     """Reference matcher: structural recursion with explicit split search."""
     if isinstance(node, rx.Literal):
-        return w == chr(node.cp)
+        return w == node.word
     if isinstance(node, rx.CharClass):
         return len(w) == 1 and any(lo <= ord(w) <= hi for lo, hi in node.chars)
-    if isinstance(node, rx.AnyChar):
-        return len(w) == 1
-    if isinstance(node, rx.Epsilon):
-        return w == ""
-    if isinstance(node, rx.Never):
-        return False
     if isinstance(node, rx.Concat):
         return _match_seq(node.items, w)
     if isinstance(node, rx.Union):
@@ -167,14 +160,14 @@ def random_regex(rng: random.Random, depth: int,
     if depth == 0:
         roll = rng.random()
         if roll < 0.4:
-            return rx.Literal(rng.randint(lo, hi))
+            return rx.Literal("".join(chr(rng.randint(lo, hi)) for _ in range(rng.randint(1, 3))))
         if roll < 0.7:
             a = rng.randint(lo, hi)
             b = rng.randint(a, hi)
             return rx.CharClass(((a, b),))
         if roll < 0.85:
-            return rx.AnyChar()
-        return rx.Epsilon()
+            return rx.CharClass((FULL,))
+        return rx.Literal("")
     roll = rng.random()
     if roll < 0.3:
         return rx.Concat(tuple(random_regex(rng, depth - 1, alphabet)
@@ -190,31 +183,30 @@ def random_regex(rng: random.Random, depth: int,
     return random_regex(rng, 0, alphabet)
 
 
+NO_WORD = CharClass(())
+
+
 def _without_never(node: Regex) -> Regex:
-    """Rewrite away embedded empty-language nodes so the position construction
-    below never creates unreachable states; only a top-level Never survives."""
-    if isinstance(node, CharClass) and not node.chars:
-        return Never()
+    """Rewrite away embedded subterms that denote no word so the position
+    construction below never creates unreachable states; only a top-level
+    empty class survives."""
     if isinstance(node, Concat):
         items = tuple(_without_never(x) for x in node.items)
-        if any(isinstance(x, Never) for x in items):
-            return Never()
-        return Concat(items)
+        return NO_WORD if NO_WORD in items else Concat(items)
     if isinstance(node, Union):
-        items = tuple(x for x in (_without_never(x) for x in node.items)
-                      if not isinstance(x, Never))
+        items = tuple(x for x in (_without_never(x) for x in node.items) if x != NO_WORD)
         if not items:
-            return Never()
+            return NO_WORD
         return items[0] if len(items) == 1 else Union(items)
     if isinstance(node, Star):
         inner = _without_never(node.item)
-        return Epsilon() if isinstance(inner, Never) else Star(inner)
+        return Literal("") if inner == NO_WORD else Star(inner)
     if isinstance(node, Plus):
         inner = _without_never(node.item)
-        return Never() if isinstance(inner, Never) else Plus(inner)
+        return NO_WORD if inner == NO_WORD else Plus(inner)
     if isinstance(node, Opt):
         inner = _without_never(node.item)
-        return Epsilon() if isinstance(inner, Never) else Opt(inner)
+        return Literal("") if inner == NO_WORD else Opt(inner)
     return node
 
 
@@ -236,19 +228,15 @@ def compile_reference(ast: Regex) -> SNfa:
             follow[p - 1].update(firsts)
 
     def lin(node: Regex) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
-        if isinstance(node, Literal):
-            p = new_pos(((node.cp, node.cp),))
-            return False, (p,), (p,)
+        if isinstance(node, Literal):  # expanded: the Concat of its characters
+            if not node.word:
+                return True, (), ()
+            return lin(Concat(tuple(CharClass(((cp, cp),)) for cp in map(ord, node.word))))
         if isinstance(node, CharClass):
+            if not node.chars:
+                return False, (), ()
             p = new_pos(node.chars)
             return False, (p,), (p,)
-        if isinstance(node, AnyChar):
-            p = new_pos((FULL,))
-            return False, (p,), (p,)
-        if isinstance(node, Epsilon):
-            return True, (), ()
-        if isinstance(node, Never):
-            return False, (), ()
         if isinstance(node, Concat):
             nullable, first, last = lin(node.items[0])
             for item in node.items[1:]:
@@ -647,17 +635,14 @@ def _variable(node: SNode, declared: set[str]) -> str:
     return node.val
 
 
-_CHARLIKE = (rx.Literal, rx.CharClass, rx.AnyChar)
-
-
 def _regex(node: SNode) -> rx.Regex:
     if isinstance(node.val, str):
         if node.val == "re.allchar":
-            return rx.AnyChar()
+            return rx.CharClass((FULL,))
         if node.val == "re.all":
-            return rx.Star(rx.AnyChar())
+            return rx.Star(rx.CharClass((FULL,)))
         if node.val == "re.none":
-            return rx.Never()
+            return rx.CharClass(())
         raise UnsupportedError(f"regex symbol {node.val}", node.pos)
     if not isinstance(node.val, tuple) or not node.val:
         raise UnsupportedError("regex term", node.pos)
@@ -666,17 +651,18 @@ def _regex(node: SNode) -> rx.Regex:
     if head in ("str.to_re", "str.to.re"):
         if len(args) != 1 or not isinstance(args[0].val, SStr):
             raise SyntaxParseError("str.to_re takes one string literal", node.pos)
-        return _word_regex(args[0].val.text)
+        w = args[0].val.text
+        return rx.CharClass(((ord(w), ord(w)),)) if len(w) == 1 else rx.Literal(w)
     if head == "re.++":
         items: list[rx.Regex] = []
         for a in args:
             sub = _regex(a)
             if isinstance(sub, rx.Concat):
                 items.extend(sub.items)
-            elif not isinstance(sub, rx.Epsilon):
+            elif sub != rx.Literal(""):
                 items.append(sub)
         if not items:
-            return rx.Epsilon()
+            return rx.Literal("")
         return items[0] if len(items) == 1 else rx.Concat(tuple(items))
     if head == "re.union":
         items = []
@@ -688,8 +674,8 @@ def _regex(node: SNode) -> rx.Regex:
                 items.append(sub)
         if not items:
             raise SyntaxParseError("empty re.union", node.pos)
-        if len(items) > 1 and all(isinstance(x, _CHARLIKE) for x in items):
-            return rx.CharClass(normalize(p for x in items for p in _char_parts(x)))
+        if len(items) > 1 and all(isinstance(x, rx.CharClass) and x.chars for x in items):
+            return rx.CharClass(normalize(p for x in items for p in x.chars))
         return items[0] if len(items) == 1 else rx.Union(tuple(items))
     if head in ("re.*", "re.+", "re.opt"):
         if len(args) != 1:
@@ -701,25 +687,9 @@ def _regex(node: SNode) -> rx.Regex:
             raise SyntaxParseError("re.range takes two string literals", node.pos)
         lo, hi = args[0].val.text, args[1].val.text  # type: ignore[union-attr]
         if len(lo) != 1 or len(hi) != 1 or ord(lo) > ord(hi):
-            return rx.Never()  # standard semantics: such a range denotes no characters
+            return rx.CharClass(())  # standard semantics: such a range denotes no characters
         return rx.CharClass(((ord(lo), ord(hi)),))  # one range is normal
     raise UnsupportedError(f"regex operator {head}", node.pos)
-
-
-def _char_parts(node: rx.Regex) -> tuple[tuple[int, int], ...]:
-    if isinstance(node, rx.Literal):
-        return ((node.cp, node.cp),)
-    if isinstance(node, rx.CharClass):
-        return node.chars
-    return (FULL,)  # AnyChar
-
-
-def _word_regex(w: str) -> rx.Regex:
-    if not w:
-        return rx.Epsilon()
-    if len(w) == 1:
-        return rx.Literal(ord(w))
-    return rx.Concat(tuple(rx.Literal(ord(ch)) for ch in w))
 
 
 def _decode_string_scan(raw: str, pos: int) -> str:
@@ -864,36 +834,18 @@ def _print_constraint(c: SurfaceConstraint) -> str:
 
 
 def _print_regex(r: rx.Regex) -> str:
-    if isinstance(r, rx.Epsilon):
-        return '(str.to_re "")'
-    if isinstance(r, rx.Never):
-        return "re.none"
-    if isinstance(r, rx.AnyChar):
-        return "re.allchar"
     if isinstance(r, rx.Literal):
-        return f'(str.to_re "{encode_string(chr(r.cp))}")'
+        return f'(str.to_re "{encode_string(r.word)}")'
+    if r == rx.CharClass(()):
+        return "re.none"
+    if r == rx.CharClass((FULL,)):
+        return "re.allchar"
     if isinstance(r, rx.CharClass):
         ranges = [f'(re.range "{encode_string(chr(lo))}" "{encode_string(chr(hi))}")'
                   for lo, hi in r.chars]
         return ranges[0] if len(ranges) == 1 else "(re.union " + " ".join(ranges) + ")"
     if isinstance(r, rx.Concat):
-        parts: list[str] = []
-        run: list[int] = []
-
-        def flush():
-            if run:
-                text = "".join(chr(cp) for cp in run)
-                parts.append(f'(str.to_re "{encode_string(text)}")')
-                run.clear()
-
-        for item in r.items:
-            if isinstance(item, rx.Literal):
-                run.append(item.cp)
-            else:
-                flush()
-                parts.append(_print_regex(item))
-        flush()
-        return parts[0] if len(parts) == 1 else "(re.++ " + " ".join(parts) + ")"
+        return "(re.++ " + " ".join(_print_regex(x) for x in r.items) + ")"
     if isinstance(r, rx.Union):
         return "(re.union " + " ".join(_print_regex(x) for x in r.items) + ")"
     if isinstance(r, rx.Star):

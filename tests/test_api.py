@@ -12,6 +12,7 @@ import strsolve
 from strsolve import cli
 from strsolve import regex as rx
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Problem, Var, make_problem
+from strsolve.intervals import FULL
 from strsolve.smtlib import SmtScript
 from strsolve.snfa import SNfa
 from strsolve.solver import SolveStats, Verdict
@@ -45,7 +46,10 @@ def test_removed_duplicates_stay_removed():
                               # a second form of a character class; (lo, hi) pairs are the one
                               ("intervals", "Interval"), ("intervals", "IntervalSet"),
                               # a second concatenation kernel; `concat` is the one
-                              ("snfa", "concat_bfs")):
+                              ("snfa", "concat_bfs"),
+                              # leaves that a class or a word is: `CharClass((FULL,))`,
+                              # `CharClass(())` and `Literal("")`
+                              ("regex", "AnyChar"), ("regex", "Never"), ("regex", "Epsilon")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name
@@ -96,8 +100,9 @@ def test_sat_str_checks_models_through_the_counted_accepts_binding(monkeypatch):
 # The value and record classes: equality, hashes, immutability, validation
 # and repr, whatever the classes are built from
 
-A = rx.Literal(97)
+A = rx.Literal("a")
 CHARS = ((98, 100),)
+ANY = rx.CharClass((FULL,))
 SMALL = SNfa((((97, 97, 1),), ()), frozenset({0}), frozenset({1}))
 
 
@@ -105,9 +110,9 @@ def _values() -> list[tuple[object, tuple]]:
     """One instance of every immutable value class, with its fields in order."""
     m = Membership("x", rx.Star(A))
     return [
-        (A, (97,)), (rx.CharClass(CHARS), (CHARS,)), (rx.AnyChar(), ()), (rx.Epsilon(), ()),
-        (rx.Never(), ()), (rx.Concat((A, rx.AnyChar())), ((A, rx.AnyChar()),)),
-        (rx.Union((A, rx.Epsilon())), ((A, rx.Epsilon()),)), (rx.Star(A), (A,)),
+        (A, ("a",)), (rx.CharClass(CHARS), (CHARS,)), (ANY, ((FULL,),)), (rx.Literal(""), ("",)),
+        (rx.CharClass(()), ((),)), (rx.Concat((A, ANY)), ((A, ANY),)),
+        (rx.Union((A, rx.Literal(""))), ((A, rx.Literal("")),)), (rx.Star(A), (A,)),
         (rx.Plus(A), (A,)), (rx.Opt(A), (A,)), (Var("x"), ("x",)), (Lit("ab"), ("ab",)),
         (m, ("x", rx.Star(A))), (Equation(Var("x"), (Lit("a"),)), (Var("x"), (Lit("a"),))),
         (Length("x", "<=", 3), ("x", "<=", 3)), (Or(((m,),)), (((m,),),)),
@@ -119,8 +124,8 @@ def _values() -> list[tuple[object, tuple]]:
 def test_values_are_equal_only_within_their_class():
     assert rx.Star(A) != rx.Plus(A) and not rx.Star(A) == rx.Plus(A)
     assert Var("x") != Lit("x") and not Var("x") == Lit("x")
-    assert rx.Literal(97) != rx.CharClass(((97, 97),))
-    assert rx.AnyChar() != rx.Epsilon() != rx.Never()
+    assert rx.Literal("a") != rx.CharClass(((97, 97),))
+    assert rx.Literal("") != rx.CharClass(()) and rx.Literal("") != ("",)
     assert rx.Star(A) != (A,) and (A,) != rx.Star(A)
     for value, fields in _values():
         assert value == type(value)(*fields) and not value != type(value)(*fields)
@@ -168,10 +173,11 @@ def test_constructors_still_validate():
 
 def test_reprs_keep_their_format():
     assert repr(rx.parse_regex("(a|[b-d])*.?")) == (
-        "Concat(items=(Star(item=Union(items=(Literal(cp=97), CharClass(chars=((98, 100),))))),"
-        " Opt(item=AnyChar())))")
-    assert repr(Membership("x", rx.Concat((rx.Plus(A), rx.Never())))) == (
-        "Membership(var='x', regex=Concat(items=(Plus(item=Literal(cp=97)), Never())))")
+        "Concat(items=(Star(item=Union(items=(CharClass(chars=((97, 97),)),"
+        " CharClass(chars=((98, 100),))))), Opt(item=CharClass(chars=((0, 1114111),)))))")
+    assert repr(Membership("x", rx.Concat((rx.Plus(A), rx.CharClass(()))))) == (
+        "Membership(var='x', regex=Concat(items=(Plus(item=Literal(word='a')),"
+        " CharClass(chars=()))))")
     assert repr(Length("x", "<=", 3)) == "Length(var='x', op='<=', bound=3)"
     assert repr(Verdict("sat", model={"x": "a"})) == (
         "Verdict(kind='sat', model={'x': 'a'}, witness=None, reason=None, "

@@ -10,7 +10,7 @@ from helpers import (TEST_ALPHABET, CountingBudget, compile_reference, random_re
 from strsolve import regex as rx
 from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, MAX_CODEPOINT, complement
-from strsolve.snfa import Budget, accepts, dump, validate
+from strsolve.snfa import BUDGET_STRIDE, Budget, accepts, dump, validate
 
 
 def test_parse_class_plus():
@@ -19,37 +19,36 @@ def test_parse_class_plus():
 
 
 def test_parse_union():
-    assert rx.parse_regex("a|b") == rx.Union((rx.Literal(97), rx.Literal(98)))
+    assert rx.parse_regex("a|b") == rx.Union((rx.char(97), rx.char(98)))
 
 
 def test_parse_script_pattern():
     ast = rx.parse_regex(".*<script>.*")
     assert isinstance(ast, rx.Concat)
-    assert ast.items[0] == rx.Star(rx.AnyChar())
-    assert ast.items[-1] == rx.Star(rx.AnyChar())
+    assert ast.items[0] == rx.Star(rx.CharClass((FULL,)))
+    assert ast.items[-1] == rx.Star(rx.CharClass((FULL,)))
     middle = ast.items[1:-1]
-    assert "".join(chr(x.cp) for x in middle) == "<script>"
+    assert middle == tuple(rx.char(ord(ch)) for ch in "<script>")
 
 
 def test_parse_escapes():
-    assert rx.parse_regex(r"\.") == rx.Literal(46)
-    assert rx.parse_regex(r"\\") == rx.Literal(92)
-    assert rx.parse_regex(r"\/") == rx.Literal(47)
-    assert rx.parse_regex(r"\n") == rx.Literal(10)
-    assert rx.parse_regex(r"\t") == rx.Literal(9)
-    assert rx.parse_regex(r"\x41") == rx.Literal(65)
-    assert rx.parse_regex(r"\u{10FFFF}") == rx.Literal(0x10FFFF)
+    assert rx.parse_regex(r"\.") == rx.char(46)
+    assert rx.parse_regex(r"\\") == rx.char(92)
+    assert rx.parse_regex(r"\/") == rx.char(47)
+    assert rx.parse_regex(r"\n") == rx.char(10)
+    assert rx.parse_regex(r"\t") == rx.char(9)
+    assert rx.parse_regex(r"\x41") == rx.char(65)
+    assert rx.parse_regex(r"\u{10FFFF}") == rx.char(0x10FFFF)
     assert rx.parse_regex("[\\]a]") == rx.CharClass(((93, 93), (97, 97)))
 
 
 def test_parse_groups_and_precedence():
-    assert rx.parse_regex("ab|c") == rx.Union((rx.Concat((rx.Literal(97), rx.Literal(98))),
-                                               rx.Literal(99)))
-    assert rx.parse_regex("a(b|c)") == rx.Concat((rx.Literal(97),
-                                                  rx.Union((rx.Literal(98), rx.Literal(99)))))
-    assert rx.parse_regex("ab*") == rx.Concat((rx.Literal(97), rx.Star(rx.Literal(98))))
-    assert rx.parse_regex("(?:ab)*") == rx.Star(rx.Concat((rx.Literal(97), rx.Literal(98))))
-    assert rx.parse_regex("") == rx.Epsilon()
+    a, b, c = rx.char(97), rx.char(98), rx.char(99)
+    assert rx.parse_regex("ab|c") == rx.Union((rx.Concat((a, b)), c))
+    assert rx.parse_regex("a(b|c)") == rx.Concat((a, rx.Union((b, c))))
+    assert rx.parse_regex("ab*") == rx.Concat((a, rx.Star(b)))
+    assert rx.parse_regex("(?:ab)*") == rx.Star(rx.Concat((a, b)))
+    assert rx.parse_regex("") == rx.Literal("")
 
 
 def test_parse_negated_class():
@@ -103,7 +102,7 @@ def test_stray_close_paren_is_left_over(pattern, pos):
 
 
 def test_compile_examples():
-    eps = rx.compile(rx.Epsilon())
+    eps = rx.compile(rx.Literal(""))
     assert len(eps.states) == 1 and not eps.transitions
     assert eps.initial == eps.accepting
 
@@ -115,24 +114,27 @@ def test_compile_examples():
     assert {(lo, hi) for row in cls.rows for lo, hi, _ in row} == {(97, 99)}
 
 
+A, B, C = rx.char(97), rx.char(98), rx.char(99)
+NO_CHARS = rx.CharClass(())  # the empty class denotes no word
+
+
 def test_compile_never_and_embedded_never():
-    assert not rx.compile(rx.Never()).accepting
-    embedded = rx.Concat((rx.Literal(97), rx.Never()))
+    assert not rx.compile(NO_CHARS).accepting
+    embedded = rx.Concat((rx.Literal("ab"), NO_CHARS))
     a = rx.compile(embedded)
-    assert not a.accepting and a.trim
-    dropped = rx.Union((rx.Never(), rx.Literal(97)))
+    assert not a.accepting and a.trim and len(a.states) == 1
+    dropped = rx.Union((NO_CHARS, A))
     assert accepts(rx.compile(dropped), "a")
 
 
-A, B, C = rx.Literal(97), rx.Literal(98), rx.Literal(99)
-NO_CHARS = rx.CharClass(())
-# leaves over a..c, with the two subterms that denote no word: Never and an
-# empty class
+# leaves over a..c: single characters, ranges, the full class, words of 0
+# to 5 characters, and the empty class, which denotes no word
 regex_ast = st.recursive(
-    st.one_of(st.builds(rx.Literal, st.integers(97, 99)),
+    st.one_of(st.builds(rx.char, st.integers(97, 99)),
               st.tuples(st.integers(97, 99), st.integers(0, 2)).map(
                   lambda t: rx.CharClass(((t[0], t[0] + t[1]),))),
-              st.sampled_from([rx.AnyChar(), rx.Epsilon(), rx.Never(), NO_CHARS])),
+              st.text("abc", max_size=5).map(rx.Literal),
+              st.sampled_from([rx.CharClass((FULL,)), NO_CHARS])),
     lambda inner: st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Concat(tuple(xs))),
         st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Union(tuple(xs))),
@@ -142,9 +144,9 @@ regex_ast = st.recursive(
 
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(regex_ast)
-@example(rx.Union((rx.Concat((A, rx.Never())), B)))
-@example(rx.Plus(rx.Concat((A, rx.Star(B), rx.Never()))))
-@example(rx.Star(rx.Never()))
+@example(rx.Union((rx.Concat((A, NO_CHARS)), B)))
+@example(rx.Plus(rx.Concat((rx.Literal("ab"), rx.Star(B), NO_CHARS))))
+@example(rx.Star(NO_CHARS))
 @example(NO_CHARS)
 def test_compile_matches_the_two_pass_reference(ast):
     # dropping what denotes no word inside the one pass gives what rewriting
@@ -154,13 +156,13 @@ def test_compile_matches_the_two_pass_reference(ast):
     assert a.trim == ref.trim
 
 
-# the same leaves without the two that denote no word, as the regex parser
-# makes them
+# the same leaves without the empty class, which denotes no word
 word_ast = st.recursive(
-    st.one_of(st.builds(rx.Literal, st.integers(97, 99)),
+    st.one_of(st.builds(rx.char, st.integers(97, 99)),
               st.tuples(st.integers(97, 99), st.integers(0, 2)).map(
                   lambda t: rx.CharClass(((t[0], t[0] + t[1]),))),
-              st.sampled_from([rx.AnyChar(), rx.Epsilon()])),
+              st.text("abc", max_size=5).map(rx.Literal),
+              st.just(rx.CharClass((FULL,)))),
     lambda inner: st.one_of(
         st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Concat(tuple(xs))),
         st.lists(inner, min_size=1, max_size=3).map(lambda xs: rx.Union(tuple(xs))),
@@ -172,7 +174,7 @@ word_ast = st.recursive(
 @given(word_ast)
 @example(rx.Star(rx.Union((A, B, rx.Star(rx.Union((A, B)))))))
 # a dropped subterm's links stop counting when it is dropped
-@example(rx.Union((rx.Concat((rx.Star(rx.Union((A, B, C))), rx.Never())),
+@example(rx.Union((rx.Concat((rx.Star(rx.Union((A, B, C))), NO_CHARS)),
                    rx.Star(rx.Union((A, B, C))))))
 def test_compile_stops_for_the_cap_only_past_it(ast):
     a = rx.compile(ast)
@@ -193,7 +195,7 @@ def test_compile_checks_the_budget_every_stride():
     # (c0|...|c399)*: 400 positions, each followed by all 400. Linking offers
     # 400 entries per position, so a check follows every 82nd position's
     # (past PAIR_STRIDE entries), and building the rows checks every 82 rows
-    star = rx.Star(rx.Union(tuple(rx.Literal(0x100 + i) for i in range(400))))
+    star = rx.Star(rx.Union(tuple(rx.char(0x100 + i) for i in range(400))))
     budget = CountingBudget()
     loop = rx.compile(star, budget)
     assert len(loop.transitions) == 400 + 400 * 400
@@ -207,6 +209,19 @@ def test_compile_checks_the_budget_every_stride():
     assert budget.checked == [1200]
     with pytest.raises(ResourceLimitError, match="time budget exhausted"):
         rx.compile(star, CountingBudget(deadline=time.monotonic() - 1))
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 5 * 1024 + 3, 40_001])
+def test_a_word_compiles_as_the_concat_of_its_characters(n):
+    # the same positions, links and numbering, and the budget checked at
+    # the same points, without expanding the word into nodes
+    w = "".join(random.Random(n).choice("abc") for _ in range(n))
+    word, chars = CountingBudget(), CountingBudget()
+    a = rx.compile(rx.Literal(w), word)
+    b = rx.compile(rx.Concat(tuple(rx.char(ord(ch)) for ch in w)), chars)
+    assert dump(a) == dump(b)
+    assert word.checked == chars.checked
+    assert len(word.checked) >= n // BUDGET_STRIDE  # one before every stride-th position
 
 
 def test_sigma_star_canonical_form():

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strsolve import regex as rx
+from strsolve.cli import solve_path
 from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
-from strsolve.intervals import normalize
+from strsolve.intervals import FULL, normalize
 from strsolve.smtlib import (_CLOSE, _OPEN, _STRING, _TOKEN, _UNION, _WORD,
                              MAX_NUMERAL_DIGITS, encode_string, parse_smt)
 from strsolve.snfa import BUDGET_STRIDE, Budget
@@ -48,7 +49,7 @@ def test_parse_and_or():
                        '(assert (and (= x y) (str.in_re x re.allchar)))'
                        '(assert (or (= x "a") (and (= x "b") (= y "c"))))')
     assert script.assertions[0] == Equation(Var("x"), (Var("y"),))
-    assert script.assertions[1] == Membership("x", rx.AnyChar())
+    assert script.assertions[1] == Membership("x", rx.CharClass((FULL,)))
     assert script.assertions[2] == Or(((Equation(Var("x"), (Lit("a"),)),),
                                        (Equation(Var("x"), (Lit("b"),)),
                                         Equation(Var("y"), (Lit("c"),)))))
@@ -57,8 +58,7 @@ def test_parse_and_or():
 def test_parse_legacy_spellings():
     script = parse_smt('(declare-const x String)'
                        '(assert (str.in.re x (str.to.re "ab")))')
-    assert script.assertions == (Membership("x", rx.Concat((rx.Literal(97),
-                                                            rx.Literal(98)))),)
+    assert script.assertions == (Membership("x", rx.Literal("ab")),)
 
 
 def test_parse_regex_operators():
@@ -68,12 +68,12 @@ def test_parse_regex_operators():
         '(assert (str.in_re x (re.union (str.to_re "a") (re.range "c" "d"))))'
         '(assert (str.in_re x (re.opt (re.+ re.none))))'
         '(assert (str.in_re x re.all))')
-    star_any = rx.Star(rx.AnyChar())
+    star_any = rx.Star(rx.CharClass((FULL,)))
     first = script.assertions[0].regex
-    assert first.items[0] == star_any and first.items[-1] == star_any
+    assert first == rx.Concat((star_any, rx.Literal("<script>"), star_any))
     # unions of single-character pieces normalize into one class
     assert script.assertions[1].regex == rx.CharClass(((97, 97), (99, 100)))
-    assert script.assertions[2].regex == rx.Opt(rx.Plus(rx.Never()))
+    assert script.assertions[2].regex == rx.Opt(rx.Plus(rx.CharClass(())))
     assert script.assertions[3].regex == star_any
 
 
@@ -81,8 +81,8 @@ def test_parse_re_range_degenerate():
     script = parse_smt('(declare-const x String)'
                        '(assert (str.in_re x (re.range "b" "a")))'
                        '(assert (str.in_re x (re.range "ab" "c")))')
-    assert script.assertions[0].regex == rx.Never()
-    assert script.assertions[1].regex == rx.Never()
+    assert script.assertions[0].regex == rx.CharClass(())
+    assert script.assertions[1].regex == rx.CharClass(())
 
 
 def test_parse_concat_of_empty_words_is_epsilon():
@@ -90,7 +90,52 @@ def test_parse_concat_of_empty_words_is_epsilon():
     script = parse_smt('(declare-const x String)'
                        '(assert (str.in_re x (re.++ (str.to_re ""))))'
                        '(assert (str.in_re x (re.++ (str.to_re "") (re.++ (str.to_re "")))))')
-    assert [a.regex for a in script.assertions] == [rx.Epsilon(), rx.Epsilon()]
+    assert [a.regex for a in script.assertions] == [rx.Literal(""), rx.Literal("")]
+
+
+def test_a_word_is_one_node():
+    w = "ab" * 20_000 + "c"  # 40 001 characters
+    script = parse_smt(f'(declare-const x String)(assert (str.in_re x (str.to_re "{w}")))')
+    assert script.assertions == (Membership("x", rx.Literal(w)),)
+    # words stay whole inside a re.++, which drops the empty word
+    script = parse_smt('(declare-const x String)(assert (str.in_re x (re.++ (str.to_re "ab")'
+                       ' (str.to_re "") (re.++ (str.to_re "c") (str.to_re "de")))))')
+    assert script.assertions[0].regex == rx.Concat((rx.Literal("ab"), rx.char(ord("c")),
+                                                    rx.Literal("de")))
+
+
+def test_the_64_disjunct_file_reads_one_node_per_word_and_solves_sat(tmp_path):
+    # each branch is x in (str.to_re w), |w| = 40 001 or 40 002, the first sat
+    words = ["a" * 40_000 + str(i) for i in range(64)]
+    src = DECL + "(assert (or " + " ".join(f'(str.in_re x (str.to_re "{w}"))' for w in words) + "))"
+    (disjunction,) = parse_smt(src).assertions
+    assert disjunction.branches == tuple((Membership("x", rx.Literal(w)),) for w in words)
+    f = tmp_path / "or64.smt2"
+    f.write_text(src + "(check-sat)")
+    verdict, _, _ = solve_path(f)
+    assert (verdict.kind, verdict.model) == ("sat", {"x": words[0]})
+
+
+def test_a_union_of_characters_is_one_class():
+    def regex(union):
+        return parse_smt(DECL + f"(assert (str.in_re x {union}))").assertions[0].regex
+
+    assert regex('(re.union (str.to_re "a") (re.range "c" "e") (str.to_re "\\u{1f600}")'
+                 ' (re.union (str.to_re "b") (re.range "x" "z")))') == rx.CharClass(
+        ((97, 101), (120, 122), (0x1F600, 0x1F600)))
+    assert regex('(re.union (str.to_re "a") re.allchar)') == rx.CharClass((FULL,))
+    # a word of another length, or a class of no characters, keeps a Union
+    for other in ('(str.to_re "")', '(str.to_re "bc")', "re.none", '(re.range "b" "a")'):
+        union = regex(f'(re.union (str.to_re "a") {other})')
+        assert isinstance(union, rx.Union) and len(union.items) == 2
+
+
+def test_a_union_that_holds_re_none_keeps_a_position_per_operand():
+    union = parse_smt(DECL + '(assert (str.in_re x (re.union re.none (re.range "a" "c")'
+                             ' (re.range "x" "z"))))').assertions[0].regex
+    assert union == rx.Union((rx.CharClass(()), rx.CharClass(((97, 99),)),
+                              rx.CharClass(((120, 122),))))
+    assert len(rx.compile(union).states) == 3
 
 
 def test_string_escapes():
@@ -332,9 +377,9 @@ def test_deeply_nested_terms_parse():
     node, stars = membership.regex, 0
     while isinstance(node, rx.Star):
         node, stars = node.item, stars + 1
-    assert stars == depth and isinstance(node, rx.Literal) and node.cp == ord("a")
+    assert stars == depth and node == rx.char(ord("a"))
     src = DECL + "(assert " + "(and " * depth + "(str.in_re x re.all)" + ")" * depth + ")"
-    assert parse_smt(src).assertions == (Membership("x", rx.Star(rx.AnyChar())),)
+    assert parse_smt(src).assertions == (Membership("x", rx.Star(rx.CharClass((FULL,)))),)
 
 
 CHAIN_DEPTH = 40_000
@@ -343,13 +388,13 @@ CHAIN_DEPTH = 40_000
 CHAINS = {
     "and": ("(assert " + "(and (str.in_re x re.all) " * CHAIN_DEPTH + "(str.in_re x re.all)"
             + ")" * CHAIN_DEPTH + ")",
-            (Membership("x", rx.Star(rx.AnyChar())),) * (CHAIN_DEPTH + 1)),
+            (Membership("x", rx.Star(rx.CharClass((FULL,)))),) * (CHAIN_DEPTH + 1)),
     "str.++": ("(assert (= x " + '(str.++ "a" ' * CHAIN_DEPTH + "x" + ")" * CHAIN_DEPTH + "))",
                (Equation(Var("x"), (Lit("a"),) * CHAIN_DEPTH + (Var("x"),)),)),
     "re.++": ("(assert (str.in_re x " + "(re.++ re.allchar " * CHAIN_DEPTH + "re.all"
               + ")" * CHAIN_DEPTH + "))",
-              (Membership("x", rx.Concat((rx.AnyChar(),) * CHAIN_DEPTH
-                                         + (rx.Star(rx.AnyChar()),))),)),
+              (Membership("x", rx.Concat((rx.CharClass((FULL,)),) * CHAIN_DEPTH
+                                         + (rx.Star(rx.CharClass((FULL,))),))),)),
 }
 
 
@@ -427,7 +472,7 @@ def test_union_of_ranges_with_one_escape_bounds():
                          for rs in (ranges, in_order))
     mixed, chars = _same_as_scanner_and_reference(src).assertions
     # a range of no characters is re.none, and keeps the union a Union
-    assert len(mixed.regex.items) == 60 and rx.Never() in mixed.regex.items
+    assert len(mixed.regex.items) == 60 and rx.CharClass(()) in mixed.regex.items
     assert isinstance(chars.regex, rx.CharClass)
 
 
@@ -446,10 +491,10 @@ RANGE_AB = rx.CharClass(((97, 98),))
      (SyntaxParseError, "re.range takes two string literals (at offset 45)", 45)),
     (DECL + '(assert (str.in_re x (re.range "a" "b" )))', (Membership("x", RANGE_AB),)),
     (DECL + '(assert (str.in_re x (re.range\t"a"\n  "b"\r\n)))', (Membership("x", RANGE_AB),)),
-    (DECL + '(assert (str.in_re x (re.range "b" "a")))', (Membership("x", rx.Never()),)),
-    (DECL + '(assert (str.in_re x (re.range "\\u{fffff}" "\\u{41}")))', (Membership("x", rx.Never()),)),
+    (DECL + '(assert (str.in_re x (re.range "b" "a")))', (Membership("x", rx.CharClass(())),)),
+    (DECL + '(assert (str.in_re x (re.range "\\u{fffff}" "\\u{41}")))', (Membership("x", rx.CharClass(())),)),
     (DECL + '(assert (str.in_re x (re.union (re.range "\\" "\\") (re.range "b" "a"))))',
-     (Membership("x", rx.Union((rx.CharClass(((92, 92),)), rx.Never()))),)),
+     (Membership("x", rx.Union((rx.CharClass(((92, 92),)), rx.CharClass(())))),)),
     # a class of several intervals is not a range
     (DECL + '(assert (str.in_re x (re.union (re.range "x" "z") (re.union (re.range "a" "b")'
             ' (re.range "d" "e")))))',
@@ -602,7 +647,7 @@ def test_fused_union_takes_at_most_a_stride_of_ranges():
             (membership,) = got.assertions
             if reversed_one:
                 assert len(membership.regex.items) == count
-                assert membership.regex.items[-1] == rx.Never()
+                assert membership.regex.items[-1] == rx.CharClass(())
             else:
                 assert membership.regex == rx.CharClass(
                     normalize((c, c + 2) for c in starts))

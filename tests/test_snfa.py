@@ -15,7 +15,7 @@ from helpers import (DEFAULT_ISO_CAP, LEMMA_ALPHABET, CountingBudget, accepts_re
 from oracle import Bound, word_in
 from strsolve.errors import ResourceLimitError
 from strsolve.intervals import MAX_CODEPOINT
-from strsolve.regex import Literal, Star, compile, length_automaton, sigma_star, word_automaton
+from strsolve.regex import Star, char, compile, length_automaton, sigma_star, word_automaton
 from strsolve.snfa import (SNfa, accepts, concat, dump, is_empty, product, set_validation,
                            snfa, some_word, split_word, to_dot, validate)
 from strsolve import solver
@@ -542,7 +542,7 @@ def test_product_peak_bytes_per_pair_state_stay_bounded():
     # on chains the bytes go with the states, which the transition cap
     # bounds only as far as one state costs a bounded number of bytes
     a1 = word_automaton("a" * 160)
-    a2 = concat(compile(Star(Literal(97))), word_automaton("a" * 80))
+    a2 = concat(compile(Star(char(97))), word_automaton("a" * 80))
     # the validator's own sets are not the product's; the autouse fixture
     # turns it back on
     set_validation(False)
