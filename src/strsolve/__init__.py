@@ -14,7 +14,7 @@ from .constraints import (Assignment, CyclicDependencyError, Equation, Length, L
 from .errors import (ResourceLimitError, StrSolveError, SyntaxParseError,
                      UnsupportedError)
 from .intervals import FULL, MAX_CODEPOINT
-from .regex import length_automaton, parse_regex, sigma_star, word_automaton
+from .regex import length_automaton, sigma_star, word_automaton
 from .smtlib import SmtScript, parse_smt
 from .snfa import (Budget, SNfa, accepts, concat, dump, is_empty, product, snfa,
                    some_word, split_word, to_dot)
@@ -30,6 +30,6 @@ __all__ = [
     "SurfaceConstraint", "SyntaxParseError", "UnsupportedError", "Var",
     "VarId", "Verdict", "accepts", "check_tree", "classify", "concat", "desugar", "dump",
     "extract_model", "forward_prop", "is_empty", "layering", "length_automaton",
-    "make_problem", "parse_regex", "parse_smt", "problem_dump", "product", "sat_str",
+    "make_problem", "parse_smt", "problem_dump", "product", "sat_str",
     "sigma_star", "snfa", "solve", "some_word", "split_word", "to_dot", "word_automaton",
 ]

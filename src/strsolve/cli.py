@@ -329,7 +329,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_VERDICT if not report.errors else EXIT_PARSE
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors exit 1 like any other malformed input; argparse's own
     code 2 is the documented code for a resource stop."""
 
@@ -354,8 +354,8 @@ def _timeout_ms(text: str) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     # subparsers are made with the parent's class, so they exit 1 as well
-    parser = _Parser(prog="strsolve",
-                     description="String-constraint solver over symbolic automata")
+    parser = _ArgumentParser(prog="strsolve",
+                             description="String-constraint solver over symbolic automata")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one SMT-LIB file")

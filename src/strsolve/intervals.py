@@ -4,7 +4,7 @@ The alphabet is the plain integer range 0..0x10FFFF (surrogates included).
 A transition label is one closed interval, the plain pair `(lo, hi)` with
 lo <= hi. A character class is a tuple of such pairs in normal form:
 sorted, disjoint and non-adjacent, which is the form the automata store.
-`normalize` makes it from any pairs and `complement` negates it.
+`normalize` makes it from any pairs.
 
 `Value` is the mixin of the package's immutable value classes, which are
 namedtuple subclasses: cheap to define at import, which every start of
@@ -48,15 +48,3 @@ def normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
             merged.append((lo, hi))
     return tuple(merged)
 
-
-def complement(parts: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """The complement of normal-form `parts` relative to [0, MAX_CODEPOINT]."""
-    gaps: list[tuple[int, int]] = []
-    next_free = 0
-    for lo, hi in parts:
-        if lo > next_free:
-            gaps.append((next_free, lo - 1))
-        next_free = hi + 1
-    if next_free <= MAX_CODEPOINT:
-        gaps.append((next_free, MAX_CODEPOINT))
-    return tuple(gaps)

@@ -1,17 +1,12 @@
-"""Regex parsing and compilation to epsilon-free symbolic NFAs.
+"""The regex AST and its compilation to epsilon-free symbolic NFAs.
 
-The supported pattern language (full EBNF in docs/regex-grammar.md):
-literals, escapes, character classes with ranges and leading ^ negation,
-`.`, alternation `|`, `*` `+` `?`, grouping `()` and `(?:)`. Matching is
-full-match: membership means the entire word is in the language. Anchors,
-backreferences, lookaround, lazy/possessive quantifiers and bounded
-repetition raise UnsupportedError rather than being approximated.
-
+The SMT-LIB reader (`smtlib.parse_smt`) builds every regex a solve uses.
 The AST has two leaves: a `CharClass`, one character from a set of
-`(lo, hi)` pairs (a literal or escape is a class of one character, `.` the
-full range, and the empty class denotes no word), and a `Literal`, one word
-(the SMT reader's `str.to_re`; "" is the empty word). Concat, Union, Star,
-Plus and Opt combine them.
+`(lo, hi)` pairs (`re.range` and `re.allchar` are classes, a character is
+a class of one, and the empty class `re.none` denotes no word), and a
+`Literal`, one word (`str.to_re`; "" is the empty word). Concat, Union,
+Star, Plus and Opt combine them. Membership is full-match: the entire
+word is in the language.
 
 Compilation is a position construction (one state per character of a
 `Literal` and per `CharClass` occurrence, plus a single initial state),
@@ -22,8 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import ResourceLimitError, SyntaxParseError, UnsupportedError
-from .intervals import FULL, MAX_CODEPOINT, Value, complement, normalize
+from .errors import ResourceLimitError
+from .intervals import MAX_CODEPOINT, Value
 from .snfa import BUDGET_STRIDE, DEFAULT_BUDGET, PAIR_STRIDE, Budget, SNfa, snfa
 
 
@@ -63,198 +58,6 @@ class Opt(Value, namedtuple("Opt", "item")):
 Regex = Literal | CharClass | Concat | Union | Star | Plus | Opt
 
 LENGTH_CAP = 10_000
-
-_UNSUPPORTED_GROUPS = {"=": "lookahead", "!": "negative lookahead", "<": "lookbehind",
-                       "P": "named group", "'": "named group"}
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.i = 0
-
-    def _byte_offset(self, i: int) -> int:
-        return len(self.src[:i].encode("utf-8"))
-
-    def error(self, message: str, at: int | None = None) -> SyntaxParseError:
-        return SyntaxParseError(message, self._byte_offset(self.i if at is None else at))
-
-    def unsupported(self, feature: str, at: int | None = None) -> UnsupportedError:
-        return UnsupportedError(feature, self._byte_offset(self.i if at is None else at))
-
-    def peek(self) -> str | None:
-        return self.src[self.i] if self.i < len(self.src) else None
-
-    def take(self) -> str:
-        ch = self.src[self.i]
-        self.i += 1
-        return ch
-
-    def parse(self) -> Regex:
-        node = self.union()
-        if self.i != len(self.src):
-            raise self.error(f"unexpected {self.src[self.i]!r}")
-        return node
-
-    def union(self) -> Regex:
-        branches = [self.concat()]
-        while self.peek() == "|":
-            self.take()
-            branches.append(self.concat())
-        return branches[0] if len(branches) == 1 else Union(tuple(branches))
-
-    def concat(self) -> Regex:
-        items = []
-        while self.peek() not in (None, "|", ")"):
-            items.append(self.repeat())
-        if not items:
-            return Literal("")
-        return items[0] if len(items) == 1 else Concat(tuple(items))
-
-    def repeat(self) -> Regex:
-        node = self.atom()
-        ch = self.peek()
-        if ch not in ("*", "+", "?"):
-            return node
-        self.take()
-        node = {"*": Star, "+": Plus, "?": Opt}[ch](node)
-        follow = self.peek()
-        if follow == "?":
-            raise self.unsupported("lazy quantifier")
-        if follow == "+":
-            raise self.unsupported("possessive quantifier")
-        if follow == "*":
-            raise self.error("nothing to repeat")
-        return node
-
-    def atom(self) -> Regex:
-        start = self.i
-        ch = self.take()
-        if ch == "(":
-            if self.peek() == "?":
-                self.take()
-                mod = self.peek()
-                if mod == ":":
-                    self.take()
-                else:
-                    raise self.unsupported(_UNSUPPORTED_GROUPS.get(mod or "", "group modifier"), start)
-            node = self.union()
-            if self.peek() != ")":
-                raise self.error("unbalanced (", start)
-            self.take()
-            return node
-        if ch == "[":
-            return self.char_class(start)
-        if ch == ".":
-            return CharClass((FULL,))
-        if ch in "*+?":
-            raise self.error("nothing to repeat", start)
-        if ch == "{":
-            raise self.unsupported("bounded repetition {m,n}", start)
-        if ch in "^$":
-            raise self.unsupported("anchor", start)
-        if ch == "\\":
-            return char(self.escape(start))
-        return char(ord(ch))
-
-    def escape(self, start: int) -> int:
-        if self.peek() is None:
-            raise self.error("dangling escape", start)
-        ch = self.take()
-        if ch == "n":
-            return 10
-        if ch == "t":
-            return 9
-        if ch == "r":
-            return 13
-        if ch == "x":
-            return self.hex_digits(start)
-        if ch == "u":
-            if self.peek() != "{":
-                raise self.error("expected { after \\u", start)
-            self.take()
-            j = self.i
-            while self.peek() not in (None, "}"):
-                self.take()
-            if self.peek() is None:
-                raise self.error("unterminated \\u{...}", start)
-            digits = self.src[j:self.i]
-            self.take()
-            if not digits:
-                raise self.error("empty \\u{...}", start)
-            cp = hex_value(digits)
-            if cp is None:
-                raise self.error("bad hex in \\u{...}", start)
-            if cp > MAX_CODEPOINT:
-                raise self.error("code point above 0x10FFFF", start)
-            return cp
-        if ch.isdigit():
-            raise self.unsupported("backreference", start)
-        if ch.isalpha():
-            raise self.unsupported(f"escape \\{ch}", start)
-        return ord(ch)  # escaped punctuation stands for itself
-
-    def hex_digits(self, start: int) -> int:
-        digits = self.src[self.i:self.i + 2]
-        cp = hex_value(digits) if len(digits) == 2 else None
-        if cp is None:
-            raise self.error("expected 2 hex digits", start)
-        self.i += 2
-        return cp
-
-    def char_class(self, start: int) -> Regex:
-        negate = False
-        if self.peek() == "^":
-            self.take()
-            negate = True
-        pairs: list[tuple[int, int]] = []
-        while True:
-            ch = self.peek()
-            if ch is None:
-                raise self.error("unterminated character class", start)
-            if ch == "]":
-                self.take()
-                break
-            lo = self.class_char(start)
-            if self.peek() == "-" and self.i + 1 < len(self.src) and self.src[self.i + 1] != "]":
-                self.take()
-                hi = self.class_char(start)
-                if lo > hi:
-                    raise self.error("reversed class range", start)
-                pairs.append((lo, hi))
-            else:
-                pairs.append((lo, lo))
-        if not pairs:
-            raise self.error("empty character class", start)
-        chars = normalize(pairs)
-        if negate:
-            chars = complement(chars)
-        if not chars:
-            raise self.error("character class denotes no characters", start)
-        return CharClass(chars)
-
-    def class_char(self, start: int) -> int:
-        ch = self.take()
-        if ch == "\\":
-            return self.escape(start)
-        return ord(ch)
-
-
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-def hex_value(digits: str) -> int | None:
-    """The value of a non-empty run of ASCII hex digits, else None. (`int`
-    with base 16 would also take a sign, spaces, underscores, a 0x prefix
-    and non-ASCII digits.)"""
-    if digits and _HEX_DIGITS.issuperset(digits):
-        return int(digits, 16)
-    return None
-
-
-def parse_regex(src: str) -> Regex:
-    """Parse a pattern into an AST; SyntaxParseError/UnsupportedError on bad input."""
-    return _Parser(src).parse()
 
 
 def compile(ast: Regex, budget: Budget = DEFAULT_BUDGET) -> SNfa:  # noqa: A001 - mirrors re.compile

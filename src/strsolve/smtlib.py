@@ -62,6 +62,16 @@ class SmtScript(Value, namedtuple("SmtScript", "declarations assertions has_chec
 # a doubled quote, 2 for \u{...} (group 1 the digits, group 2 the closing
 # brace, empty when it is missing), 3 for \uHHHH.
 _ESCAPE = re.compile(r'""|\\u(?:\{([^}]*)(\}?)|([0-9A-Fa-f]{4}))')
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def hex_value(digits: str) -> int | None:
+    """The value of a non-empty run of ASCII hex digits, else None. (`int`
+    with base 16 would also take a sign, spaces, underscores, a 0x prefix
+    and non-ASCII digits.)"""
+    if digits and _HEX_DIGITS.issuperset(digits):
+        return int(digits, 16)
+    return None
 
 
 def _decode_string(raw: str, pos: int) -> str:
@@ -78,7 +88,7 @@ def _decode_string(raw: str, pos: int) -> str:
             return chr(int(m[3], 16))
         if not m[2]:
             raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
-        cp = rx.hex_value(m[1])
+        cp = hex_value(m[1])
         if cp is None:
             raise SyntaxParseError("bad hex in \\u{...} escape", pos)
         if cp > MAX_CODEPOINT:

@@ -1,8 +1,9 @@
-"""Shared test utilities: seeded random generators, reference matchers,
-interval enumeration, the reference word split, membership and shortest
-word, the reference SMT-LIB readers, the SMT-LIB printer, the reference
-`concat`, `product`, regex compile, `layering` and `expand_or`, the trim
-audit and automaton isomorphism.
+"""Shared test utilities: `pattern`, the reader of the tests' regex
+notation, seeded random generators, reference matchers, interval
+enumeration, the reference word split, membership and shortest word, the
+reference SMT-LIB readers, the SMT-LIB printer, the reference `concat`,
+`product`, regex compile, `layering` and `expand_or`, the trim audit and
+automaton isomorphism.
 
 The reference matchers here are deliberately naive and independent of the
 production code paths they check.
@@ -27,7 +28,7 @@ from strsolve.errors import ResourceLimitError, SyntaxParseError, UnsupportedErr
 from strsolve.intervals import FULL, MAX_CODEPOINT, normalize
 from strsolve.regex import CharClass, Concat, Literal, Opt, Plus, Regex, Star, Union
 from strsolve.smtlib import (_FLIP, _IGNORED_COMMANDS, MAX_NUMERAL_DIGITS, SmtScript,
-                             encode_string)
+                             encode_string, hex_value)
 from strsolve.snfa import BUDGET_STRIDE, PAIR_STRIDE, Budget, Row, SNfa, snfa
 
 TEST_ALPHABET = (97, 99)      # a..c, used by the problem suites
@@ -35,8 +36,64 @@ LEMMA_ALPHABET = (97, 100)    # a..d, used by the automata suites
 DEFAULT_ISO_CAP = 12
 
 
+def pattern(src: str) -> Regex:
+    """The AST of a test pattern written in a small notation: characters,
+    `.`, classes `[...]` with ranges, `|`, `*` `+` `?` and `( )`. There are
+    no escapes and no negation, and a malformed pattern is a bug in the
+    test, so nothing is reported."""
+    pos = 0
+
+    def union() -> Regex:
+        nonlocal pos
+        branches = [concat()]
+        while src[pos:pos + 1] == "|":
+            pos += 1
+            branches.append(concat())
+        return branches[0] if len(branches) == 1 else Union(tuple(branches))
+
+    def concat() -> Regex:
+        nonlocal pos
+        items = []
+        while src[pos:pos + 1] not in ("", "|", ")"):
+            items.append(atom())
+            if src[pos:pos + 1] in ("*", "+", "?"):
+                items[-1] = {"*": Star, "+": Plus, "?": Opt}[src[pos]](items[-1])
+                pos += 1
+        if not items:
+            return Literal("")
+        return items[0] if len(items) == 1 else Concat(tuple(items))
+
+    def atom() -> Regex:
+        nonlocal pos
+        ch = src[pos]
+        pos += 1
+        if ch == "(":
+            node = union()
+            pos += 1  # the ")"
+            return node
+        if ch == ".":
+            return CharClass((FULL,))
+        if ch != "[":
+            return rx.char(ord(ch))
+        end = src.index("]", pos)
+        body, pos = src[pos:end], end + 1
+        pairs, i = [], 0
+        while i < len(body):
+            if body[i + 1:i + 2] == "-" and i + 2 < len(body):  # a range
+                pairs.append((ord(body[i]), ord(body[i + 2])))
+                i += 3
+            else:
+                pairs.append((ord(body[i]), ord(body[i])))
+                i += 1
+        return CharClass(normalize(pairs))
+
+    node = union()
+    del union, concat, atom  # they refer to each other through closure cells
+    return node
+
+
 def compile_pattern(src: str) -> SNfa:
-    return rx.compile(rx.parse_regex(src))
+    return rx.compile(pattern(src))
 
 
 def remove_unreachable(a: SNfa) -> SNfa:
@@ -445,7 +502,7 @@ def _decode_string(raw: str, pos: int) -> str:
             return chr(int(m[3], 16))
         if not m[2]:
             raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
-        cp = rx.hex_value(m[1])
+        cp = hex_value(m[1])
         if cp is None:
             raise SyntaxParseError("bad hex in \\u{...} escape", pos)
         if cp > MAX_CODEPOINT:
@@ -708,7 +765,7 @@ def _decode_string_scan(raw: str, pos: int) -> str:
                 end = raw.find("}", i + 3)
                 if end < 0:
                     raise SyntaxParseError("unterminated \\u{...} escape in string", pos)
-                cp = rx.hex_value(raw[i + 3:end])
+                cp = hex_value(raw[i + 3:end])
                 if cp is None:
                     raise SyntaxParseError("bad hex in \\u{...} escape", pos)
                 if cp > MAX_CODEPOINT:
@@ -717,7 +774,7 @@ def _decode_string_scan(raw: str, pos: int) -> str:
                 i = end + 1
                 continue
             digits = raw[i + 2:i + 6]
-            cp = rx.hex_value(digits) if len(digits) == 4 else None
+            cp = hex_value(digits) if len(digits) == 4 else None
             if cp is not None:
                 out.append(chr(cp))
                 i += 6

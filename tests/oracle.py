@@ -92,6 +92,20 @@ def oracle_lang(a: SNfa, bound: Bound, cap: int = DEFAULT_SPACE_CAP) -> set[str]
     return found
 
 
+def concat_lang(lang1: set[str], lang2: set[str], bound: Bound) -> set[str]:
+    """The words of `lang1` followed by words of `lang2` that fit the bound."""
+    by_len: dict[int, list[str]] = {}
+    for w in lang2:
+        by_len.setdefault(len(w), []).append(w)
+    out: set[str] = set()
+    for w1 in lang1:
+        room = bound.max_len - len(w1)
+        for n, ws in by_len.items():
+            if n <= room:
+                out.update(w1 + w2 for w2 in ws)
+    return out
+
+
 def _derivation_order(p: Problem, base: list[VarId]) -> Optional[list[VarId]]:
     """The variables with equations, each after the variables of its pairs,
     by scanning the rest in name order until no scan places one; None when

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import pattern
 import strsolve
 from strsolve import cli
 from strsolve import regex as rx
@@ -49,7 +50,11 @@ def test_removed_duplicates_stay_removed():
                               ("snfa", "concat_bfs"),
                               # leaves that a class or a word is: `CharClass((FULL,))`,
                               # `CharClass(())` and `Literal("")`
-                              ("regex", "AnyChar"), ("regex", "Never"), ("regex", "Epsilon")):
+                              ("regex", "AnyChar"), ("regex", "Never"), ("regex", "Epsilon"),
+                              # a second regex syntax; the SMT-LIB reader is the one, and
+                              # `hex_value` went with its one caller into smtlib
+                              ("regex", "parse_regex"), ("regex", "_Parser"),
+                              ("regex", "hex_value"), ("intervals", "complement")):
         module = importlib.import_module(f"strsolve.{module_name}")
         assert not hasattr(module, name), f"{module_name}.{name}"
         assert not hasattr(strsolve, name), name
@@ -158,7 +163,7 @@ def test_frozen_values_reject_assignment():
                 delattr(value, name)
     with pytest.raises(AttributeError):
         del SMALL.transitions
-    for a in (SMALL, rx.compile(rx.parse_regex("(a|[b-d])*.?")), rx.sigma_star()):
+    for a in (SMALL, rx.compile(pattern("(a|[b-d])*.?")), rx.sigma_star()):
         assert len(a.transitions) == sum(map(len, a.rows))
 
 
@@ -172,7 +177,7 @@ def test_constructors_still_validate():
 
 
 def test_reprs_keep_their_format():
-    assert repr(rx.parse_regex("(a|[b-d])*.?")) == (
+    assert repr(pattern("(a|[b-d])*.?")) == (
         "Concat(items=(Star(item=Union(items=(CharClass(chars=((97, 97),)),"
         " CharClass(chars=((98, 100),))))), Opt(item=CharClass(chars=((0, 1114111),)))))")
     assert repr(Membership("x", rx.Concat((rx.Plus(A), rx.CharClass(()))))) == (
@@ -206,8 +211,8 @@ def test_package_exports_the_same_names():
         "SurfaceConstraint", "SyntaxParseError", "UnsupportedError", "Var", "VarId", "Verdict",
         "accepts", "check_tree", "classify", "concat", "desugar", "dump", "extract_model",
         "forward_prop", "is_empty", "layering", "length_automaton", "make_problem",
-        "parse_regex", "parse_smt", "problem_dump", "product", "sat_str", "sigma_star", "snfa",
-        "solve", "some_word", "split_word", "to_dot", "word_automaton"]
+        "parse_smt", "problem_dump", "product", "sat_str", "sigma_star", "snfa", "solve",
+        "some_word", "split_word", "to_dot", "word_automaton"]
 
 
 def test_cli_import_loads_no_code_generating_modules():
@@ -220,3 +225,15 @@ def test_cli_import_loads_no_code_generating_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**env, "PYTHONPATH": src}, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, ""), proc.stderr
+
+
+def test_readme_library_example_runs():
+    # the public example names only what the package still exports
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": str(root / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "sat"

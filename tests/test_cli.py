@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import concat_reference, product_reference
+from helpers import concat_reference, pattern, product_reference
 from strsolve import cli, regex, smtlib, solver
 from strsolve.cli import EXIT_RESOURCE, bench, main, solve_path, stats_record
 from strsolve.constraints import CyclicDependencyError, Problem, desugar
@@ -372,7 +372,7 @@ def test_solving_leaves_no_cyclic_garbage():
         for f in files:
             solve_path(f)
         try:
-            regex.compile(regex.parse_regex("(a|b|c)*d"), Budget(max_transitions=1))
+            regex.compile(pattern("(a|b|c)*d"), Budget(max_transitions=1))
         except ResourceLimitError:
             pass
         else:

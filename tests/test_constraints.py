@@ -5,7 +5,7 @@ import time
 import pytest
 
 from helpers import (TEST_ALPHABET, CountingBudget, compile_pattern, expand_or_reference,
-                     layering_reference, random_problem, ref_regex_match, words_upto)
+                     layering_reference, pattern, ref_regex_match, words_upto)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import Bound, oracle_sat
@@ -60,8 +60,8 @@ def test_desugar_length_to_membership():
 
 
 def test_desugar_intersects_multiple_memberships():
-    p = desugar([Membership("x", rx.parse_regex("a+")),
-                 Membership("x", rx.parse_regex("(aa)*"))])[0]
+    p = desugar([Membership("x", pattern("a+")),
+                 Membership("x", pattern("(aa)*"))])[0]
     for w in words_upto((97, 97), 6):
         assert accepts(p.reg["x"], w) == (len(w) >= 2 and len(w) % 2 == 0)
 
@@ -79,9 +79,9 @@ def test_desugar_literal_equalities():
 
 
 def test_desugar_disjunction():
-    cs = [Or(((Membership("x", rx.parse_regex("a")),),
-              (Membership("x", rx.parse_regex("b")),))),
-          Membership("x", rx.parse_regex("[ab]"))]
+    cs = [Or(((Membership("x", pattern("a")),),
+              (Membership("x", pattern("b")),))),
+          Membership("x", pattern("[ab]"))]
     problems = desugar(cs)
     assert len(problems) == 2
     assert accepts(problems[0].reg["x"], "a") and not accepts(problems[0].reg["x"], "b")
@@ -89,8 +89,8 @@ def test_desugar_disjunction():
 
 
 def test_desugar_disjunction_cap():
-    two_way = Or(((Membership("x", rx.parse_regex("a")),),
-                  (Membership("x", rx.parse_regex("b")),)))
+    two_way = Or(((Membership("x", pattern("a")),),
+                  (Membership("x", pattern("b")),)))
     with pytest.raises(ResourceLimitError, match="disjunction expands to more than 64 cases"):
         desugar([two_way] * 7)  # 2^7 = 128 > 64
     with pytest.raises(ResourceLimitError):  # at the 7th: an empty Or after it would make 0
@@ -98,7 +98,7 @@ def test_desugar_disjunction_cap():
     assert len(desugar([two_way] * 6)) == 64
 
 
-atom = st.sampled_from([Membership(v, rx.parse_regex(r)) for v in "xy" for r in "ab"])
+atom = st.sampled_from([Membership(v, pattern(r)) for v in "xy" for r in "ab"])
 conjunction = st.recursive(
     st.lists(atom, max_size=3),
     lambda inner: st.lists(st.one_of(atom, st.lists(inner, max_size=4).map(
@@ -120,12 +120,12 @@ def test_expand_or_matches_the_recursive_reference(cs):
 
 def test_expand_or_reads_any_depth():
     def nest(depth: int, width: int) -> Or:
-        c = Membership("x", rx.parse_regex("a"))
+        c = Membership("x", pattern("a"))
         for _ in range(depth):
-            c = Or(((c,),) + ((Membership("x", rx.parse_regex("b")),),) * (width - 1))
+            c = Or(((c,),) + ((Membership("x", pattern("b")),),) * (width - 1))
         return c
 
-    assert expand_or([nest(100_000, 1)]) == [[Membership("x", rx.parse_regex("a"))]]
+    assert expand_or([nest(100_000, 1)]) == [[Membership("x", pattern("a"))]]
     assert len(expand_or([nest(63, 2)])) == 64
     with pytest.raises(ResourceLimitError, match="more than 64 cases"):
         expand_or([nest(3000, 2)])
@@ -173,7 +173,7 @@ def test_desugar_is_linear_in_the_number_of_constraints():
 def test_desugar_checks_the_budget_every_stride_of_constraints():
     # one membership per variable, so no product runs: the checks are
     # desugaring's own, before constraints 0, 1024 and 2048
-    cs = [Membership(f"x{i}", rx.parse_regex("ab")) for i in range(3000)]
+    cs = [Membership(f"x{i}", pattern("ab")) for i in range(3000)]
     budget = CountingBudget()
     (problem,) = desugar(cs, budget=budget)
     assert budget.checked == [0, 0, 0]
@@ -184,7 +184,7 @@ def test_desugar_checks_the_budget_every_stride_of_constraints():
 
 def test_reserved_prefix_rejected():
     with pytest.raises(ValueError):
-        desugar([Membership("_tricky", rx.parse_regex("a"))])
+        desugar([Membership("_tricky", pattern("a"))])
     with pytest.raises(ValueError):
         desugar([], base_vars=["_t1"])
     # the first reserved name in input order, whatever the string hash seed
@@ -201,9 +201,9 @@ def test_problem_wf_validation():
 
 def test_sat_str_url_example():
     cs = [
-        Membership("domain", rx.parse_regex("[a-zA-Z.]+")),
-        Membership("dir", rx.parse_regex("[a-zA-Z0-9.]+")),
-        Membership("file", rx.parse_regex("[a-zA-Z0-9.]+")),
+        Membership("domain", pattern("[a-zA-Z.]+")),
+        Membership("dir", pattern("[a-zA-Z0-9.]+")),
+        Membership("file", pattern("[a-zA-Z0-9.]+")),
         Equation(Var("path"), (Var("dir"), Lit("/"), Var("file"))),
         Equation(Var("url"), (Lit("http://"), Var("domain"), Lit("/"), Var("path"))),
     ]
@@ -232,7 +232,7 @@ def test_is_sigma_star_is_structural():
     assert not rx.is_sigma_star(short_label)
     assert not rx.is_sigma_star(rx.length_automaton(">=", 1))
     # another all-words automaton of another shape is simulated, not skipped
-    assert not rx.is_sigma_star(rx.compile(rx.parse_regex(".*")))
+    assert not rx.is_sigma_star(rx.compile(pattern(".*")))
 
 
 def test_sat_str_simulates_only_languages_other_than_all_words(monkeypatch):

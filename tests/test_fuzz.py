@@ -1,7 +1,7 @@
-"""Fuzzing of the parsers and of the `strsolve solve` exit contract.
+"""Fuzzing of the SMT-LIB reader and of the `strsolve solve` exit contract.
 
 Each input must end in a documented outcome: a parse result or a
-`StrSolveError` from the parsers, and exit code 0, 1 or 2 from the
+`StrSolveError` from the reader, and exit code 0, 1 or 2 from the
 command line, never a traceback. The examples are derandomized so that
 the suite stays deterministic.
 """
@@ -9,17 +9,9 @@ the suite stays deterministic.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from strsolve import regex as rx
 from strsolve.cli import EXIT_PARSE, EXIT_RESOURCE, EXIT_VERDICT, main
 from strsolve.errors import StrSolveError
 from strsolve.smtlib import parse_smt
-
-REGEX_PIECES = ["a", "b", "c", "-", "(", ")", "[", "]", "[^", "{", "}", "{2,3}", "|",
-                "*", "+", "?", "*?", "++", ".", "^", "$", "\\", "\\u{", "\\u0061",
-                "\\x4", "\\x-1", "\\u{0x41}", "\\u{1_0}", "\\d", "\\1", "(?:", "(?=", "é",
-                "\U0001f600"]
-regex_src = st.one_of(st.lists(st.sampled_from(REGEX_PIECES), max_size=12).map("".join),
-                      st.text(max_size=12))
 
 # Scripts come from the documented term grammar (docs/smtlib-subset.md)
 # over three declared variables, with random s-expressions mixed in, so that
@@ -81,15 +73,6 @@ smt_src = st.one_of(
         lambda terms: DECLARED + "".join(f"(assert {t})" for t in terms) + "(check-sat)"),
     st.lists(st.one_of(sexpr, st.sampled_from(["(", ")", ";", "\n"])), max_size=6).map(" ".join),
     st.text(max_size=20))
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(regex_src)
-def test_regex_parser_raises_only_package_errors(src):
-    try:
-        rx.compile(rx.parse_regex(src))
-    except StrSolveError:
-        pass
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

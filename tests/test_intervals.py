@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from oracle import Bound
 from strsolve.errors import ResourceLimitError
-from strsolve.intervals import FULL, MAX_CODEPOINT, complement, normalize
+from strsolve.intervals import FULL, normalize
 
 # Enumerating the members of a large class is almost always a bug, so
 # `sem` refuses it above this cap.
@@ -43,7 +43,7 @@ def test_empty_canonical_form():
     assert repr(normalize([(97, 122)])) == "((97, 122),)"
 
 
-# normalize and complement against brute-force sets on a byte-sized alphabet
+# normalize against brute-force sets on a byte-sized alphabet
 
 small = st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), max_size=5)
 
@@ -64,7 +64,7 @@ def test_normalize_matches_brute_force(pairs):
 
 
 # A union of character classes is normalize over the pairs of both, as
-# `re.union` and the pattern reader build it.
+# `re.union` builds it.
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(small, small)
 def test_union_matches_brute_force(p1, p2):
@@ -72,21 +72,9 @@ def test_union_matches_brute_force(p1, p2):
     assert brute(normalize(x + y)) == brute(x) | brute(y)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(small)
-def test_complement_matches_brute_force(pairs):
-    x = normalize(pairs)
-    comp = complement(x)
-    assert brute(comp) == set(range(256)) - brute(x)
-    assert complement(comp) == x
-
-
 def test_normalize_examples():
     assert normalize([(97, 100), (99, 105)]) == ((97, 105),)
-    full_minus_letters = normalize([(0, 96), (123, MAX_CODEPOINT)])
-    assert complement(full_minus_letters) == ((97, 122),)
     assert normalize([(1, 2), (4, 5)]) == ((1, 2), (4, 5))
-    assert complement(()) == (FULL,) and complement((FULL,)) == ()
 
 
 # The oracle enumerates an alphabet from its pairs, in ascending order

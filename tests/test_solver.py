@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from helpers import TEST_ALPHABET, CountingBudget, random_problem, words_upto
+from helpers import TEST_ALPHABET, CountingBudget, pattern, random_problem, words_upto
 from oracle import Bound, oracle_sat
 from strsolve import regex as rx
 from strsolve import solver
@@ -15,13 +15,13 @@ from strsolve.snfa import PAIR_STRIDE, SNfa, accepts, concat, dump, is_empty, pr
 from strsolve.solver import Budget, SolveStats, classify, extract_model, forward_prop, solve
 
 URL_CONSTRAINTS = [
-    Membership("domain", rx.parse_regex("[a-zA-Z.]+")),
-    Membership("dir", rx.parse_regex("[a-zA-Z0-9.]+")),
-    Membership("file", rx.parse_regex("[a-zA-Z0-9.]+")),
+    Membership("domain", pattern("[a-zA-Z.]+")),
+    Membership("dir", pattern("[a-zA-Z0-9.]+")),
+    Membership("file", pattern("[a-zA-Z0-9.]+")),
     Equation(Var("path"), (Var("dir"), Lit("/"), Var("file"))),
     Equation(Var("url"), (Lit("http://"), Var("domain"), Lit("/"), Var("path"))),
 ]
-SCRIPT_MEMBERSHIP = Membership("url", rx.parse_regex(".*<script>.*"))
+SCRIPT_MEMBERSHIP = Membership("url", pattern(".*<script>.*"))
 
 
 def paper_example_problem():
@@ -98,8 +98,8 @@ def test_forward_prop_cyclic():
 
 def test_theorem_contract_on_url_problem():
     p = desugar([
-        Membership("dir", rx.parse_regex("[ab]+")),
-        Membership("file", rx.parse_regex("[ab]+")),
+        Membership("dir", pattern("[ab]+")),
+        Membership("file", pattern("[ab]+")),
         Equation(Var("path"), (Var("dir"), Var("file"))),
     ])[0]
     reg1 = forward_prop(p)
@@ -122,8 +122,8 @@ def test_classify_verdicts():
 
     not_tree = solve(desugar([
         Equation(Var("y"), (Var("x"), Var("x"))),
-        Membership("y", rx.parse_regex("ab")),
-        Membership("x", rx.parse_regex("a|b")),
+        Membership("y", pattern("ab")),
+        Membership("x", pattern("a|b")),
     ])[0])
     assert (not_tree.kind, not_tree.reason) == ("unknown", "not-tree")
 
@@ -138,7 +138,7 @@ def test_extract_model_cases():
     assert sat_str(p, mu)
     assert mu["url"].startswith("http://")
 
-    single = desugar([Membership("x", rx.parse_regex("a+"))])[0]
+    single = desugar([Membership("x", pattern("a+"))])[0]
     assert extract_model(single, forward_prop(single)) == {"x": "a"}
 
     paper = paper_example_problem()
@@ -148,9 +148,9 @@ def test_extract_model_cases():
 
 def test_sat_model_always_checked():
     verdict = solve(desugar([
-        Membership("a", rx.parse_regex("x[yz]")),
+        Membership("a", pattern("x[yz]")),
         Equation(Var("c"), (Var("a"), Var("b"))),
-        Membership("c", rx.parse_regex("xy[01]+")),
+        Membership("c", pattern("xy[01]+")),
     ])[0])
     assert verdict.kind == "sat"
     assert verdict.model["a"] == "xy" and verdict.model["b"].startswith("0")
