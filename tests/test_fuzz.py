@@ -9,6 +9,7 @@ the suite stays deterministic.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from strsolve import regex as rx
 from strsolve.cli import EXIT_PARSE, EXIT_RESOURCE, EXIT_VERDICT, main
 from strsolve.errors import StrSolveError
 from strsolve.smtlib import parse_smt
@@ -80,6 +81,17 @@ smt_src = st.one_of(
 def test_smt_parser_raises_only_package_errors(src):
     try:
         parse_smt(src)
+    except StrSolveError:
+        pass
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(regex)
+def test_regex_terms_compile_or_raise_package_errors(term):
+    try:
+        (membership,) = parse_smt(f"(declare-const x String)(assert (str.in_re x {term}))"
+                                  ).assertions
+        rx.compile(membership.regex)
     except StrSolveError:
         pass
 

@@ -12,7 +12,7 @@ from strsolve.constraints import Equation, Length, Lit, Membership, Or, Var
 from strsolve.errors import ResourceLimitError, StrSolveError, SyntaxParseError, UnsupportedError
 from strsolve.intervals import FULL, normalize
 from strsolve.smtlib import (_CLOSE, _OPEN, _STRING, _TOKEN, _UNION, _WORD,
-                             MAX_NUMERAL_DIGITS, encode_string, parse_smt)
+                             MAX_NUMERAL_DIGITS, encode_string, hex_value, parse_smt)
 from strsolve.snfa import BUDGET_STRIDE, Budget
 
 
@@ -515,6 +515,68 @@ def test_range_as_the_head_of_a_list(src, message):
     at = int(message.split()[-1][:-1])
     assert _outcome(parse_smt_reference, src)[::2] == (UnsupportedError, at)
     assert _outcome(parse_smt, src) == (UnsupportedError, message, at)
+
+
+@pytest.mark.parametrize("digits,value", [
+    ("41", 0x41), ("fF", 255), ("10FFFF", 0x10FFFF), ("0", 0),
+    # int(digits, 16) would take each of these
+    ("", None), (" 41", None), ("0x41", None), ("1_0", None), ("+41", None), ("-1", None),
+    ("\u0661", None),
+])
+def test_hex_value_takes_only_ascii_hex_digits(digits, value):
+    assert hex_value(digits) == value
+
+
+def _in_re(regex: str) -> str:
+    return DECL + f"(assert (str.in_re x {regex}))"
+
+
+# Each regex term error of the reader, with its type, message and offset.
+# 45 is the offset of the regex term in `_in_re`.
+@pytest.mark.parametrize("src,want", [
+    (_in_re("(re.*)"), (SyntaxParseError, "re.* takes one regex", 45)),
+    (_in_re('(re.+ (str.to_re "a") (str.to_re "b"))'), (SyntaxParseError, "re.+ takes one regex", 45)),
+    (_in_re("(re.opt)"), (SyntaxParseError, "re.opt takes one regex", 45)),
+    (_in_re('(re.range "a")'), (SyntaxParseError, "re.range takes two string literals", 45)),
+    (_in_re('(re.range x "c")'), (SyntaxParseError, "re.range takes two string literals", 45)),
+    (_in_re('(re.range "a" (str.++ "b"))'),
+     (SyntaxParseError, "re.range takes two string literals", 45)),
+    (_in_re("(str.to_re x)"), (SyntaxParseError, "str.to_re takes one string literal", 45)),
+    (_in_re('(str.to_re "a" "b")'), (SyntaxParseError, "str.to_re takes one string literal", 45)),
+    (_in_re("(re.union)"), (SyntaxParseError, "empty re.union", 45)),
+    (DECL + "(assert (str.in_re x))",
+     (SyntaxParseError, "str.in_re takes a variable and a regex", 32)),
+    (_in_re('"a"'), (UnsupportedError, "unsupported: regex term", 45)),
+    (_in_re('(re.* "a")'), (UnsupportedError, "unsupported: regex term", 51)),
+    (_in_re("re.foo"), (UnsupportedError, "unsupported: regex symbol re.foo", 45)),
+    (_in_re('(re.inter (str.to_re "a") (str.to_re "b"))'),
+     (UnsupportedError, "unsupported: regex operator re.inter", 45)),
+    (_in_re('(re.diff (str.to_re "a") (str.to_re "b"))'),
+     (UnsupportedError, "unsupported: regex operator re.diff", 45)),
+    (_in_re('((_ re.loop 1 2) (str.to_re "a"))'),
+     (UnsupportedError, "unsupported: regex operator (_ re.loop 1 2)", 45)),
+    (_in_re('((_ re.^ 2) (str.to_re "a"))'),
+     (UnsupportedError, "unsupported: regex operator (_ re.^ 2)", 45)),
+    (_in_re('(re.allchar "a")'), (UnsupportedError, "unsupported: regex operator re.allchar", 45)),
+    (_in_re('(str.replace_re x re.all "a")'),
+     (UnsupportedError, "unsupported: regex operator str.replace_re", 45)),
+    # escapes whose digits `int(digits, 16)` would take, in each literal a regex holds
+    (_in_re('(str.to_re "\\u{ 41}")'), (SyntaxParseError, "bad hex in \\u{...} escape", 56)),
+    (_in_re('(str.to_re "\\u{0x41}")'), (SyntaxParseError, "bad hex in \\u{...} escape", 56)),
+    (_in_re('(str.to_re "\\u{1_0}")'), (SyntaxParseError, "bad hex in \\u{...} escape", 56)),
+    (_in_re('(str.to_re "\\u{\u0661}")'), (SyntaxParseError, "bad hex in \\u{...} escape", 56)),
+    (_in_re('(str.to_re "\\u{-1}")'), (SyntaxParseError, "bad hex in \\u{...} escape", 56)),
+    (_in_re('(re.range "\\u{0x41}" "b")'), (SyntaxParseError, "bad hex in \\u{...} escape", 55)),
+    (_in_re('(re.union (re.range "a" "\\u{+41}"))'),
+     (SyntaxParseError, "bad hex in \\u{...} escape", 69)),
+    # an unclosed regex leaves the assert open; one ) too many is the stray one
+    (DECL + '(assert (str.in_re x (re.* (str.to_re "a")))', (SyntaxParseError, "unbalanced (", 24)),
+    (_in_re('(re.* (str.to_re "a"))') + ")", (SyntaxParseError, "unbalanced )", 69)),
+])
+def test_regex_term_errors(src, want):
+    error, message, pos = want
+    assert _outcome(parse_smt, src) == (error, f"{message} (at offset {pos})", pos)
+    assert _same_outcome(src)
 
 
 def test_parse_checks_the_budget_every_stride_of_tokens():
